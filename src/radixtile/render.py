@@ -1,15 +1,16 @@
 """Deterministic raster output of depth-k tile approximations.
 
 Point clouds are kept as exact integer combinations w = sum A^{k-j} d_j;
-the true points are A^-k w.  Pixel mapping happens in exact integer
-arithmetic against a rational bounding box, so identical inputs always
-produce identical bytes.  Output is binary PGM (P5) for single clouds and
-PPM (P6) for overlays.
+the true points are A^-k w.  A cloud is one (N, n) integer array: int64
+when a certified bound keeps every entry below 2**62, object (exact Python
+ints) otherwise, with the same array code for both.  Pixel mapping happens
+in exact integer arithmetic against a rational bounding box, so identical
+inputs always produce identical bytes.  Output is binary PGM (P5) for
+single clouds and PPM (P6) for overlays.
 """
 
 from __future__ import annotations
 
-import bisect
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,18 +19,53 @@ import numpy as np
 
 from . import linalg
 from .errors import DepthTooLarge, EmptyCloud
-from .linalg import IntVec, RatVec
+from .linalg import IntMatrix, IntVec, RatVec
 from .numsys import RadixSystem
 from .radix import EpSeq
 
+# below this magnitude a sum of two entries still fits in int64
+_INT64_SAFE = 2**62
 
-@dataclass(frozen=True)
+
+def _dtype_for(bound: int):
+    """int64 when every entry is certified below 2**62 in magnitude."""
+    return np.int64 if bound < _INT64_SAFE else object
+
+
+def _lex_groups(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row order that sorts arr lexicographically, and which sorted rows are new."""
+    order = np.lexsort(arr.T[::-1])
+    ranked = arr[order]
+    fresh = np.ones(len(arr), dtype=bool)
+    fresh[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    return order, fresh
+
+
+def _sorted_unique(arr: np.ndarray) -> np.ndarray:
+    order, fresh = _lex_groups(arr)
+    return arr[order[fresh]]
+
+
 class PointCloud:
-    """Depth-k partial sums stored as integer vectors w = A^k * point."""
+    """Depth-k partial sums stored as integer vectors w = A^k * point.
 
-    system: RadixSystem
-    depth: int
-    int_points: tuple[IntVec, ...]
+    ``array`` is one (N, n) integer array of the rows w in lexicographic
+    order without repeats.  The constructor builds it from the integer
+    vectors ``int_points``; ``array=`` passes one already in that form.
+    """
+
+    def __init__(self, system: RadixSystem, depth: int, int_points=(), *, array=None):
+        if array is None:
+            rows = [linalg.as_vec(w) for w in int_points]
+            bound = max((abs(x) for w in rows for x in w), default=0)
+            array = _sorted_unique(np.array(rows, dtype=_dtype_for(bound)).reshape(-1, system.n))
+        self.system = system
+        self.depth = depth
+        self.array = array
+
+    @property
+    def int_points(self) -> tuple[IntVec, ...]:
+        return tuple(map(tuple, self.array.tolist()))
 
     @property
     def points(self) -> tuple[RatVec, ...]:
@@ -37,7 +73,7 @@ class PointCloud:
         return tuple(linalg.frac_mat_vec(inv_k, w) for w in self.int_points)
 
     def __len__(self) -> int:
-        return len(self.int_points)
+        return len(self.array)
 
 
 def ktile_points(
@@ -54,64 +90,58 @@ def ktile_points(
     would exceed the cap, a fixed-seed sample of that size is drawn
     instead (DepthTooLarge when sampling is disabled).
     """
-
-    def choices(j: int) -> list[IntVec]:
-        if digit_filter is None:
-            return list(sys.digits)
-        entry = digit_filter.entry(j)
-        return sorted(linalg.as_vec(d) for d in entry)
-
     total = 1
     for j in range(k):
-        total *= len(choices(j))
+        total *= len(sys.digits if digit_filter is None else digit_filter.entry(j))
         if total > cap:
             break
-    if total > cap:
-        if sample_seed is None:
-            raise DepthTooLarge(f"cloud of {total} points exceeds cap {cap}")
-        rng = random.Random(sample_seed)
-        pts = set()
-        attempts = 0
-        while len(pts) < cap and attempts < 20 * cap:
-            attempts += 1
-            w = linalg.zero_vec(sys.n)
-            for j in range(k):
-                w = linalg.vec_add(linalg.mat_vec(sys.matrix, w), rng.choice(choices(j)))
-            pts.add(w)
-        return PointCloud(system=sys, depth=k, int_points=tuple(sorted(pts)))
+    if total > cap and sample_seed is None:
+        raise DepthTooLarge(f"cloud of {total} points exceeds cap {cap}")
 
     # positions enter most significant first, matching sum A^{k-j} d_j
-    if _int_entry_bound(sys, k) < 2**62:
-        a_t = np.array(sys.matrix, dtype=np.int64).T
-        points = np.zeros((1, sys.n), dtype=np.int64)
-        for j in range(k):
-            digits = np.array(choices(j), dtype=np.int64)
-            points = (points @ a_t)[:, None, :] + digits[None, :, :]
-            points = points.reshape(-1, sys.n)
-        points = np.unique(points, axis=0)
-        return PointCloud(
-            system=sys, depth=k, int_points=tuple(map(tuple, points.tolist()))
-        )
+    choices = [
+        list(sys.digits)
+        if digit_filter is None
+        else sorted(linalg.as_vec(d) for d in digit_filter.entry(j))
+        for j in range(k)
+    ]
+    n = sys.n
+    dtype = _dtype_for(_int_entry_bound(sys.matrix, choices))
+    digits = [np.array(c, dtype=dtype).reshape(-1, n) for c in choices]
+    a_t = np.array(sys.matrix, dtype=dtype).T
 
-    points = [linalg.zero_vec(sys.n)]
-    for j in range(k):
-        digits = choices(j)
-        nxt = []
-        for w in points:
-            base = linalg.mat_vec(sys.matrix, w)
-            for d in digits:
-                nxt.append(linalg.vec_add(base, d))
-        points = nxt
-    return PointCloud(system=sys, depth=k, int_points=tuple(sorted(set(points))))
+    if total <= cap:
+        points = np.zeros((1, n), dtype=dtype)
+        for d in digits:
+            points = ((points @ a_t)[:, None, :] + d[None, :, :]).reshape(-1, n)
+        return PointCloud(sys, k, array=_sorted_unique(points))
+
+    # Draw attempts until cap distinct points or 20 * cap attempts, keeping the
+    # distinct points in order of first appearance; choice() on a range draws
+    # the same index it would on the digit list.
+    rng = random.Random(sample_seed)
+    draws = [range(len(c)) for c in choices]
+    pick_type = np.min_scalar_type(max(map(len, choices)))
+    kept = np.zeros((0, n), dtype=dtype)
+    for _ in range(20):
+        if len(kept) == cap:
+            break
+        picks = np.fromiter((rng.choice(r) for _ in range(cap) for r in draws), pick_type, cap * k)
+        w = np.zeros((cap, n), dtype=dtype)
+        for d, column in zip(digits, picks.reshape(cap, k).T):
+            w = w @ a_t + d[column]
+        kept = np.concatenate([kept, w])
+        order, fresh = _lex_groups(kept)
+        kept = kept[np.sort(np.minimum.reduceat(order, np.flatnonzero(fresh)))[:cap]]
+    return PointCloud(sys, k, array=_sorted_unique(kept))
 
 
-def _int_entry_bound(sys: RadixSystem, k: int) -> int:
-    """Certified bound on |entries| of depth-k integer partial sums."""
-    row_sum = max(sum(abs(x) for x in row) for row in sys.matrix)
-    max_digit = max(abs(x) for d in sys.digits for x in d)
+def _int_entry_bound(matrix: IntMatrix, choices: list[list[IntVec]]) -> int:
+    """Certified bound on |entries| of partial sums drawing choices[j] at position j."""
+    row_sum = max(sum(abs(x) for x in row) for row in matrix)
     bound = 0
-    for _ in range(k):
-        bound = row_sum * bound + max_digit
+    for digits in choices:
+        bound = row_sum * bound + max((abs(x) for d in digits for x in d), default=0)
     return bound
 
 
@@ -129,26 +159,23 @@ class RasterImage:
         return header + self.pixels
 
 
-def _scaled_coords(cloud: PointCloud) -> tuple[list[tuple[int, int]], int]:
-    """Integer coordinates det^k-scaled: exact values of A^-k w times det^k.
+def _scaled_coords(cloud: PointCloud) -> tuple[np.ndarray, int]:
+    """(N, 2) integer coordinates det^k-scaled: exact values of A^-k w times det^k.
 
     One-dimensional systems render along the x axis.
     """
     a = cloud.system.matrix
-    n = cloud.system.n
-    k = cloud.depth
-    d = linalg.det(a)
-    scale = d**k
-    m = linalg.mat_pow(linalg.adjugate(a), k)  # m / det^k == A^-k exactly
-    coords = []
-    for w in cloud.int_points:
-        xy = [sum(m[i][j] * w[j] for j in range(n)) for i in range(min(n, 2))]
-        if n == 1:
-            xy.append(0)
-        coords.append(tuple(xy))
+    scale = linalg.det(a) ** cloud.depth
+    # m / scale == A^-k exactly; only the first two rows are drawn
+    m = linalg.mat_pow(linalg.adjugate(a), cloud.depth)[:2]
     if scale < 0:
-        coords = [(-x, -y) for x, y in coords]
+        m = tuple(tuple(-x for x in row) for row in m)
         scale = -scale
+    w_max = int(np.abs(cloud.array).max(initial=0))
+    dtype = _dtype_for(max(sum(abs(x) for x in row) for row in m) * w_max)
+    coords = cloud.array.astype(dtype, copy=False) @ np.array(m, dtype=dtype).T
+    if cloud.system.n == 1:
+        coords = np.hstack([coords, np.zeros_like(coords)])
     return coords, scale
 
 
@@ -172,19 +199,13 @@ def rasterize(
     scaled = [_scaled_coords(c) for c in clouds]
 
     if bbox is None:
-        lo = [None, None]
-        hi = [None, None]
-        for coords, scale in scaled:
-            for axis in (0, 1):
-                mn = Fraction(min(p[axis] for p in coords), scale)
-                mx = Fraction(max(p[axis] for p in coords), scale)
-                lo[axis] = mn if lo[axis] is None else min(lo[axis], mn)
-                hi[axis] = mx if hi[axis] is None else max(hi[axis], mx)
+        lo = [min(Fraction(int(c[:, a].min()), s) for c, s in scaled if len(c)) for a in (0, 1)]
+        hi = [max(Fraction(int(c[:, a].max()), s) for c, s in scaled if len(c)) for a in (0, 1)]
         pads = [(hi[a] - lo[a]) / 20 or Fraction(1, 2) for a in (0, 1)]
         bbox = tuple((lo[a] - pads[a], hi[a] + pads[a]) for a in (0, 1))
 
     channels = 1 if len(clouds) == 1 else 3
-    buf = bytearray(width * height * channels)
+    image = np.zeros(width * height * channels, dtype=np.uint8)
     for channel, (coords, scale) in enumerate(scaled):
         chan = min(channel, channels - 1)
         edges = []
@@ -197,32 +218,18 @@ def rasterize(
             edges.append(
                 [_ceil_frac(scale * (a0 + i * per_pixel)) for i in range(pixels + 1)]
             )
-        x_edges, y_edges = edges
-        fits64 = (
-            max(abs(v) for v in x_edges + y_edges) < 2**62
-            and max((abs(p[0]) for p in coords), default=0) < 2**62
-            and max((abs(p[1]) for p in coords), default=0) < 2**62
+        if max(abs(v) for v in edges[0] + edges[1]) >= _INT64_SAFE:
+            coords = coords.astype(object)
+        ix, iy = (
+            np.searchsorted(np.array(e, dtype=coords.dtype), coords[:, axis], side="right") - 1
+            for axis, e in enumerate(edges)
         )
-        if fits64 and len(coords) > 512 and scale > 0:
-            arr = np.asarray(coords, dtype=np.int64)
-            ix = np.searchsorted(np.asarray(x_edges, dtype=np.int64), arr[:, 0], side="right") - 1
-            iy = np.searchsorted(np.asarray(y_edges, dtype=np.int64), arr[:, 1], side="right") - 1
-            ix = np.where(ix == width, width - 1, ix)
-            iy = np.where(iy == height, height - 1, iy)
-            keep = (ix >= 0) & (ix < width) & (iy >= 0) & (iy < height)
-            # image rows run top to bottom
-            offsets = ((height - 1 - iy[keep]) * width + ix[keep]) * channels + chan
-            for off in np.unique(offsets):
-                buf[int(off)] = 255
-        else:
-            for px, py in coords:
-                ix = bisect.bisect_right(x_edges, px) - 1
-                iy = bisect.bisect_right(y_edges, py) - 1
-                ix = width - 1 if ix == width else ix
-                iy = height - 1 if iy == height else iy
-                if 0 <= ix < width and 0 <= iy < height:
-                    buf[((height - 1 - iy) * width + ix) * channels + chan] = 255
-    return RasterImage(width=width, height=height, channels=channels, pixels=bytes(buf), bbox=bbox)
+        ix[ix == width] = width - 1
+        iy[iy == height] = height - 1
+        keep = (ix >= 0) & (ix < width) & (iy >= 0) & (iy < height)
+        # image rows run top to bottom
+        image[((height - 1 - iy[keep]) * width + ix[keep]) * channels + chan] = 255
+    return RasterImage(width=width, height=height, channels=channels, pixels=image.tobytes(), bbox=bbox)
 
 
 def _ceil_frac(x: Fraction) -> int:
@@ -240,21 +247,15 @@ def render_overlap(
     shift = linalg.as_vec(shift)
     base = ktile_points(sys, k)
     scale_shift = linalg.mat_vec(linalg.mat_pow(sys.matrix, k), shift)
-    shifted = PointCloud(
-        system=sys,
-        depth=k,
-        int_points=tuple(sorted(linalg.vec_add(w, scale_shift) for w in base.int_points)),
-    )
-    return rasterize([base, shifted], width, height)
+    dtype = _dtype_for(int(np.abs(base.array).max(initial=0)) + max(abs(x) for x in scale_shift))
+    # adding one vector to every row keeps the rows' lexicographic order
+    shifted = base.array.astype(dtype, copy=False) + np.array(scale_shift, dtype=dtype)
+    return rasterize([base, PointCloud(sys, k, array=shifted)], width, height)
 
 
 def overlap_pixel_count(img: RasterImage) -> int:
     """Pixels lit in both of the first two channels."""
     if img.channels != 3:
         raise ValueError("overlap counting needs an RGB image")
-    data = img.pixels
-    return sum(
-        1
-        for i in range(0, len(data), 3)
-        if data[i] and data[i + 1]
-    )
+    rgb = np.frombuffer(img.pixels, dtype=np.uint8).reshape(-1, 3)
+    return int(np.count_nonzero(rgb[:, :2].all(axis=1)))
