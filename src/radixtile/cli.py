@@ -18,11 +18,6 @@ from . import intersect, linalg, multinv, neighbours, numsys, radix, render, sep
 from .errors import BudgetError, PreconditionError, RadixTileError
 
 
-def _frac_str(x) -> str:
-    x = Fraction(x)
-    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
-
-
 def _parse_frac(text) -> Fraction:
     return Fraction(str(text))
 
@@ -57,17 +52,6 @@ def _set_seq_from_json(data) -> radix.EpSeq:
         return frozenset(linalg.as_vec(v) for v in entry)
 
     return _seq_from_json(data, coerce)
-
-
-def _seq_to_json(seq: radix.EpSeq) -> dict:
-    def enc(x):
-        if isinstance(x, frozenset):
-            return sorted(list(v) for v in x)
-        if isinstance(x, tuple):
-            return list(x)
-        return x
-
-    return {"pre": [enc(x) for x in seq.pre], "cycle": [enc(x) for x in seq.cycle]}
 
 
 def _rep(sys, data) -> radix.Representation:
@@ -121,7 +105,7 @@ def cmd_eval(args, sys, payload):
     value = radix.eval_exact(_rep(sys, payload))
     _emit_json(
         args,
-        {"value": {"exact": [_frac_str(x) for x in value], "float": [float(x) for x in value]}},
+        {"value": {"exact": [linalg.frac_str(x) for x in value], "float": [float(x) for x in value]}},
     )
 
 
@@ -140,7 +124,7 @@ def cmd_enumerate_equiv(args, sys, payload):
     cls, samples = radix.enumerate_equivalents(sys, x, payload.get("limit", 16))
     _emit_json(
         args,
-        {"classification": cls, "samples": [_seq_to_json(s) for s in samples]},
+        {"classification": cls, "samples": [s.to_json() for s in samples]},
     )
 
 
@@ -222,7 +206,7 @@ def cmd_intersect(args, sys, payload):
             for a in payload["alphas"]
         ]
         seq = intersect.multi_intersection_sequence(specs)
-        _emit_json(args, {"sequence": _seq_to_json(seq)})
+        _emit_json(args, {"sequence": seq.to_json()})
         return
     t = _translate_from_payload(sys, payload)
     report = intersect.intersection_report(
@@ -282,7 +266,7 @@ def cmd_levelset(args, sys, payload):
     _emit_json(
         args,
         {
-            "beta": _seq_to_json(t.alpha),
+            "beta": t.alpha.to_json(),
             "dimension": intersect.box_dimension_ep(sys, seq).to_json(),
         },
     )
@@ -299,8 +283,8 @@ def cmd_union_components(args, sys, payload):
             "classification": report.classification,
             "components": [
                 {
-                    "alpha": _seq_to_json(c.alpha_rep),
-                    "sequence": _seq_to_json(c.sets),
+                    "alpha": c.alpha_rep.to_json(),
+                    "sequence": c.sets.to_json(),
                     "dim_lower": c.dim_lower.to_json(),
                 }
                 for c in report.components
@@ -334,7 +318,7 @@ def cmd_multinv(args, sys, payload):
             args,
             {
                 "points": [
-                    {"exact": [_frac_str(x) for x in p], "float": [float(x) for x in p]}
+                    {"exact": [linalg.frac_str(x) for x in p], "float": [float(x) for x in p]}
                     for p in points
                 ]
             },

@@ -22,10 +22,9 @@ from .errors import (
     DigitShapeViolation,
     EmptyIntersection,
     GridViolation,
-    SimilarityUnavailable,
     UniquenessNotEstablished,
 )
-from .linalg import IntMatrix, IntVec, RatMatrix, RatVec
+from .linalg import IntVec, RatMatrix, RatVec
 from .numsys import RadixSystem
 from .radix import EpSeq, Representation, enumerate_equivalents, eval_exact, representations_unique, vector_seq
 from .sep import SepIntWitness, SepSetWitness
@@ -141,15 +140,6 @@ class DimReport:
         if self.flags:
             out["flags"] = dict(sorted(self.flags.items()))
         return out
-
-
-def _similarity_coeff_or_raise(matrix: IntMatrix) -> float:
-    c = linalg.similarity_contraction(matrix)
-    if c is None:
-        raise SimilarityUnavailable(
-            "dimension formulas need the inverse matrix to scale distances"
-        )
-    return c
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +297,7 @@ def check_ssc(w: SepSetWitness) -> bool:
 
 def similarity_dimension(sys: RadixSystem, w: SepSetWitness) -> DimReport:
     """Similarity dimension of the witness IFS (exact form)."""
-    _similarity_coeff_or_raise(sys.matrix)
+    linalg.require_similarity(sys.matrix)
     counts = w.map_counts()
     exact = ExactDim.from_counts(counts, w.block, sys.determinant, sys.n)
     return DimReport(kind="similarity", exact=exact, flags={"ssc": check_ssc(w)})
@@ -353,7 +343,7 @@ def box_dimension_ep(sys: RadixSystem, seq: EpSeq) -> DimReport:
     n * sum over the cycle of log |D_l| divided by (cycle length * log
     |det A|).  Needs the inverse matrix to act as a similarity.
     """
-    _similarity_coeff_or_raise(sys.matrix)
+    linalg.require_similarity(sys.matrix)
     counts = [len(s) for s in seq.cycle]
     if any(c == 0 for c in counts):
         raise EmptyIntersection("empty component in the sequence")
@@ -363,7 +353,7 @@ def box_dimension_ep(sys: RadixSystem, seq: EpSeq) -> DimReport:
 
 def hausdorff_dimension_sep(sys: RadixSystem, w: SepSetWitness) -> DimReport:
     """Hausdorff dimension from a SEP witness: log prod |U_l + V_l| scaled."""
-    _similarity_coeff_or_raise(sys.matrix)
+    linalg.require_similarity(sys.matrix)
     counts = w.sum_counts()
     exact = ExactDim.from_counts(counts, w.block, sys.determinant, sys.n)
     return DimReport(kind="hausdorff", exact=exact, flags={"ssc": check_ssc(w)})
@@ -371,7 +361,7 @@ def hausdorff_dimension_sep(sys: RadixSystem, w: SepSetWitness) -> DimReport:
 
 def gk_profile(sys: RadixSystem, counts_prefix) -> list[float]:
     """Finite-k diagnostics log G_k / (k log |det|^{1/n}) for k = 1..len."""
-    _similarity_coeff_or_raise(sys.matrix)
+    linalg.require_similarity(sys.matrix)
     scale = math.log(abs(sys.determinant)) / sys.n
     out = []
     acc = 0.0
@@ -597,7 +587,7 @@ def intersection_report(t: TranslateSpec, sep_budget: int | None = None, empiric
     """Full pipeline: sequence, witness, IFS, dimensions, flags."""
     seq = intersection_sequence(t)
     out: dict = {
-        "sequence": _seq_json(seq),
+        "sequence": seq.to_json(),
         "flags": {
             "uniqueness_assumed": not t.uniqueness_checked,
         },
@@ -615,8 +605,8 @@ def intersection_report(t: TranslateSpec, sep_budget: int | None = None, empiric
         out["ifs"] = {
             "power": ifs.power,
             "map_count": ifs.map_count,
-            "offsets": [[_frac_str(x) for x in off] for off in ifs.offsets],
-            "beta": [_frac_str(x) for x in ifs.beta_value],
+            "offsets": [[linalg.frac_str(x) for x in off] for off in ifs.offsets],
+            "beta": [linalg.frac_str(x) for x in ifs.beta_value],
         }
         dims["hausdorff"] = hausdorff_dimension_sep(t.system, witness).to_json()
         dims["similarity"] = similarity_dimension(t.system, witness).to_json()
@@ -630,17 +620,6 @@ def intersection_report(t: TranslateSpec, sep_budget: int | None = None, empiric
     return out
 
 
-def _seq_json(seq: EpSeq) -> dict:
-    def enc(entry):
-        if isinstance(entry, frozenset):
-            return sorted(list(v) for v in entry)
-        if isinstance(entry, tuple):
-            return list(entry)
-        return entry
-
-    return {"pre": [enc(x) for x in seq.pre], "cycle": [enc(x) for x in seq.cycle]}
-
-
 def witness_json(w: SepSetWitness) -> dict:
     return {
         "block": w.block,
@@ -649,7 +628,3 @@ def witness_json(w: SepSetWitness) -> dict:
         "base": [sorted(list(v) for v in u) for u in w.base],
         "increments": [sorted(list(v) for v in u) for u in w.increments],
     }
-
-
-def _frac_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)

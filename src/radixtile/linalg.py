@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import CandidateBallTooLarge, NotExpanding, SingularMatrix
+from .errors import CandidateBallTooLarge, NotExpanding, SimilarityUnavailable, SingularMatrix
 
 IntVec = tuple[int, ...]
 IntMatrix = tuple[IntVec, ...]
@@ -67,6 +67,8 @@ def mat_transpose(a):
 
 def mat_pow(a, k: int):
     """k-th power of a square matrix, k >= 0, exact."""
+    if k < 0:
+        raise ValueError(f"matrix power needs k >= 0, got {k}")
     n = len(a)
     result = identity(n)
     base = a
@@ -198,6 +200,11 @@ def mat_inv_pow(a: IntMatrix, k: int) -> RatMatrix:
 
 def is_integral(v: RatVec) -> bool:
     return all(x.denominator == 1 for x in v)
+
+
+def frac_str(x: Fraction | int) -> str:
+    """Exact "p/q" text of a rational, or "p" when it is an integer."""
+    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
 
 # ---------------------------------------------------------------------------
@@ -540,6 +547,11 @@ def require_expanding(a: IntMatrix, tol: float = 1e-9) -> SpectralInfo:
     if not info.expanding:
         raise NotExpanding(f"matrix {a} is not expanding")
     return info
+
+
+def require_similarity(a: IntMatrix) -> None:
+    if similarity_contraction(a) is None:
+        raise SimilarityUnavailable("dimension formulas need the inverse matrix to scale distances")
 
 
 # ---------------------------------------------------------------------------

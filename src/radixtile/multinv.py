@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import linalg
+from . import graph, linalg
 from .errors import CloudTooLarge, EmptySet
 from .linalg import IntVec, RatVec
 from .numsys import RadixSystem, discrete_expansion, evaluate_expansion
@@ -326,14 +326,11 @@ def xk_cloud(sys: RadixSystem, auto: DigitAutomaton, k: int, cap: int = 200_000)
 
     # prune states that can never reach acceptance, so dead sinks do not
     # blow the walk up to |digits|^k
-    alive = set(padded.accepting)
-    changed = True
-    while changed:
-        changed = False
-        for s in range(padded.n_states):
-            if s not in alive and any(t in alive for t in padded.transitions[s]):
-                alive.add(s)
-                changed = True
+    pred: dict[int, list[int]] = {s: [] for s in range(padded.n_states)}
+    for s, row in enumerate(padded.transitions):
+        for t in row:
+            pred[t].append(s)
+    alive = graph.reach(padded.accepting, pred)
 
     points: set[RatVec] = set()
     stack = [(padded.initial, 0, ())]

@@ -14,11 +14,11 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from . import linalg
+from . import graph, linalg
 from .errors import PreconditionViolated
 from .linalg import IntMatrix, IntVec
 from .numsys import RadixSystem
-from .radix import PairAutomaton, pair_automaton
+from .radix import PairAutomaton, _vec_label, pair_automaton
 
 
 @dataclass(frozen=True)
@@ -54,31 +54,10 @@ def tile_integer_points(
     candidates = set(linalg.lattice_ball(n, radius, cap))
 
     succ: dict[IntVec, list[IntVec]] = {}
-    pred: dict[IntVec, list[IntVec]] = {z: [] for z in candidates}
     for z in candidates:
         base = linalg.mat_vec(matrix, z)
-        outs = []
-        for d in digits:
-            w = linalg.vec_sub(base, d)
-            if w in candidates:
-                outs.append(w)
-                pred[w].append(z)
-        succ[z] = outs
-
-    outdeg = {z: len(succ[z]) for z in candidates}
-    dead = [z for z in candidates if outdeg[z] == 0]
-    alive = set(candidates)
-    while dead:
-        z = dead.pop()
-        if z not in alive:
-            continue
-        alive.discard(z)
-        for p in pred[z]:
-            if p in alive:
-                outdeg[p] -= 1
-                if outdeg[p] == 0:
-                    dead.append(p)
-    return frozenset(alive)
+        succ[z] = [w for d in digits if (w := linalg.vec_sub(base, d)) in candidates]
+    return frozenset(graph.live(succ))
 
 
 @lru_cache(maxsize=None)
@@ -193,9 +172,6 @@ class TripleStateGraph:
     states: tuple[tuple[IntVec, IntVec], ...]
     edges: tuple[tuple[tuple[IntVec, IntVec], tuple[IntVec, IntVec, IntVec], tuple[IntVec, IntVec]], ...]
 
-    def successors(self, state):
-        return [(lab, dst) for src, lab, dst in self.edges if src == state]
-
     def has_edge(self, src, dst) -> bool:
         return any(s == src and t == dst for s, _, t in self.edges)
 
@@ -219,7 +195,7 @@ class TripleStateGraph:
 
 
 def _fmt(v: IntVec) -> str:
-    return "(" + ",".join(str(x) for x in v) + ")"
+    return f"({_vec_label(v)})"
 
 
 def triple_state_graph(matrix: IntMatrix, digits) -> TripleStateGraph:
@@ -264,26 +240,6 @@ def triple_state_graph(matrix: IntMatrix, digits) -> TripleStateGraph:
                         edges.append(((zeta, xi), (p, q, r), dst))
                         succ[(zeta, xi)].add(dst)
 
-    live = set(state_set)
-    changed = True
-    while changed:
-        changed = False
-        for s in list(live):
-            if not (succ[s] & live):
-                live.discard(s)
-                changed = True
-
-    start = (zero, zero)
-    reach = set()
-    if start in live:
-        stack = [start]
-        reach = {start}
-        while stack:
-            s = stack.pop()
-            for t in succ[s]:
-                if t in live and t not in reach:
-                    reach.add(t)
-                    stack.append(t)
-    keep = live & reach
+    keep = graph.reach([(zero, zero)], succ, graph.live(succ))
     kept_edges = tuple(sorted(e for e in edges if e[0] in keep and e[2] in keep))
     return TripleStateGraph(states=tuple(sorted(keep)), edges=kept_edges)

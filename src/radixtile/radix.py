@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from . import linalg
+from . import graph, linalg
 from .linalg import IntMatrix, IntVec, RatVec
 from .numsys import RadixSystem
 
@@ -71,6 +71,18 @@ class EpSeq:
 
     def map(self, fn) -> "EpSeq":
         return EpSeq.make([fn(x) for x in self.pre], [fn(x) for x in self.cycle])
+
+    def to_json(self) -> dict:
+        """Entries as JSON lists; a set of vectors becomes a sorted list."""
+
+        def enc(x):
+            if isinstance(x, frozenset):
+                return sorted(list(v) for v in x)
+            if isinstance(x, tuple):
+                return list(x)
+            return x
+
+        return {"pre": [enc(x) for x in self.pre], "cycle": [enc(x) for x in self.cycle]}
 
     @property
     def preperiod(self) -> int:
@@ -218,10 +230,6 @@ class PairAutomaton:
 
     states: tuple[IntVec, ...]
     edges: tuple[tuple[IntVec, tuple[IntVec, IntVec], IntVec], ...]
-    live: tuple[bool, ...]
-
-    def successors(self, v: IntVec):
-        return [(pair, dst) for src, pair, dst in self.edges if src == v]
 
     def to_dot(self) -> str:
         """Deterministic DOT text; parallel edges merge with a '+' mark."""
@@ -268,45 +276,9 @@ def pair_automaton(sys: RadixSystem) -> PairAutomaton:
                     edges.append((v, (x, y), dst))
                     succ[v].add(dst)
 
-    live = _prune_live(allowed, succ)
-    reachable = _reachable(zero, succ, live)
-    keep = live & reachable
-    states = tuple(sorted(keep))
-    kept_edges = tuple(
-        sorted(e for e in edges if e[0] in keep and e[2] in keep)
-    )
-    return PairAutomaton(
-        states=states,
-        edges=kept_edges,
-        live=tuple(True for _ in states),
-    )
-
-
-def _prune_live(states, succ) -> set:
-    """States with an infinite forward path (iterated out-degree pruning)."""
-    live = set(states)
-    changed = True
-    while changed:
-        changed = False
-        for v in list(live):
-            if not (succ[v] & live):
-                live.discard(v)
-                changed = True
-    return live
-
-
-def _reachable(start, succ, live) -> set:
-    if start not in live:
-        return set()
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for w in succ[v]:
-            if w in live and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen
+    keep = graph.reach([zero], succ, graph.live(succ))
+    kept_edges = tuple(sorted(e for e in edges if e[0] in keep and e[2] in keep))
+    return PairAutomaton(states=tuple(sorted(keep)), edges=kept_edges)
 
 
 # ---------------------------------------------------------------------------
@@ -327,10 +299,15 @@ def enumerate_equivalents(
     The product walk tracks (position phase of x, integer state zeta); a
     digit choice d extends a walk via zeta' = A zeta + (x_j - d).  Walks
     that can continue forever correspond exactly to equivalent
-    representations, so the shape of the live graph decides cardinality:
-    only the diagonal -> unique; a branching state on a cycle ->
-    uncountable; branching reachable from a cycle -> countably infinite;
-    otherwise finitely many, which are enumerated exhaustively.
+    representations, one per walk, so the shape of the live graph decides
+    cardinality:
+
+    - only the diagonal (every state has zeta = 0) -> unique;
+    - a state with two edges inside its own strongly connected component
+      -> uncountable;
+    - otherwise, a state on a cycle with an edge leaving its component ->
+      countably infinite;
+    - otherwise finitely many, which are enumerated exhaustively.
     """
     from .neighbours import integer_neighbours
 
@@ -368,60 +345,32 @@ def enumerate_equivalents(
                     stack.append(s)
         succ[(ph, zeta)] = out
 
-    # prune to states with infinite continuations
-    live = set(states)
-    changed = True
-    while changed:
-        changed = False
-        for s in list(live):
-            if not any(t in live for _, t in succ[s]):
-                live.discard(s)
-                changed = True
-    live_succ = {
-        s: [(d, t) for d, t in succ[s] if t in live] for s in live
-    }
-
+    # keep the states on infinite walks from the start
     start = (0, zero)
-    reach = _reachable(start, {s: {t for _, t in live_succ[s]} for s in live}, live)
-    graph = {s: [(d, t) for d, t in live_succ[s] if t in reach] for s in reach}
+    targets = {s: [t for _, t in out] for s, out in succ.items()}
+    keep = graph.reach([start], targets, graph.live(targets))
+    walks = {s: [(d, t) for d, t in succ[s] if t in keep] for s in keep}
 
-    if all(s[1] == zero for s in graph):
+    if all(s[1] == zero for s in walks):
         return UNIQUE, (x.seq,)
 
-    branching = {s for s, out in graph.items() if len(out) >= 2}
-    succ_sets = _succ_sets(graph)
-    on_cycle = {s for s in graph if s in _strict_reach(s, succ_sets)}
-
-    if any(s in _strict_reach(s, succ_sets) for s in branching):
+    # distinct edges carry distinct digits, so walks and sequences match
+    trimmed = {s: [t for _, t in out] for s, out in walks.items()}
+    comp_of = {s: i for i, comp in enumerate(graph.components(trimmed)) for s in comp}
+    inner = {s: sum(comp_of[t] == comp_of[s] for t in ts) for s, ts in trimmed.items()}
+    if any(n >= 2 for n in inner.values()):
         cls = UNCOUNTABLE
-    elif branching and any(branching & _strict_reach(s, succ_sets) for s in on_cycle):
+    elif any(0 < inner[s] < len(ts) for s, ts in trimmed.items()):
         cls = INFINITE_COUNTABLE
     else:
         cls = FINITELY_MANY
 
-    samples = _sample_walks(graph, start, sample_limit, exhaustive=(cls == FINITELY_MANY))
+    samples = _sample_walks(walks, start, sample_limit, exhaustive=(cls == FINITELY_MANY))
     if x.seq in samples:
         samples = [x.seq] + [s for s in samples if s != x.seq]
     else:
         samples = [x.seq] + samples[: max(0, sample_limit - 1)]
     return cls, tuple(samples)
-
-
-def _succ_sets(graph):
-    return {s: {t for _, t in out} for s, out in graph.items()}
-
-
-def _strict_reach(start, succ) -> set:
-    """States reachable from start in one or more steps."""
-    seen = set()
-    stack = list(succ.get(start, ()))
-    while stack:
-        v = stack.pop()
-        if v in seen:
-            continue
-        seen.add(v)
-        stack.extend(succ.get(v, ()))
-    return seen
 
 
 def _sample_walks(graph, start, limit, exhaustive) -> list[EpSeq]:

@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg
-from .errors import DepthTooLarge, EmptyCloud
+from .errors import DepthTooLarge, EmptyCloud, PreconditionViolated
 from .linalg import IntMatrix, IntVec, RatVec
 from .numsys import RadixSystem
 from .radix import EpSeq
@@ -90,6 +90,8 @@ def ktile_points(
     would exceed the cap, a fixed-seed sample of that size is drawn
     instead (DepthTooLarge when sampling is disabled).
     """
+    if k < 0:
+        raise PreconditionViolated(f"depth must be >= 0, got {k}")
     total = 1
     for j in range(k):
         total *= len(sys.digits if digit_filter is None else digit_filter.entry(j))
@@ -190,6 +192,8 @@ def rasterize(
     The bounding box defaults to the union of cloud bounds padded by 5%.
     All coordinate mapping is exact integer arithmetic.
     """
+    if width < 1 or height < 1:
+        raise PreconditionViolated(f"image size must be at least 1x1, got {width}x{height}")
     clouds = list(clouds)
     if not clouds or all(len(c) == 0 for c in clouds):
         raise EmptyCloud("nothing to rasterize")
@@ -245,6 +249,8 @@ def render_overlap(
 ) -> RasterImage:
     """Tile in the red channel, shifted tile in green; overlap shows both."""
     shift = linalg.as_vec(shift)
+    if len(shift) != sys.n:
+        raise PreconditionViolated(f"shift has {len(shift)} entries, the system has dimension {sys.n}")
     base = ktile_points(sys, k)
     scale_shift = linalg.mat_vec(linalg.mat_pow(sys.matrix, k), shift)
     dtype = _dtype_for(int(np.abs(base.array).max(initial=0)) + max(abs(x) for x in scale_shift))

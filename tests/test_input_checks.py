@@ -1,0 +1,65 @@
+"""Inputs that violate a precondition end in exit 2, never a hang or traceback."""
+
+import json
+
+import pytest
+
+import radixtile as rt
+from radixtile import cli, linalg
+from radixtile.errors import PreconditionError
+
+from conftest import gauss_system
+
+
+def test_mat_pow_rejects_negative_exponent():
+    with pytest.raises(ValueError):
+        linalg.mat_pow(((2,),), -1)
+    assert linalg.mat_pow(((2,),), 0) == ((1,),)
+
+
+def test_negative_depth_is_a_precondition(base10):
+    with pytest.raises(PreconditionError):
+        rt.ktile_points(base10, -1)
+    with pytest.raises(PreconditionError):
+        rt.render_overlap(gauss_system(3), (1, 0), -1, 8, 8)
+
+
+def test_empty_image_is_a_precondition(base10):
+    cloud = rt.ktile_points(base10, 2)
+    for width, height in ((0, 4), (4, 0)):
+        with pytest.raises(PreconditionError):
+            rt.rasterize([cloud], width, height)
+
+
+def test_shift_dimension_must_match(base10):
+    with pytest.raises(PreconditionError):
+        rt.render_overlap(gauss_system(3), (1,), 2, 8, 8)
+    with pytest.raises(PreconditionError):
+        rt.render_overlap(base10, (1, 0), 2, 8, 8)
+
+
+@pytest.mark.parametrize(
+    "payload, extra",
+    [
+        ({"k": -1}, []),
+        ({"k": -1}, ["--overlap", "1,0"]),
+        ({"k": 2, "width": 0}, []),
+        ({"k": 2, "height": 0}, []),
+        ({"k": 2, "width": 0}, ["--overlap", "1,0"]),
+        ({"k": 2}, ["--overlap", "1"]),
+    ],
+)
+def test_cli_render_rejects_bad_input(tmp_path, capsys, payload, extra):
+    path = tmp_path / "m3i.json"
+    path.write_text(json.dumps({"matrix": [-3, -1, 1, -3], "digits": [[d, 0] for d in range(10)]}))
+    code = cli.main(["render", str(path), "-p", json.dumps(payload), *extra])
+    assert code == 2
+    assert json.loads(capsys.readouterr().out)["error"]["type"] == "PreconditionViolated"
+
+
+def test_cli_cloud_rejects_negative_depth(tmp_path, capsys):
+    path = tmp_path / "base10.json"
+    path.write_text(json.dumps({"matrix": [10], "digits": [[d] for d in range(10)]}))
+    payload = json.dumps({"restrict": [[0], [2]], "k": -1})
+    assert cli.main(["multinv", "cloud", str(path), "-p", payload]) == 2
+    assert json.loads(capsys.readouterr().out)["error"]["type"] == "ValueError"

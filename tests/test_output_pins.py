@@ -1,0 +1,153 @@
+"""sha256 pins of CLI output on the shared fixture systems.
+
+The digests were recorded before the JSON, fraction and label helpers were
+merged; equal digests show the merged helpers print the same bytes.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from radixtile import cli
+
+PINNED = {
+    "neighbours_dot_base10": (
+        "base10",
+        ["neighbours", "--dot"],
+        None,
+        "6e2a1926189eac14464789a100a95d0ca62a0a1e82b93d0dee14246ee0a72c14",
+    ),
+    "neighbours_dot_twin": (
+        "twin_two",
+        ["neighbours", "--dot"],
+        None,
+        "766b4386f7230672fe712d94932948f9e12d342a9386d9af979679f362e29761",
+    ),
+    "neighbours_dot_m3i": (
+        "m3i_048",
+        ["neighbours", "--dot"],
+        None,
+        "93ce4dffbf3f697165b5e38a532fcc5f2ba7f472391f8934259c98143260adc1",
+    ),
+    "triple_dot_base3": (
+        "base3_full",
+        ["triple-graph", "--dot"],
+        None,
+        "614b574408386c1808bd155395aaa7eb61614f21132f6967ecf18f2a5efeddb6",
+    ),
+    "triple_dot_twin": (
+        "twin_two",
+        ["triple-graph", "--dot"],
+        None,
+        "d7f6705a73e549405c7000752ec92d3f0a63ec80b5c6038474885a469e564544",
+    ),
+    "triple_dot_m3i": (
+        "m3i_048",
+        ["triple-graph", "--dot"],
+        None,
+        "5662006a8f9000da7bfcab77e63aa1958ef913cae4b1e50704b092b9b369dfb5",
+    ),
+    "enumerate_base10": (
+        "base10",
+        ["enumerate-equiv"],
+        {"x": {"pre": [[3], [1]], "cycle": [[0]]}},
+        "9fd5e087c0fcd6b2f7323325f15d946f910d54805cbc59facea8f2c6802ed328",
+    ),
+    "enumerate_twin": (
+        "twin_two",
+        ["enumerate-equiv"],
+        {"x": {"pre": [[1, 1]], "cycle": [[0, 0]]}},
+        "650604fcb4b7d81df53c327c565eed1e9ecb919199bcc2f55edb09fba6e47e05",
+    ),
+    "enumerate_m3i": (
+        "m3i_048",
+        ["enumerate-equiv"],
+        {"x": {"pre": [[4, 0]], "cycle": [[8, 0], [0, 0]]}},
+        "fabc87c38734cc6629e29ca5817080425ef7e5d7a70472d29aae2040303f8096",
+    ),
+    "intersect_m3i": (
+        "m3i_048",
+        ["intersect"],
+        {"alpha": {"pre": [[-4, 0], [-8, 0]], "cycle": [[0, 0], [8, 0]]}},
+        "e407a7b7fc3f4b5044ebaee5cad2522b6f2dd0a2008612cf740eecada7af6f59",
+    ),
+    "intersect_multi_m3i": (
+        "m3i_048",
+        ["intersect", "--multi"],
+        {"alphas": [{"pre": [[-4, 0]], "cycle": [[0, 0]]}, {"pre": [], "cycle": [[4, 0], [-8, 0]]}]},
+        "2cfbc21b1373c9df683c1024c92d5a87d59924d11b7c528ca7807db7deb348cb",
+    ),
+    "eval_base10": (
+        "base10",
+        ["eval"],
+        {"pre": [[1], [7]], "cycle": [[3], [9]]},
+        "927bc5fb3e404f2b6c4d1812b4fce030afe39f2d53774305f3557344783b1c93",
+    ),
+    "eval_twin": (
+        "twin_two",
+        ["eval"],
+        {"pre": [[1, 0]], "cycle": [[0, 1], [1, 1], [0, 0]]},
+        "c7cf785d24bc876f34d992a73a773329e7b0c5631aa562bd322c9d5051be7c95",
+    ),
+    "eval_m3i": (
+        "m3i_048",
+        ["eval"],
+        {"pre": [[8, 0]], "cycle": [[4, 0], [0, 0]]},
+        "cf033b49d733af54a6cce098c4da4cbf6b2ee2adc142780a2934db867bb52dbe",
+    ),
+    "levelset_m3i": (
+        "m3i_048",
+        ["levelset", "--lam", "1/2"],
+        {},
+        "3087d63d9878c1ccfd19c6f4971f39ce395f61560e986671ebac474eef334265",
+    ),
+    "levelset_m3i_third": (
+        "m3i_048",
+        ["levelset", "--lam", "1/3"],
+        {"alpha_prefix": [[4, 0]]},
+        "62eb6042a9a9535f83541364b00a510db0cef8cf0c384b7623b7014e028a1177",
+    ),
+    "union_components_m3i": (
+        "m3i_048",
+        ["union-components"],
+        {"alpha": {"pre": [], "cycle": [[0, 0]]}, "limit": 4},
+        "ce46887921dd660daa02cf75e6abb51365e98a379bac9780c773fbd7b3c7ad42",
+    ),
+    "cloud_base10": (
+        "base10",
+        ["multinv", "cloud"],
+        {"restrict": [[0], [2], [7]], "k": 3},
+        "736360bf483b6dfec05ea3c8d24ec6e193b91c122e53cc85f4150d1cd8f5ad01",
+    ),
+    "cloud_base3": (
+        "base3_full",
+        ["multinv", "cloud"],
+        {"restrict": [[0], [2]], "k": 4},
+        "93cbb13f2ba17d99c23c0a9e11a5029d7c2254eee74179dc15639dfd55fe820a",
+    ),
+    "cloud_twin": (
+        "twin_two",
+        ["multinv", "cloud"],
+        {"restrict": [[0, 0], [1, 1], [0, 1]], "k": 3},
+        "ed693aa3cc36ecb2bb923e8f6b87aecee14d05ef4235a740785240383d2f7ad0",
+    ),
+}
+
+
+def _output(request, tmp_path, capsys, name):
+    fixture, argv, payload, _ = PINNED[name]
+    sys = request.getfixturevalue(fixture)
+    path = tmp_path / f"{fixture}.json"
+    descriptor = {"matrix": [list(r) for r in sys.matrix], "digits": [list(d) for d in sys.digits]}
+    path.write_text(json.dumps(descriptor))
+    extra = [] if payload is None else ["-p", json.dumps(payload)]
+    code = cli.main([*argv, str(path), *extra])
+    assert code == 0
+    return capsys.readouterr().out.encode()
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_pinned_cli_output(request, tmp_path, capsys, name):
+    out = _output(request, tmp_path, capsys, name)
+    assert hashlib.sha256(out).hexdigest() == PINNED[name][3]
