@@ -7,11 +7,11 @@ from .errors import (
 )
 from .linalg import (
     SnfResult,
-    SpectralInfo,
     is_complete_residue_system,
+    is_expanding,
     residue_system,
     smith_normal_form,
-    spectral_info,
+    tail_bound,
 )
 from .numsys import (
     RadixSystem,

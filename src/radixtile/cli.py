@@ -15,7 +15,7 @@ from datetime import datetime, timezone
 from fractions import Fraction
 
 from . import intersect, linalg, multinv, neighbours, numsys, radix, render, sep
-from .errors import BudgetError, PreconditionError, RadixTileError
+from .errors import BudgetError, PreconditionError, PreconditionViolated, RadixTileError
 
 
 def _parse_frac(text) -> Fraction:
@@ -259,7 +259,7 @@ def cmd_levelset(args, sys, payload):
     prefix = [linalg.as_vec(a) for a in payload.get("alpha_prefix", [])]
     if "alpha" in payload and "epsilon" in payload:
         alpha = _seq_from_json(payload["alpha"])
-        m = intersect.prefix_length_for_radius(sys, float(_parse_frac(payload["epsilon"])))
+        m = intersect.prefix_length_for_radius(sys, _parse_frac(payload["epsilon"]))
         prefix = [alpha.entry(j) for j in range(m)]
     t = intersect.level_set_translate(sys, prefix, lam, strict=payload.get("strict", True))
     seq = intersect.intersection_sequence(t)
@@ -347,10 +347,17 @@ def cmd_multinv(args, sys, payload):
         raise ValueError(f"unknown multinv action {args.action!r}")
 
 
+def _int_field(payload, key: str, default: int) -> int:
+    value = payload.get(key, default)
+    if type(value) is not int:  # bool is an int subclass, a JSON true is not a count
+        raise PreconditionViolated(f"{key} must be a JSON integer, got {value!r}")
+    return value
+
+
 def cmd_render(args, sys, payload):
-    width = payload.get("width", 256)
-    height = payload.get("height", 256)
-    k = int(payload.get("k", 5))
+    width = _int_field(payload, "width", 256)
+    height = _int_field(payload, "height", 256)
+    k = _int_field(payload, "k", 5)
     bbox = None
     if "bbox" in payload:
         bbox = tuple(

@@ -80,7 +80,7 @@ class CandidateBallTooLarge(BudgetError):
 
 
 class SearchBudgetExceeded(BudgetError):
-    """The block-length search was exhausted without a definitive answer."""
+    """A bounded search (SEP block length, inverse powers, enumeration box) ran out."""
 
 
 class CloudTooLarge(BudgetError):

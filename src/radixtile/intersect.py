@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from . import linalg, sep
 from .errors import (
     DigitShapeViolation,
@@ -457,29 +455,22 @@ def level_set_translate(
     return translate_spec(sys, EpSeq.make(prefix, cycle), strict=strict)
 
 
-def prefix_length_for_radius(sys: RadixSystem, epsilon: float) -> int:
+def prefix_length_for_radius(sys: RadixSystem, epsilon: Fraction | float) -> int:
     """Positions after which any tail change moves the value less than epsilon.
 
-    Uses the difference-of-differences norm bound against the certified
-    operator-norm tail estimate.
+    The first m with ||dd|| * tail_bound(A, m) < epsilon, where dd is the
+    largest difference of digit differences; compared exactly in squares.
     """
+    if epsilon <= 0:
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
     diffs = sys.differences()
-    dd_norm = max(
-        math.sqrt(linalg.norm_sq(linalg.vec_sub(a, b))) for a in diffs for b in diffs
-    )
-    if dd_norm == 0:
+    dd_sq = max(linalg.norm_sq(linalg.vec_sub(a, b)) for a in diffs for b in diffs)
+    if dd_sq == 0:
         return 0
-    info = linalg.require_expanding(sys.matrix)
-    a_inv = np.array(linalg.mat_inv(sys.matrix), dtype=float)
-    m = 0
-    power = np.eye(sys.n)
-    while m < 10_000:
-        # tail bound: sum_{j>m} ||A^-j|| <= ||A^-m|| * ball_radius_factor
-        op = float(np.linalg.norm(power, 2))
-        if dd_norm * op * info.ball_radius_factor < epsilon:
+    eps_sq = Fraction(epsilon) ** 2
+    for m in range(10_000):
+        if dd_sq * linalg.tail_bound(sys.matrix, m) ** 2 < eps_sq:
             return m
-        power = power @ a_inv
-        m += 1
     raise ValueError("epsilon too small to certify a prefix length")
 
 

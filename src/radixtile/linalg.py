@@ -1,10 +1,10 @@
 """Exact integer and rational linear algebra.
 
 Matrices are tuples of row tuples, vectors are plain tuples.  Everything
-that feeds a decision (residue classes, Smith form, similarity detection)
-is computed exactly over the integers or rationals; floating point appears
-only in eigenvalue estimates and operator-norm bounds, where a safe
-over-estimate is all that downstream consumers need.
+that feeds a decision (residue classes, Smith form, the expanding test,
+operator-norm bounds) is computed exactly over the integers or rationals.
+Floating point only proposes a norm bound, which is then checked exactly;
+the one float result is the similarity contraction coefficient.
 """
 
 from __future__ import annotations
@@ -17,7 +17,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import CandidateBallTooLarge, NotExpanding, SimilarityUnavailable, SingularMatrix
+from .errors import (
+    CandidateBallTooLarge,
+    NotExpanding,
+    SearchBudgetExceeded,
+    SimilarityUnavailable,
+    SingularMatrix,
+)
 
 IntVec = tuple[int, ...]
 IntMatrix = tuple[IntVec, ...]
@@ -360,23 +366,58 @@ def _class_key(adj: IntMatrix, modulus: int, v: IntVec) -> IntVec:
     return tuple(x % modulus for x in mat_vec(adj, v))
 
 
+def lll_reduce(a: IntMatrix) -> IntMatrix:
+    """LLL-reduced basis (delta = 3/4) of the lattice spanned by the columns of a.
+
+    Exact over the rationals; Gram-Schmidt is recomputed after every step,
+    which is cheap at the dimensions used here.
+    """
+    basis, k = list(mat_transpose(a)), 1
+    while k < len(basis):
+        for j in range(k - 1, -1, -1):
+            q = round(_gram_schmidt(basis)[1][k][j])
+            basis[k] = vec_sub(basis[k], vec_scale(q, basis[j]))
+        ortho, mu = _gram_schmidt(basis)
+        if norm_sq(ortho[k]) >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * norm_sq(ortho[k - 1]):
+            k += 1
+        else:
+            basis[k - 1], basis[k] = basis[k], basis[k - 1]
+            k = max(k - 1, 1)
+    return mat_transpose(basis)
+
+
+def _gram_schmidt(basis):
+    """Orthogonal vectors o_i = b_i - sum_j mu[i][j] o_j, mu[i][j] = <b_i, o_j> / <o_j, o_j>."""
+    ortho, mu = [], []
+    for b in basis:
+        mu.append([Fraction(sum(x * y for x, y in zip(b, o)), norm_sq(o)) for o in ortho])
+        ortho.append(tuple(x - sum(c * o[i] for c, o in zip(mu[-1], ortho)) for i, x in enumerate(b)))
+    return ortho, mu
+
+
+@lru_cache(maxsize=None)
+def _reduced_basis(a: IntMatrix) -> tuple[IntMatrix, RatMatrix]:
+    b = lll_reduce(a)
+    return b, mat_inv(b)
+
+
 def minimal_norm_representative(a: IntMatrix, v: IntVec, cap: int = 200_000) -> IntVec:
     """Smallest representative of v + a*Z^n, ties broken lexicographically.
 
-    Iterated Babai rounding shrinks the representative, then the exact
-    optimum is found by enumerating the ellipsoid ||base - a t|| <= ||base||
-    through per-axis bounds.  If that box exceeds the cap (only possible
-    for very skewed lattices) a deterministic local search stands in.
+    In an LLL-reduced basis b of the lattice, iterated Babai rounding
+    shrinks the representative, then the exact optimum is found by
+    enumerating every t with |t_i| <= 2 ||row_i(b^-1)|| ||base||, which
+    holds for each w = base - b t no longer than base.  A box over the cap
+    raises SearchBudgetExceeded.
     """
-    n = len(a)
-    a_inv = mat_inv(a)
+    b, b_inv = _reduced_basis(a)
 
     def babai(w):
         while True:
-            t = tuple(int(round(x)) for x in frac_mat_vec(a_inv, w))
+            t = tuple(round(x) for x in frac_mat_vec(b_inv, w))
             if all(x == 0 for x in t):
                 return w
-            reduced = vec_sub(w, mat_vec(a, t))
+            reduced = vec_sub(w, mat_vec(b, t))
             if norm_sq(reduced) >= norm_sq(w):
                 return w
             w = reduced
@@ -384,31 +425,18 @@ def minimal_norm_representative(a: IntMatrix, v: IntVec, cap: int = 200_000) -> 
     base = babai(v)
     if all(x == 0 for x in base):
         return base
-    # any better w = base - a t satisfies |t_i| <= 2 ||row_i(a^-1)|| ||base||
-    base_norm = math.sqrt(float(norm_sq(base)))
-    bounds = []
-    for i in range(n):
-        row_norm = math.sqrt(sum(float(x) * float(x) for x in a_inv[i]))
-        bounds.append(int(math.ceil(2.0 * row_norm * base_norm)) + 1)
-    volume = 1
-    for b in bounds:
-        volume *= 2 * b + 1
-
+    base_sq = norm_sq(base)
+    bounds = [math.isqrt(math.floor(4 * norm_sq(row) * base_sq)) for row in b_inv]
+    volume = math.prod(2 * r + 1 for r in bounds)
+    if volume > cap:
+        raise SearchBudgetExceeded(
+            f"minimal representative search box holds {volume} points (cap {cap})"
+        )
     best = base
-    if volume <= cap:
-        for t in itertools.product(*[range(-b, b + 1) for b in bounds]):
-            cand = vec_sub(base, mat_vec(a, t))
-            if (norm_sq(cand), cand) < (norm_sq(best), best):
-                best = cand
-    else:
-        improved = True
-        while improved:
-            improved = False
-            for t in itertools.product(range(-2, 3), repeat=n):
-                cand = vec_sub(best, mat_vec(a, t))
-                if (norm_sq(cand), cand) < (norm_sq(best), best):
-                    best = cand
-                    improved = True
+    for t in itertools.product(*[range(-r, r + 1) for r in bounds]):
+        cand = vec_sub(base, mat_vec(b, t))
+        if (norm_sq(cand), cand) < (norm_sq(best), best):
+            best = cand
     return best
 
 
@@ -450,64 +478,85 @@ def is_complete_residue_system(a: IntMatrix, digits) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# spectral data
+# spectral bounds
 
 
-@dataclass(frozen=True)
-class SpectralInfo:
-    """Numeric facts about the matrix that bound everything else.
-
-    ball_radius_factor is a certified over-estimate of sum_j ||A^-j||_op,
-    so max-digit-norm times it bounds the radius of any digit tile.
-    similarity_coeff is the contraction coefficient of A^-1 and is present
-    exactly when A * A^T is an integer multiple of the identity.
-    """
-
-    expanding: bool
-    min_eig_modulus: float
-    rho: float
-    similarity_coeff: float | None
-    ball_radius_factor: float
+def _positive_definite(m: IntMatrix) -> bool:
+    """Exact Sylvester test: every leading principal minor of the symmetric m is > 0."""
+    return all(det(tuple(row[:k] for row in m[:k])) > 0 for k in range(1, len(m) + 1))
 
 
 @lru_cache(maxsize=None)
-def spectral_info(a: IntMatrix, tol: float = 1e-9) -> SpectralInfo:
+def is_expanding(a: IntMatrix) -> bool:
+    """Exact test that every eigenvalue of a has modulus > 1.
+
+    By the discrete Lyapunov (Stein) theorem, a is expanding iff
+    a^T P a - P = I has a unique solution P and that P is positive definite.
+    """
     n = len(a)
-    if det(a) == 0:
-        raise SingularMatrix("spectral info needs det != 0")
-    eigs = np.linalg.eigvals(np.array(a, dtype=float))
-    r = float(min(abs(eigs)))
-    expanding = r > 1.0 + tol
-
-    sim = _similarity_scale_sq(a)
-    coeff = float(abs(det(a))) ** (-1.0 / n) if sim is not None else None
-
-    factor = math.inf
-    if expanding:
-        a_inv = np.array(mat_inv(a), dtype=float)
-        partial = 0.0
-        power = np.eye(n)
-        sigma = None
-        for _ in range(400):
-            power = power @ a_inv
-            op = float(np.linalg.norm(power, 2))
-            partial += op
-            if op < 0.5:
-                sigma = op
-                break
-        if sigma is None:
-            # expanding guarantees decay; 400 powers not shrinking means the
-            # margin is extreme, keep a conservative cap instead of failing
-            sigma = 0.999
-        factor = partial / (1.0 - sigma) * (1.0 + 1e-9) + 1e-12
-
-    return SpectralInfo(
-        expanding=expanding,
-        min_eig_modulus=r,
-        rho=(1.0 + r) / 2.0 if expanding else r,
-        similarity_coeff=coeff,
-        ball_radius_factor=factor,
+    cells = [(i, j) for i in range(n) for j in range(n)]
+    system = tuple(
+        tuple(a[k][i] * a[l][j] - ((i, j) == (k, l)) for k, l in cells) for i, j in cells
     )
+    try:
+        p = solve(system, tuple(int(i == j) for i, j in cells))
+    except SingularMatrix:
+        return False
+    scale = math.lcm(*(x.denominator for x in p))
+    rows = (p[i * n:(i + 1) * n] for i in range(n))
+    return _positive_definite(tuple(tuple(int(x * scale) for x in row) for row in rows))
+
+
+def require_expanding(a: IntMatrix) -> None:
+    if not is_expanding(a):
+        raise NotExpanding(f"matrix {a} is not expanding")
+
+
+_POWER_BUDGET = 400
+
+
+@lru_cache(maxsize=None)
+def inverse_power_norms(a: IntMatrix) -> tuple[Fraction, ...]:
+    """Rationals b_1, ..., b_k with b_j >= ||A^-j||_2, ending at the first b_k < 1/2.
+
+    A^-j = adj^j / det^j exactly.  A float singular value, raised by 2^-40,
+    only proposes b_j; it is kept when b_j^2 det^2j I - (adj^j)^T adj^j is
+    positive definite, and otherwise the Frobenius norm (the square root of
+    that Gram matrix's trace, rounded up) stands in.
+    """
+    require_expanding(a)
+    n, adj, d = len(a), adjugate(a), abs(det(a))
+    power, scale, norms = identity(n), 1, []
+    while not norms or norms[-1] >= Fraction(1, 2):
+        if len(norms) == _POWER_BUDGET:
+            raise SearchBudgetExceeded(
+                f"||A^-j|| does not fall below 1/2 within {_POWER_BUDGET} powers of {a}"
+            )
+        power, scale = mat_mul(power, adj), scale * d
+        gram = mat_mul(mat_transpose(power), power)
+        s = float(np.linalg.norm([[x / scale for x in row] for row in power], 2)) * (1 + 2**-40)
+        num, den = s.as_integer_ratio() if math.isfinite(s) else (0, 1)
+        top = (num * scale) ** 2
+        if _positive_definite(tuple(
+            tuple(top * (i == j) - den * den * gram[i][j] for j in range(n)) for i in range(n)
+        )):
+            norms.append(Fraction(num, den))
+        else:
+            trace = sum(gram[i][i] for i in range(n))
+            root = math.isqrt(trace)
+            norms.append(Fraction(root + (root * root < trace), scale))
+    return tuple(norms)
+
+
+def tail_bound(a: IntMatrix, m: int) -> Fraction:
+    """Rational upper bound on sum_{j>m} ||A^-j||_2; tail_bound(a, 0) is the ball factor.
+
+    With the norms b_1..b_k above and m = q k + r, submultiplicativity gives
+    ||A^-(m+i)|| <= b_k^q b_r ||A^-i|| and sum_{i>=1} ||A^-i|| <= (b_1 + ... + b_k) / (1 - b_k).
+    """
+    b = inverse_power_norms(a)
+    q, r = divmod(m, len(b))
+    return b[-1] ** q * ((b[r - 1] if r else 1) * sum(b) / (1 - b[-1]))
 
 
 def _similarity_scale_sq(a: IntMatrix) -> int | None:
@@ -542,13 +591,6 @@ def similarity_contraction(a: IntMatrix) -> float | None:
     return None
 
 
-def require_expanding(a: IntMatrix, tol: float = 1e-9) -> SpectralInfo:
-    info = spectral_info(a, tol)
-    if not info.expanding:
-        raise NotExpanding(f"matrix {a} is not expanding")
-    return info
-
-
 def require_similarity(a: IntMatrix) -> None:
     if similarity_contraction(a) is None:
         raise SimilarityUnavailable("dimension formulas need the inverse matrix to scale distances")
@@ -558,14 +600,14 @@ def require_similarity(a: IntMatrix) -> None:
 # lattice enumeration
 
 
-def lattice_ball(n: int, radius: float, cap: int = 10**7) -> list[IntVec]:
-    """Integer points with Euclidean norm <= radius (safe over-inclusion)."""
-    r = int(math.floor(radius + 1e-9))
+def lattice_ball(n: int, radius_sq, cap: int = 10**7) -> list[IntVec]:
+    """Integer points p with ||p||^2 <= radius_sq (an exact integer or rational)."""
+    limit = math.floor(radius_sq)
+    r = math.isqrt(limit)
     if (2 * r + 1) ** n > cap:
         raise CandidateBallTooLarge(
             f"candidate ball holds about {(2 * r + 1) ** n} lattice points (cap {cap})"
         )
-    limit = radius * radius * (1.0 + 1e-12) + 1e-9
     return [
         p
         for p in itertools.product(range(-r, r + 1), repeat=n)

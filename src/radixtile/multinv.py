@@ -375,14 +375,6 @@ def torus_distance(x, y) -> float:
     return math.sqrt(best)
 
 
-def _tail_bound(sys: RadixSystem, k: int) -> float:
-    """Certified upper bound on sum_{j>k} ||A^-j||_op."""
-    info = linalg.require_expanding(sys.matrix)
-    a_inv = np.array(linalg.mat_inv(sys.matrix), dtype=float)
-    power = np.linalg.matrix_power(a_inv, k)
-    return float(np.linalg.norm(power, 2)) * info.ball_radius_factor
-
-
 @dataclass(frozen=True)
 class ConvergenceRow:
     k: int
@@ -413,7 +405,7 @@ def convergence_report(sys: RadixSystem, auto: DigitAutomaton, kmax: int) -> Con
     prev = None
     for k in range(1, kmax + 1):
         measured = hausdorff_distance(clouds[k], clouds[k + 1])
-        bound = max_digit * _tail_bound(sys, k)
+        bound = max_digit * float(linalg.tail_bound(sys.matrix, k))
         ratio = (measured / prev) if prev not in (None, 0.0) else None
         rows.append(ConvergenceRow(k=k, measured=measured, bound=bound, ratio_to_prev=ratio))
         prev = measured

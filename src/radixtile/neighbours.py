@@ -47,11 +47,8 @@ def tile_integer_points(
     z -> A z - d admits an infinite walk from z inside the radius bound,
     so iterated deletion of walk-dead points computes the set exactly.
     """
-    info = linalg.require_expanding(matrix)
-    n = len(matrix)
-    max_norm = max(math.sqrt(linalg.norm_sq(d)) for d in digits)
-    radius = max_norm * info.ball_radius_factor
-    candidates = set(linalg.lattice_ball(n, radius, cap))
+    radius_sq = max(map(linalg.norm_sq, digits)) * linalg.tail_bound(matrix, 0) ** 2
+    candidates = set(linalg.lattice_ball(len(matrix), radius_sq, cap))
 
     succ: dict[IntVec, list[IntVec]] = {}
     for z in candidates:
@@ -67,13 +64,12 @@ def integer_neighbours(
     """Nonzero integer points of the difference tile of (matrix, digits)."""
     digits = tuple(sorted({linalg.as_vec(d) for d in digits}))
     diffs = tuple(sorted({linalg.vec_sub(a, b) for a in digits for b in digits}))
-    info = linalg.require_expanding(matrix)
     max_norm = max(math.sqrt(linalg.norm_sq(e)) for e in diffs)
     points = tile_integer_points(matrix, diffs, cap)
     zero = linalg.zero_vec(len(matrix))
     return NeighbourSet(
         vectors=frozenset(p for p in points if p != zero),
-        ball_radius=max_norm * info.ball_radius_factor,
+        ball_radius=max_norm * float(linalg.tail_bound(matrix, 0)),
     )
 
 

@@ -51,9 +51,6 @@ class RadixSystem:
     def difference_system(self) -> "RadixSystem":
         return RadixSystem(self.matrix, self.differences())
 
-    def spectral(self) -> linalg.SpectralInfo:
-        return linalg.spectral_info(self.matrix)
-
     def max_digit_norm(self) -> float:
         return max(linalg.norm_sq(d) for d in self.digits) ** 0.5
 
@@ -155,7 +152,7 @@ def is_number_system(sys: RadixSystem) -> tuple[bool, tuple[tuple[IntVec, ...], 
     """Decide whether every lattice vector expands, with witness cycles.
 
     All cycles of the remainder walk live inside the ball of radius
-    max-digit-norm * ball_radius_factor, so enumerating that ball and
+    max-digit-norm * tail_bound(A, 0), so enumerating that ball and
     walking from each point finds every cycle.  The pair is a number
     system iff the only cycle is {0}.
     """
@@ -164,10 +161,9 @@ def is_number_system(sys: RadixSystem) -> tuple[bool, tuple[tuple[IntVec, ...], 
         raise ZeroNotInDigits("number systems need 0 among the digits")
     if not linalg.is_complete_residue_system(sys.matrix, sys.digits):
         raise NotACrs("digits are not a complete residue system")
-    info = linalg.require_expanding(sys.matrix)
-    radius = sys.max_digit_norm() * info.ball_radius_factor
+    radius_sq = max(map(linalg.norm_sq, sys.digits)) * linalg.tail_bound(sys.matrix, 0) ** 2
     cycles: set[tuple[IntVec, ...]] = set()
-    for point in linalg.lattice_ball(sys.n, radius):
+    for point in linalg.lattice_ball(sys.n, radius_sq):
         trace = remainder_sequence(sys, point)
         if trace.cycle != (zero,):
             cycles.add(_canonical_cycle(trace.cycle))

@@ -207,6 +207,9 @@ def rasterize(
         hi = [max(Fraction(int(c[:, a].max()), s) for c, s in scaled if len(c)) for a in (0, 1)]
         pads = [(hi[a] - lo[a]) / 20 or Fraction(1, 2) for a in (0, 1)]
         bbox = tuple((lo[a] - pads[a], hi[a] + pads[a]) for a in (0, 1))
+    elif any(lo >= hi for lo, hi in bbox):
+        shown = [[linalg.frac_str(lo), linalg.frac_str(hi)] for lo, hi in bbox]
+        raise PreconditionViolated(f"bbox needs lo < hi on each axis, got {shown}")
 
     channels = 1 if len(clouds) == 1 else 3
     image = np.zeros(width * height * channels, dtype=np.uint8)

@@ -16,7 +16,6 @@ import radixtile as rt
 from radixtile import linalg
 from radixtile.errors import SearchBudgetExceeded
 from radixtile.intersect import ExactDim, alternating_block_counts
-from radixtile.multinv import _tail_bound
 from radixtile.radix import EpSeq, vector_seq
 
 from conftest import gauss_matrix, gauss_system
@@ -216,7 +215,7 @@ def test_criterion_12_multiplicative_invariance(base3_full):
     rows = {row.k: row for row in rep.rows}
     for k in range(1, 11):
         assert rows[k].measured <= rows[k].bound
-        assert rows[k].bound <= base3_full.max_digit_norm() * _tail_bound(base3_full, k) + 1e-15
+        assert rows[k].bound <= base3_full.max_digit_norm() * linalg.tail_bound(base3_full.matrix, k) + 1e-15
     for k in range(2, 11):
         assert 0.30 <= rows[k].ratio_to_prev <= 0.36
     for k in range(2, 9):

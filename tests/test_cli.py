@@ -118,6 +118,17 @@ class TestSubcommands:
         assert code == 0
         assert data["dimension"]["exact"] == "log(3)/log(10)"
 
+    def test_levelset_epsilon_is_exact(self, capsys, m3i_file):
+        # 10^-400 is 0.0 as a float; the exact epsilon still gives a prefix
+        alpha = {"pre": [], "cycle": [[4, 0], [-8, 0], [0, 0]]}
+        payload = json.dumps({"alpha": alpha, "epsilon": "1/1" + "0" * 400})
+        code, data = run_json(capsys, ["levelset", "--lam", "1/2", m3i_file, "-p", payload])
+        assert code == 0
+        assert len(data["beta"]["pre"]) > 700
+        payload = json.dumps({"alpha": alpha, "epsilon": "0"})
+        code, data = run_json(capsys, ["levelset", "--lam", "1/2", m3i_file, "-p", payload])
+        assert code == 2
+
     def test_dims_bm(self, capsys, base10_file):
         payload = json.dumps(
             {"m": 2, "n": 3, "digits": [[x, y] for x in range(2) for y in range(3)]}

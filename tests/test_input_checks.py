@@ -1,6 +1,7 @@
 """Inputs that violate a precondition end in exit 2, never a hang or traceback."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -31,6 +32,14 @@ def test_empty_image_is_a_precondition(base10):
             rt.rasterize([cloud], width, height)
 
 
+def test_bbox_must_be_increasing(base10):
+    cloud = rt.ktile_points(base10, 2)
+    for bbox in (((1, 0), (0, 1)), ((0, 1), (1, 1))):
+        box = tuple((Fraction(lo), Fraction(hi)) for lo, hi in bbox)
+        with pytest.raises(PreconditionError):
+            rt.rasterize([cloud], 16, 4, bbox=box)
+
+
 def test_shift_dimension_must_match(base10):
     with pytest.raises(PreconditionError):
         rt.render_overlap(gauss_system(3), (1,), 2, 8, 8)
@@ -47,6 +56,13 @@ def test_shift_dimension_must_match(base10):
         ({"k": 2, "height": 0}, []),
         ({"k": 2, "width": 0}, ["--overlap", "1,0"]),
         ({"k": 2}, ["--overlap", "1"]),
+        ({"k": 2, "width": 2.5}, []),
+        ({"k": 2, "width": "8"}, []),
+        ({"k": 2, "height": True}, ["--overlap", "1,0"]),
+        ({"k": 2.7}, []),
+        ({"k": "2"}, []),
+        ({"k": 2, "bbox": [["1", "0"], ["-1", "1"]]}, []),
+        ({"k": 2, "bbox": [["0", "1"], ["1/2", "1/2"]]}, []),
     ],
 )
 def test_cli_render_rejects_bad_input(tmp_path, capsys, payload, extra):

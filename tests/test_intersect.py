@@ -159,7 +159,7 @@ class TestIfs:
         cover = rt.ktile_points(m3i_048, k + ifs.power, digit_filter=seq)
         inv_kp = linalg.mat_inv_pow(m3i_048.matrix, k + ifs.power)
         cover_pts = set(cover.points)
-        diam = 2 * m3i_048.max_digit_norm() * m3i_048.spectral().ball_radius_factor
+        diam = 2 * m3i_048.max_digit_norm() * rt.tail_bound(m3i_048.matrix, 0)
         tol = diam * abs(m3i_048.determinant) ** (-(k + ifs.power) / 2.0)
         for point in cloud.points:
             for idx in range(ifs.map_count):
@@ -357,6 +357,19 @@ class TestLevelSets:
             sum(float(a - b) ** 2 for a, b in zip(t.alpha_value(), spec_alpha.alpha_value()))
         )
         assert dist < eps
+
+    def test_prefix_length_is_exact_in_epsilon(self, m3i_048):
+        # the exact epsilon from the CLI is compared without a float cast;
+        # 1/10^400 is 0.0 as a float
+        for eps in (Fraction(1, 10), Fraction(1, 1000)):
+            assert rt.intersect.prefix_length_for_radius(m3i_048, eps) == (
+                rt.intersect.prefix_length_for_radius(m3i_048, float(eps))
+            )
+        tiny = rt.intersect.prefix_length_for_radius(m3i_048, Fraction(1, 10**400))
+        assert 750 < tiny < 850
+        for eps in (0, -1, Fraction(-1, 3)):
+            with pytest.raises(ValueError):
+                rt.intersect.prefix_length_for_radius(m3i_048, eps)
 
     def test_scalar_half_level(self):
         sys = rt.RadixSystem(((10,),), ((0,), (3,)))

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 
 import radixtile as rt
 from radixtile import linalg
-from radixtile.errors import SingularMatrix
+from radixtile.errors import SearchBudgetExceeded, SingularMatrix
 
 
 def mat_eq(a, b):
@@ -141,32 +143,84 @@ class TestResidueSystems:
         res = rt.residue_system(a)
         assert rt.is_complete_residue_system(a, res)
 
+    def test_skewed_lattice_is_minimal(self):
+        # det 160; without basis reduction the enumeration box overflowed
+        # its cap and a local search returned 138 non-minimal members
+        a = ((-28, 8, 30), (4, 28, 22), (28, -10, -32))
+        res = rt.residue_system(a)
+        assert res == minimal_representatives_by_brute_force(a, res)
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_random_three_by_three_is_minimal(self, seed):
+        rng = random.Random(seed)
+        while True:
+            a = tuple(tuple(rng.randint(-9, 9) for _ in range(3)) for _ in range(3))
+            if 0 < abs(linalg.det(a)) <= 120:
+                break
+        res = rt.residue_system(a)
+        assert res == minimal_representatives_by_brute_force(a, res)
+
+    def test_box_over_cap_raises(self):
+        a = ((-28, 8, 30), (4, 28, 22), (28, -10, -32))
+        with pytest.raises(SearchBudgetExceeded):
+            linalg.minimal_norm_representative(a, (7, 3, 2), cap=1)
+
+    def test_lll_keeps_the_lattice(self):
+        a = ((-28, 8, 30), (4, 28, 22), (28, -10, -32))
+        b = linalg.lll_reduce(a)
+        assert abs(linalg.det(b)) == abs(linalg.det(a))
+        # each basis reaches the other's columns with integer coefficients
+        for m, n in ((a, b), (b, a)):
+            for col in zip(*n):
+                assert linalg.is_integral(linalg.frac_mat_vec(linalg.mat_inv(m), col))
+        assert max(map(linalg.norm_sq, zip(*b))) < max(map(linalg.norm_sq, zip(*a)))
+
+
+def minimal_representatives_by_brute_force(a, candidates):
+    """Sorted least (norm, vector) member of every class, from the whole ball.
+
+    Each class minimum is no longer than the candidate of that class, so the
+    ball of the largest candidate norm holds all of them.
+    """
+    d = abs(linalg.det(a))
+    adj = linalg.adjugate(a)
+    limit = max(map(linalg.norm_sq, candidates))
+    r = math.isqrt(limit)
+    best = {}
+    for p in itertools.product(range(-r, r + 1), repeat=len(a)):
+        q = linalg.norm_sq(p)
+        if q <= limit:
+            key = tuple(x % d for x in linalg.mat_vec(adj, p))
+            if key not in best or (q, p) < best[key]:
+                best[key] = (q, p)
+    assert len(best) == d
+    return tuple(sorted(p for _, p in best.values()))
+
 
 class TestSpectralInfo:
     def test_minus3i_similarity(self):
-        info = rt.spectral_info(((-3, -1), (1, -3)))
-        assert info.expanding
-        assert info.similarity_coeff == pytest.approx(10 ** -0.5)
+        a = ((-3, -1), (1, -3))
+        assert rt.is_expanding(a)
+        assert linalg.similarity_contraction(a) == pytest.approx(10 ** -0.5)
 
     def test_diag_7_10_not_similarity(self):
-        info = rt.spectral_info(((7, 0), (0, 10)))
-        assert info.expanding
-        assert info.similarity_coeff is None
+        a = ((7, 0), (0, 10))
+        assert rt.is_expanding(a)
+        assert linalg.similarity_contraction(a) is None
 
     def test_unipotent_not_expanding(self):
-        info = rt.spectral_info(((1, 1), (0, 1)))
-        assert not info.expanding
+        assert not rt.is_expanding(((1, 1), (0, 1)))
 
     def test_ball_factor_dominates_partial_sums(self):
         a = ((-3, -1), (1, -3))
-        info = rt.spectral_info(a)
         inv = np.array(linalg.mat_inv(a), dtype=float)
         partial = 0.0
         power = np.eye(2)
         for _ in range(60):
             power = power @ inv
             partial += np.linalg.norm(power, 2)
-        assert info.ball_radius_factor >= partial
+        assert rt.tail_bound(a, 0) >= partial
 
     def test_similarity_scales_norms(self):
         a = ((-3, -1), (1, -3))
@@ -183,5 +237,5 @@ class TestSpectralInfo:
         # companion of x^2 + 9x + 21 is not an orthogonal multiple but is
         # conjugate to a complex multiplication
         comp = ((0, -21), (1, -9))
-        assert rt.spectral_info(comp).similarity_coeff is None
+        assert linalg._similarity_scale_sq(comp) is None
         assert linalg.similarity_contraction(comp) == pytest.approx(21 ** -0.5)

@@ -154,10 +154,8 @@ class TestConvergence:
     def test_bound_never_violated_for_ell_beyond_k(self, base3_full):
         auto = rt.digit_restriction_automaton(base3_full, [(0,), (2,)])
         clouds = {k: rt.xk_cloud(base3_full, auto, k) for k in range(1, 9)}
-        from radixtile.multinv import _tail_bound
-
         for k in range(1, 8):
-            bound = base3_full.max_digit_norm() * _tail_bound(base3_full, k)
+            bound = base3_full.max_digit_norm() * rt.tail_bound(base3_full.matrix, k)
             for ell in range(k, 9):
                 assert rt.hausdorff_distance(clouds[k], clouds[ell]) <= bound + 1e-12
 

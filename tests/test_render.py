@@ -24,7 +24,7 @@ class TestKtilePoints:
     def test_points_inside_certified_ball(self):
         sys = gauss_system(3)
         cloud = rt.ktile_points(sys, 4)
-        radius = sys.max_digit_norm() * sys.spectral().ball_radius_factor
+        radius = sys.max_digit_norm() * rt.tail_bound(sys.matrix, 0)
         for p in cloud.points:
             assert float(p[0]) ** 2 + float(p[1]) ** 2 <= radius**2 * (1 + 1e-9)
 
