@@ -295,7 +295,10 @@ def cmd_union_components(args, sys, payload):
 
 def _automaton_from_payload(sys, payload) -> multinv.DigitAutomaton:
     if "automaton" in payload:
-        return multinv.DigitAutomaton.from_json(payload["automaton"])
+        auto = multinv.DigitAutomaton.from_json(payload["automaton"])
+        if auto.n_digits != len(sys.digits):
+            raise PreconditionViolated(f"automaton reads {auto.n_digits} digits, the system has {len(sys.digits)}")
+        return auto
     if "restrict" in payload:
         return multinv.digit_restriction_automaton(
             sys, [linalg.as_vec(d) for d in payload["restrict"]]
@@ -313,7 +316,7 @@ def cmd_multinv(args, sys, payload):
             out["torus_invariance"] = multinv.torus_invariance_check(sys, auto, int(k))
         _emit_json(args, out)
     elif args.action == "cloud":
-        points = sorted(multinv.xk_cloud(sys, auto, int(payload["k"])))
+        points = sorted(multinv.xk_cloud(sys, auto, int(payload["k"])).points)
         _emit_json(
             args,
             {

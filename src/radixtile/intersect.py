@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from . import linalg, sep
 from .errors import (
     DigitShapeViolation,
@@ -458,8 +460,11 @@ def level_set_translate(
 def prefix_length_for_radius(sys: RadixSystem, epsilon: Fraction | float) -> int:
     """Positions after which any tail change moves the value less than epsilon.
 
-    The first m with ||dd|| * tail_bound(A, m) < epsilon, where dd is the
-    largest difference of digit differences; compared exactly in squares.
+    The first m below 10,000 with ||dd|| * tail_bound(A, m) < epsilon, where
+    dd is the largest difference of digit differences; compared exactly in
+    squares.  With k norms behind tail_bound, m = q k + r carries b_k^q with
+    b_k < 1/2, so once a block q of k positions holds a passing m, every
+    later block does: galloping and then bisection find the first one.
     """
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
@@ -468,10 +473,23 @@ def prefix_length_for_radius(sys: RadixSystem, epsilon: Fraction | float) -> int
     if dd_sq == 0:
         return 0
     eps_sq = Fraction(epsilon) ** 2
-    for m in range(10_000):
-        if dd_sq * linalg.tail_bound(sys.matrix, m) ** 2 < eps_sq:
-            return m
-    raise ValueError("epsilon too small to certify a prefix length")
+    k = len(linalg.inverse_power_norms(sys.matrix))
+
+    def first_in_block(q):
+        passing = (m for m in range(q * k, q * k + k) if dd_sq * linalg.tail_bound(sys.matrix, m) ** 2 < eps_sq)
+        return next(passing, None)
+
+    last = 9_999 // k
+    lo, hi = -1, 0  # block lo holds no passing m; block hi does, or hi is last
+    while hi < last and first_in_block(hi) is None:
+        lo, hi = hi, min(2 * hi + 1, last)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if first_in_block(mid) is not None else (mid, hi)
+    m = first_in_block(hi)
+    if m is None or m >= 10_000:
+        raise ValueError("epsilon too small to certify a prefix length")
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -561,11 +579,7 @@ def box_count_exponent(sys: RadixSystem, seq: EpSeq, depth: int, mesh_scale: flo
     cloud = ktile_points(sys, depth, digit_filter=seq)
     c = abs(sys.determinant) ** (-1.0 / sys.n)
     delta = mesh_scale * c**depth
-    inv_k = [[float(x) for x in row] for row in linalg.mat_inv_pow(sys.matrix, depth)]
-    boxes = set()
-    for w in cloud.int_points:
-        coords = [sum(inv_k[i][j] * w[j] for j in range(sys.n)) for i in range(sys.n)]
-        boxes.add(tuple(math.floor(x / delta) for x in coords))
+    boxes = np.unique(np.floor(cloud.float_points() / delta), axis=0)
     scale = math.log(abs(sys.determinant)) / sys.n
     return math.log(len(boxes)) / (depth * scale)
 

@@ -11,15 +11,16 @@ distance convergence and torus invariance diagnostics.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from . import graph, linalg
-from .errors import CloudTooLarge, EmptySet
-from .linalg import IntVec, RatVec
+from . import linalg, render
+from .errors import CloudTooLarge, EmptySet, NotACrs, SingularMatrix
+from .linalg import IntVec
 from .numsys import RadixSystem, discrete_expansion, evaluate_expansion
 
 
@@ -155,56 +156,44 @@ def follows_rule_automaton(sys: RadixSystem, trigger, follower) -> DigitAutomato
 # language machinery (padding, quotients, containment)
 
 
-def _pad_nfa(auto: DigitAutomaton, zero_idx: int):
-    """NFA accepting L . 0*: start states {initial}, extra zero-sink."""
-    sink = auto.n_states  # virtual accepting state with a zero self-loop
-    def moves(state, sym):
-        out = set()
-        if state == sink:
-            if sym == zero_idx:
-                out.add(sink)
-            return out
-        out.add(auto.transitions[state][sym])
-        if sym == zero_idx and state in auto.accepting:
-            out.add(sink)
-        return out
+def _subset_dfa(n_digits: int, start: frozenset, moves, accepting) -> DigitAutomaton:
+    """Subset construction (Rabin-Scott) of the sets reachable from start.
 
-    def accepting(states) -> bool:
-        return any(s == sink or s in auto.accepting for s in states)
-
-    return moves, accepting
-
-
-def _pad_dfa(auto: DigitAutomaton, zero_idx: int) -> DigitAutomaton:
-    """Determinized automaton of L . 0* (value semantics with zero padding)."""
-    moves, accepting = _pad_nfa(auto, zero_idx)
-    start = frozenset({auto.initial, auto.n_states}) if auto.initial in auto.accepting else frozenset({auto.initial})
-    # the empty word is accepted iff initial accepts; including the sink in
-    # the start set keeps acceptance while allowing zero padding of epsilon
+    moves(state, sym) gives the successors of one state; a set accepts when
+    it meets the accepting states.  The start set becomes state 0.
+    """
     index = {start: 0}
     order = [start]
     rows = []
-    acc = set()
-    i = 0
-    while i < len(order):
-        current = order[i]
-        if accepting(current):
-            acc.add(i)
+    for current in order:  # order grows while it is walked
         row = []
-        for sym in range(auto.n_digits):
-            nxt = frozenset().union(*[moves(s, sym) for s in current]) if current else frozenset()
+        for sym in range(n_digits):
+            nxt = frozenset(t for s in current for t in moves(s, sym))
             if nxt not in index:
                 index[nxt] = len(order)
                 order.append(nxt)
             row.append(index[nxt])
         rows.append(tuple(row))
-        i += 1
-    return DigitAutomaton(
-        n_digits=auto.n_digits,
-        transitions=tuple(rows),
-        accepting=frozenset(acc),
-        initial=0,
-    )
+    acc = frozenset(i for i, states in enumerate(order) if states & accepting)
+    return DigitAutomaton(n_digits=n_digits, transitions=tuple(rows), accepting=acc)
+
+
+def _pad_dfa(auto: DigitAutomaton, zero_idx: int) -> DigitAutomaton:
+    """Determinized automaton of L . 0* (value semantics with zero padding).
+
+    The NFA adds a virtual accepting sink with a zero self-loop, entered by
+    a zero from any accepting state.  The empty word is accepted iff initial
+    accepts; including the sink in the start set then keeps acceptance
+    while allowing zero padding of epsilon.
+    """
+    sink = auto.n_states
+
+    def moves(state, sym):
+        pad = (sink,) if sym == zero_idx and (state == sink or state in auto.accepting) else ()
+        return pad if state == sink else (auto.transitions[state][sym], *pad)
+
+    start = {auto.initial, sink} if auto.initial in auto.accepting else {auto.initial}
+    return _subset_dfa(auto.n_digits, frozenset(start), moves, auto.accepting | {sink})
 
 
 def _contains(outer: DigitAutomaton, inner: DigitAutomaton) -> bool:
@@ -226,27 +215,11 @@ def _contains(outer: DigitAutomaton, inner: DigitAutomaton) -> bool:
 
 def _delete_first_dfa(auto: DigitAutomaton) -> DigitAutomaton:
     """Determinized {w : d w in L for some digit d}."""
-    starts = frozenset(auto.transitions[auto.initial][sym] for sym in range(auto.n_digits))
-    index = {starts: 0}
-    order = [starts]
-    rows = []
-    acc = set()
-    i = 0
-    while i < len(order):
-        current = order[i]
-        if current & auto.accepting:
-            acc.add(i)
-        row = []
-        for sym in range(auto.n_digits):
-            nxt = frozenset(auto.transitions[s][sym] for s in current)
-            if nxt not in index:
-                index[nxt] = len(order)
-                order.append(nxt)
-            row.append(index[nxt])
-        rows.append(tuple(row))
-        i += 1
-    return DigitAutomaton(
-        n_digits=auto.n_digits, transitions=tuple(rows), accepting=frozenset(acc)
+    return _subset_dfa(
+        auto.n_digits,
+        frozenset(auto.transitions[auto.initial]),
+        lambda state, sym: (auto.transitions[state][sym],),
+        auto.accepting,
     )
 
 
@@ -273,8 +246,6 @@ def _require_expansion_domain(sys: RadixSystem) -> None:
     of Z^n exactly when the pair is a number system.
     """
     if not linalg.is_complete_residue_system(sys.matrix, sys.digits):
-        from .errors import NotACrs
-
         raise NotACrs("invariance needs a complete residue digit system")
     linalg.require_expanding(sys.matrix)
 
@@ -313,52 +284,61 @@ def psi(sys: RadixSystem, v) -> IntVec:
 # scaled clouds and metrics
 
 
-def xk_cloud(sys: RadixSystem, auto: DigitAutomaton, k: int, cap: int = 200_000) -> frozenset[RatVec]:
-    """A^-k (E meet A^k T) as exact rational points.
+def xk_cloud(sys: RadixSystem, auto: DigitAutomaton, k: int, cap: int = 200_000) -> render.PointCloud:
+    """A^-k (E meet A^k T) as the depth-k cloud of rows sum_{j<k} A^j d_j.
 
-    Enumerates padded-accepted digit strings of length k; for a number
-    system those are exactly the elements of E with expansions of length
-    at most k.
+    The rows come from the padded-accepted digit strings d_0 ... d_{k-1};
+    for a number system those are exactly the elements of E with
+    expansions of length at most k.  The cap counts those strings, which
+    are distinct points whenever no two digits are congruent mod A.
     """
-    zero_idx = sys.digits.index(linalg.zero_vec(sys.n))
-    padded = _pad_dfa(auto, zero_idx)
-    inv_k = linalg.mat_inv_pow(sys.matrix, k)
+    if k < 0:
+        raise ValueError(f"depth must be >= 0, got {k}")
+    padded = _pad_dfa(auto, sys.digits.index(linalg.zero_vec(sys.n)))
+    # ways[t][s]: accepted strings of length t read from state s
+    ways = [[int(s in padded.accepting) for s in range(padded.n_states)]]
+    for _ in range(k):
+        ways.append([sum(ways[-1][t] for t in row) for row in padded.transitions])
+    if ways[k][padded.initial] > cap:
+        raise CloudTooLarge(f"cloud exceeds cap {cap}")
 
-    # prune states that can never reach acceptance, so dead sinks do not
-    # blow the walk up to |digits|^k
-    pred: dict[int, list[int]] = {s: [] for s in range(padded.n_states)}
-    for s, row in enumerate(padded.transitions):
-        for t in row:
-            pred[t].append(s)
-    alive = graph.reach(padded.accepting, pred)
+    # one array of partial sums per state; a state is kept at step j only
+    # when it has an accepted completion of the remaining length
+    dtype = render._dtype_for(render._int_entry_bound(sys.matrix, [sys.digits] * k))
+    level = {padded.initial: np.zeros((1, sys.n), dtype=dtype)} if ways[k][padded.initial] else {}
+    power = linalg.identity(sys.n)
+    for j in range(k):
+        shifted = np.array([linalg.mat_vec(power, d) for d in sys.digits], dtype=dtype)
+        parts: dict[int, list[np.ndarray]] = {}
+        for state, sums in level.items():
+            for sym, target in enumerate(padded.transitions[state]):
+                if ways[k - j - 1][target]:
+                    parts.setdefault(target, []).append(sums + shifted[sym])
+        level = {state: np.concatenate(arrays) for state, arrays in parts.items()}
+        power = linalg.mat_mul(sys.matrix, power)
+    rows = np.concatenate([np.zeros((0, sys.n), dtype=dtype), *level.values()])
+    return render.PointCloud(sys, k, array=render._sorted_unique(rows))
 
-    points: set[RatVec] = set()
-    stack = [(padded.initial, 0, ())]
-    while stack:
-        state, pos, word = stack.pop()
-        if pos == k:
-            if state in padded.accepting:
-                value = evaluate_expansion(sys, [sys.digits[i] for i in word])
-                points.add(linalg.frac_mat_vec(inv_k, value))
-                if len(points) > cap:
-                    raise CloudTooLarge(f"cloud exceeds cap {cap}")
-            continue
-        for sym in range(padded.n_digits):
-            nxt = padded.transitions[state][sym]
-            if nxt in alive:
-                stack.append((nxt, pos + 1, word + (sym,)))
-    return frozenset(points)
+
+_BLOCK_ROWS = 256
 
 
 def hausdorff_distance(p, q) -> float:
-    """Max of the two directed sup-min Euclidean distances."""
-    p = [tuple(float(x) for x in v) for v in p]
-    q = [tuple(float(x) for x in v) for v in q]
-    if not p or not q:
+    """Max of the two directed sup-min Euclidean distances of two (N, n) point sequences.
+
+    Blocks of _BLOCK_ROWS rows of p meet all of q (memory O(block * |q|)) with a running
+    minimum per point of q; one square root at the end picks the same float, as sqrt is monotone.
+    """
+    if len(p) == 0 or len(q) == 0:
         raise EmptySet("Hausdorff distance needs nonempty sets")
-    pa, qa = np.array(p), np.array(q)
-    d = np.sqrt(((pa[:, None, :] - qa[None, :, :]) ** 2).sum(axis=2))
-    return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
+    p, q = np.asarray(p, dtype=np.float64), np.asarray(q, dtype=np.float64)
+    from_p = 0.0
+    to_q = np.full(len(q), np.inf)
+    for start in range(0, len(p), _BLOCK_ROWS):
+        d = ((p[start : start + _BLOCK_ROWS, None, :] - q[None, :, :]) ** 2).sum(axis=2)
+        from_p = max(from_p, d.min(axis=1).max())
+        np.minimum(to_q, d.min(axis=0), out=to_q)
+    return float(np.sqrt(max(from_p, to_q.max())))
 
 
 def torus_distance(x, y) -> float:
@@ -367,9 +347,7 @@ def torus_distance(x, y) -> float:
     y = tuple(Fraction(a) for a in y)
     n = len(x)
     best = None
-    import itertools as it
-
-    for zeta in it.product((-1, 0, 1), repeat=n):
+    for zeta in itertools.product((-1, 0, 1), repeat=n):
         d = sum((float(a - b + z)) ** 2 for a, b, z in zip(x, y, zeta))
         best = d if best is None else min(best, d)
     return math.sqrt(best)
@@ -400,7 +378,7 @@ def convergence_report(sys: RadixSystem, auto: DigitAutomaton, kmax: int) -> Con
     """Measured d_H(X_k, X_{k+1}) against the certified decay bound."""
     phi_closed, _ = check_invariance(sys, auto)
     max_digit = sys.max_digit_norm()
-    clouds = {k: xk_cloud(sys, auto, k) for k in range(1, kmax + 2)}
+    clouds = {k: xk_cloud(sys, auto, k).float_points() for k in range(1, kmax + 2)}
     rows = []
     prev = None
     for k in range(1, kmax + 1):
@@ -413,18 +391,16 @@ def convergence_report(sys: RadixSystem, auto: DigitAutomaton, kmax: int) -> Con
 
 
 def torus_invariance_check(sys: RadixSystem, auto: DigitAutomaton, k: int) -> bool:
-    """Exact check that A maps the k-cloud into the (k-1)-cloud on the torus."""
+    """Exact check that A maps the k-cloud into the (k-1)-cloud on the torus.
+
+    A A^-k w - A^-(k-1) w' is integral iff w = w' mod A^(k-1) Z^n, so the
+    residue classes of the k-cloud's rows must all occur in the (k-1)-cloud.
+    """
     if k < 2:
         raise ValueError("needs k >= 2")
-    current = xk_cloud(sys, auto, k)
-    previous = {_mod1(p) for p in xk_cloud(sys, auto, k - 1)}
-    a = linalg.mat_frac(sys.matrix)
-    for x in current:
-        image = _mod1(linalg.frac_mat_vec(a, x))
-        if image not in previous:
-            return False
-    return True
-
-
-def _mod1(v: RatVec) -> RatVec:
-    return tuple(x - math.floor(x) for x in v)
+    adj = linalg.mat_pow(linalg.adjugate(sys.matrix), k - 1)
+    modulus = abs(sys.determinant) ** (k - 1)
+    if modulus == 0:
+        raise SingularMatrix("torus check needs det != 0")
+    keys = [{linalg._class_key(adj, modulus, w) for w in xk_cloud(sys, auto, d).int_points} for d in (k, k - 1)]
+    return keys[0] <= keys[1]

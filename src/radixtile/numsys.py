@@ -61,26 +61,25 @@ def system(matrix, digits) -> RadixSystem:
 
 @lru_cache(maxsize=None)
 def _digit_lookup(matrix: IntMatrix, digits: tuple[IntVec, ...]):
-    """Map residue-class key -> digit; NotACrs if two digits share a class."""
+    """(adjugate, det, map residue-class key -> digit); NotACrs if two digits share a class."""
     d = linalg.det(matrix)
     if d == 0:
         raise NotACrs("digit lookup needs det != 0")
     adj = linalg.adjugate(matrix)
-    modulus = abs(d)
     table: dict[IntVec, IntVec] = {}
     for digit in digits:
-        key = linalg._class_key(adj, modulus, digit)
+        key = linalg._class_key(adj, abs(d), digit)
         if key in table:
             raise NotACrs(f"digits {table[key]} and {digit} are congruent")
         table[key] = digit
-    return adj, modulus, table
+    return adj, d, table
 
 
 def digit_of(sys: RadixSystem, v) -> IntVec:
     """The unique digit congruent to v mod A Z^n (NotACrs when missing)."""
     v = linalg.as_vec(v)
-    adj, modulus, table = _digit_lookup(sys.matrix, sys.digits)
-    key = linalg._class_key(adj, modulus, v)
+    adj, d, table = _digit_lookup(sys.matrix, sys.digits)
+    key = linalg._class_key(adj, abs(d), v)
     try:
         return table[key]
     except KeyError:
@@ -100,16 +99,16 @@ class RemainderTrace:
     digits_emitted: tuple[IntVec, ...]
 
 
-def _step(sys: RadixSystem, v: IntVec, a_inv) -> tuple[IntVec, IntVec]:
+def _step(sys: RadixSystem, v: IntVec) -> tuple[IntVec, IntVec]:
+    """(A^-1 (v - d), d) for the digit d of v: adj (v - d) divided exactly by det."""
     d = digit_of(sys, v)
-    w = linalg.frac_mat_vec(a_inv, linalg.vec_sub(v, d))
-    return tuple(int(x) for x in w), d
+    adj, det, _ = _digit_lookup(sys.matrix, sys.digits)
+    return tuple(x // det for x in linalg.mat_vec(adj, linalg.vec_sub(v, d))), d
 
 
 def remainder_sequence(sys: RadixSystem, v, max_steps: int = 100_000) -> RemainderTrace:
     """Iterate v -> A^-1 (v - digit(v)) until the walk repeats a state."""
     v = linalg.as_vec(v)
-    a_inv = linalg.mat_inv(sys.matrix)
     seen: dict[IntVec, int] = {}
     states: list[IntVec] = []
     digits: list[IntVec] = []
@@ -124,7 +123,7 @@ def remainder_sequence(sys: RadixSystem, v, max_steps: int = 100_000) -> Remaind
             )
         seen[current] = len(states)
         states.append(current)
-        nxt, d = _step(sys, current, a_inv)
+        nxt, d = _step(sys, current)
         digits.append(d)
         current = nxt
     raise NotACrs(f"remainder walk from {v} did not close after {max_steps} steps")

@@ -72,6 +72,12 @@ class PointCloud:
         inv_k = linalg.mat_inv_pow(self.system.matrix, self.depth)
         return tuple(linalg.frac_mat_vec(inv_k, w) for w in self.int_points)
 
+    def float_points(self) -> np.ndarray:
+        """(N, n) float64 points A^-k w, each entry its exact value correctly rounded."""
+        coords, scale = _scaled_coords(self)
+        # int / int on Python ints rounds the exact quotient once, as float(Fraction) does
+        return (coords.astype(object) / scale).astype(np.float64)
+
     def __len__(self) -> int:
         return len(self.array)
 
@@ -162,23 +168,17 @@ class RasterImage:
 
 
 def _scaled_coords(cloud: PointCloud) -> tuple[np.ndarray, int]:
-    """(N, 2) integer coordinates det^k-scaled: exact values of A^-k w times det^k.
-
-    One-dimensional systems render along the x axis.
-    """
+    """(N, n) integer coordinates det^k-scaled: exact values of A^-k w times |det|^k."""
     a = cloud.system.matrix
     scale = linalg.det(a) ** cloud.depth
-    # m / scale == A^-k exactly; only the first two rows are drawn
-    m = linalg.mat_pow(linalg.adjugate(a), cloud.depth)[:2]
+    # m / scale == A^-k exactly
+    m = linalg.mat_pow(linalg.adjugate(a), cloud.depth)
     if scale < 0:
         m = tuple(tuple(-x for x in row) for row in m)
         scale = -scale
     w_max = int(np.abs(cloud.array).max(initial=0))
     dtype = _dtype_for(max(sum(abs(x) for x in row) for row in m) * w_max)
-    coords = cloud.array.astype(dtype, copy=False) @ np.array(m, dtype=dtype).T
-    if cloud.system.n == 1:
-        coords = np.hstack([coords, np.zeros_like(coords)])
-    return coords, scale
+    return cloud.array.astype(dtype, copy=False) @ np.array(m, dtype=dtype).T, scale
 
 
 def rasterize(
@@ -200,7 +200,10 @@ def rasterize(
     if any(c.system.n > 2 for c in clouds):
         raise ValueError("rasterization covers 1-d and 2-d systems")
 
-    scaled = [_scaled_coords(c) for c in clouds]
+    # one-dimensional systems render along the x axis
+    scaled = [
+        (np.hstack([c, np.zeros_like(c)]) if c.shape[1] == 1 else c, s) for c, s in map(_scaled_coords, clouds)
+    ]
 
     if bbox is None:
         lo = [min(Fraction(int(c[:, a].min()), s) for c, s in scaled if len(c)) for a in (0, 1)]

@@ -79,3 +79,13 @@ def test_cli_cloud_rejects_negative_depth(tmp_path, capsys):
     payload = json.dumps({"restrict": [[0], [2]], "k": -1})
     assert cli.main(["multinv", "cloud", str(path), "-p", payload]) == 2
     assert json.loads(capsys.readouterr().out)["error"]["type"] == "ValueError"
+
+
+@pytest.mark.parametrize("action, extra", [("cloud", {"k": 2}), ("check", {"torus_k": 2}), ("converge", {"kmax": 2})])
+@pytest.mark.parametrize("n_digits", [2, 4])
+def test_cli_automaton_must_read_the_system_digits(tmp_path, capsys, action, extra, n_digits):
+    path = tmp_path / "base3.json"
+    path.write_text(json.dumps({"matrix": [3], "digits": [[0], [1], [2]]}))
+    auto = {"n_digits": n_digits, "transitions": [[1] * n_digits, [1] * n_digits], "accepting": [1]}
+    assert cli.main(["multinv", action, str(path), "-p", json.dumps({"automaton": auto, **extra})]) == 2
+    assert json.loads(capsys.readouterr().out)["error"]["type"] == "PreconditionViolated"

@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import radixtile as rt
 from radixtile import linalg
@@ -331,6 +333,22 @@ class TestBedfordMcMullen:
         assert strict_b == pytest.approx(dim_b / 2, abs=1e-12)
 
 
+# expanding matrices whose norm bounds need one to several powers to fall below 1/2
+PREFIX_MATRICES = [((2,),), ((-3,),), ((10,),), gauss_matrix(1), gauss_matrix(3), ((0, -2), (1, 0)), ((1, -2), (1, 1))]
+
+
+def ref_prefix_length(sys, epsilon):
+    """The first m below 10,000 that passes, by a linear scan."""
+    diffs = sys.differences()
+    dd_sq = max(linalg.norm_sq(linalg.vec_sub(a, b)) for a in diffs for b in diffs)
+    if dd_sq == 0:
+        return 0
+    for m in range(10_000):
+        if dd_sq * linalg.tail_bound(sys.matrix, m) ** 2 < Fraction(epsilon) ** 2:
+            return m
+    raise ValueError("epsilon too small to certify a prefix length")
+
+
 class TestLevelSets:
     def test_extremes(self, m3i_048):
         t0 = rt.level_set_translate(m3i_048, [], Fraction(0))
@@ -370,6 +388,28 @@ class TestLevelSets:
         for eps in (0, -1, Fraction(-1, 3)):
             with pytest.raises(ValueError):
                 rt.intersect.prefix_length_for_radius(m3i_048, eps)
+
+    @settings(max_examples=240, deadline=None)
+    @given(
+        matrix=st.sampled_from(PREFIX_MATRICES),
+        digits=st.lists(st.integers(-9, 9), min_size=1, max_size=4, unique=True),
+        epsilon=st.fractions(min_value=Fraction(1, 10**60), max_value=4, max_denominator=10**60),
+    )
+    def test_prefix_length_matches_linear_scan(self, matrix, digits, epsilon):
+        assume(epsilon > 0)
+        sys = rt.RadixSystem(matrix, tuple((d,) + (0,) * (len(matrix) - 1) for d in digits))
+        assert rt.intersect.prefix_length_for_radius(sys, epsilon) == ref_prefix_length(sys, epsilon)
+
+    # two and three norms: m = 10,000 starts a block of positions, or lies inside one
+    @pytest.mark.parametrize("matrix", [((2,),), gauss_matrix(1)])
+    def test_prefix_length_cap(self, matrix):
+        # digits {0, e1}: the differences {-e1, 0, e1} differ by at most 2
+        sys = rt.RadixSystem(matrix, (linalg.zero_vec(len(matrix)), (1,) + (0,) * (len(matrix) - 1)))
+        bound = [2 * linalg.tail_bound(matrix, m) for m in (9_998, 9_999, 10_000)]
+        assert bound[0] > bound[1] > bound[2]
+        assert rt.intersect.prefix_length_for_radius(sys, bound[0]) == 9_999
+        with pytest.raises(ValueError):  # the first passing m is 10,000
+            rt.intersect.prefix_length_for_radius(sys, bound[1])
 
     def test_scalar_half_level(self):
         sys = rt.RadixSystem(((10,),), ((0,), (3,)))

@@ -1,13 +1,17 @@
 import math
+import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import radixtile as rt
+from radixtile import graph, linalg, multinv
 from radixtile.errors import CloudTooLarge, EmptySet, NonTerminating, NotACrs
 from radixtile.multinv import (
+    DigitAutomaton,
     all_strings_automaton,
     follows_rule_automaton,
     last_digit_automaton,
@@ -86,18 +90,25 @@ class TestClouds:
             for b in (0, 2)
             for c in (0, 2)
         }
-        assert cloud == expected
+        assert set(cloud.points) == expected
 
     def test_everything_automaton(self, base3_full):
         cloud = rt.xk_cloud(base3_full, all_strings_automaton(base3_full), 2)
-        assert cloud == {(Fraction(v, 9),) for v in range(9)}
+        assert set(cloud.points) == {(Fraction(v, 9),) for v in range(9)}
 
     def test_zero_only_cloud(self, base3_full):
-        assert rt.xk_cloud(base3_full, zero_only_automaton(base3_full), 4) == {(Fraction(0),)}
+        assert rt.xk_cloud(base3_full, zero_only_automaton(base3_full), 4).points == ((Fraction(0),),)
 
     def test_cap(self, base3_full):
         with pytest.raises(CloudTooLarge):
             rt.xk_cloud(base3_full, all_strings_automaton(base3_full), 9, cap=100)
+
+    def test_cap_is_checked_before_any_point_is_built(self, base3_full):
+        # 3^30 accepted strings: the count is over the cap before any point is built
+        start = time.perf_counter()
+        with pytest.raises(CloudTooLarge):
+            rt.xk_cloud(base3_full, all_strings_automaton(base3_full), 30)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestDistances:
@@ -153,7 +164,7 @@ class TestConvergence:
 
     def test_bound_never_violated_for_ell_beyond_k(self, base3_full):
         auto = rt.digit_restriction_automaton(base3_full, [(0,), (2,)])
-        clouds = {k: rt.xk_cloud(base3_full, auto, k) for k in range(1, 9)}
+        clouds = {k: rt.xk_cloud(base3_full, auto, k).float_points() for k in range(1, 9)}
         for k in range(1, 8):
             bound = base3_full.max_digit_norm() * rt.tail_bound(base3_full.matrix, k)
             for ell in range(k, 9):
@@ -192,3 +203,114 @@ class TestAutomatonJson:
         auto = rt.digit_restriction_automaton(base3_full, [(0,), (2,)])
         again = rt.DigitAutomaton.from_json(auto.to_json())
         assert again == auto
+
+
+# ---------------------------------------------------------------------------
+# references: the per-word Fraction cloud, the dense distance matrix and the
+# mod-1 torus check that the integer-array code replaced
+
+
+def ref_xk_cloud(sys, auto, k):
+    """Depth-first walk over padded-accepted words, one Fraction point per word."""
+    padded = multinv._pad_dfa(auto, sys.digits.index(linalg.zero_vec(sys.n)))
+    inv_k = linalg.mat_inv_pow(sys.matrix, k)
+    pred = {s: [] for s in range(padded.n_states)}
+    for s, row in enumerate(padded.transitions):
+        for t in row:
+            pred[t].append(s)
+    alive = graph.reach(padded.accepting, pred)
+    points = set()
+    stack = [(padded.initial, 0, ())]
+    while stack:
+        state, pos, word = stack.pop()
+        if pos == k:
+            if state in padded.accepting:
+                value = rt.evaluate_expansion(sys, [sys.digits[i] for i in word])
+                points.add(linalg.frac_mat_vec(inv_k, value))
+            continue
+        for sym in range(padded.n_digits):
+            nxt = padded.transitions[state][sym]
+            if nxt in alive:
+                stack.append((nxt, pos + 1, word + (sym,)))
+    return frozenset(points)
+
+
+def ref_hausdorff(p, q):
+    pa, qa = np.array(p, dtype=float), np.array(q, dtype=float)
+    d = np.sqrt(((pa[:, None, :] - qa[None, :, :]) ** 2).sum(axis=2))
+    return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
+
+
+def ref_torus(sys, auto, k):
+    def mod1(v):
+        return tuple(x - math.floor(x) for x in v)
+
+    previous = {mod1(p) for p in ref_xk_cloud(sys, auto, k - 1)}
+    a = linalg.mat_frac(sys.matrix)
+    return all(mod1(linalg.frac_mat_vec(a, x)) in previous for x in ref_xk_cloud(sys, auto, k))
+
+
+# each digit set is a complete residue system, so digit strings of one
+# length and cloud points correspond one to one
+REF_SYSTEMS = [
+    rt.RadixSystem(((3,),), ((0,), (1,), (2,))),
+    rt.RadixSystem(((4,),), ((0,), (1,), (2,), (3,))),
+    gauss_system(2),
+]
+
+
+@st.composite
+def automata(draw, sys):
+    n_digits = len(sys.digits)
+    if draw(st.booleans()):
+        allowed = draw(st.lists(st.sampled_from(sys.digits), min_size=1, unique=True))
+        return rt.digit_restriction_automaton(sys, allowed)
+    n_states = draw(st.integers(1, 4))
+    targets = st.integers(0, n_states - 1)
+    row = st.lists(targets, min_size=n_digits, max_size=n_digits).map(tuple)
+    return DigitAutomaton(
+        n_digits=n_digits,
+        transitions=tuple(draw(st.lists(row, min_size=n_states, max_size=n_states))),
+        accepting=draw(st.frozensets(targets)),
+        initial=draw(targets),
+    )
+
+
+class TestAgainstReferences:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_cloud(self, data):
+        sys = data.draw(st.sampled_from(REF_SYSTEMS))
+        auto = data.draw(automata(sys))
+        k = data.draw(st.integers(0, 4 if sys.n == 1 else 3))
+        expected = ref_xk_cloud(sys, auto, k)
+        cloud = rt.xk_cloud(sys, auto, k, cap=len(expected))
+        assert set(cloud.points) == expected
+        assert len(cloud) == len(expected)
+        assert cloud.float_points().tolist() == [[float(x) for x in p] for p in cloud.points]
+        if expected:
+            with pytest.raises(CloudTooLarge):
+                rt.xk_cloud(sys, auto, k, cap=len(expected) - 1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_torus(self, data):
+        sys = data.draw(st.sampled_from(REF_SYSTEMS))
+        auto = data.draw(automata(sys))
+        k = data.draw(st.integers(2, 4 if sys.n == 1 else 3))
+        assert rt.torus_invariance_check(sys, auto, k) == ref_torus(sys, auto, k)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 2),
+        sizes=st.tuples(*[st.integers(1, 3 * multinv._BLOCK_ROWS)] * 2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=2, sizes=(2 * multinv._BLOCK_ROWS + 1, multinv._BLOCK_ROWS), seed=1)
+    @example(n=1, sizes=(multinv._BLOCK_ROWS, 2 * multinv._BLOCK_ROWS), seed=2)
+    def test_hausdorff(self, n, sizes, seed):
+        rng = np.random.default_rng(seed)
+        p, q = (rng.integers(-40, 40, size=(m, n)) / rng.integers(1, 30) for m in sizes)
+        expected = ref_hausdorff(p, q)
+        assert rt.hausdorff_distance(p, q) == expected
+        assert rt.hausdorff_distance(p.tolist(), q.tolist()) == expected

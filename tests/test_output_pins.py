@@ -1,7 +1,9 @@
 """sha256 pins of CLI output on the shared fixture systems.
 
-The digests were recorded before the JSON, fraction and label helpers were
-merged; equal digests show the merged helpers print the same bytes.
+Each digest was recorded with the code before a refactor of the path that
+prints it: the JSON, fraction and label helpers, then the integer multinv
+clouds, chunked distances and integer torus check.  Equal digests show the
+refactored code prints the same bytes, floats included.
 """
 
 import hashlib
@@ -131,6 +133,60 @@ PINNED = {
         ["multinv", "cloud"],
         {"restrict": [[0, 0], [1, 1], [0, 1]], "k": 3},
         "ed693aa3cc36ecb2bb923e8f6b87aecee14d05ef4235a740785240383d2f7ad0",
+    ),
+    "converge_base3": (
+        "base3_full",
+        ["multinv", "converge"],
+        {"restrict": [[0], [2]], "kmax": 6},
+        "893ac1656071f120f5f5e9a5451804f26114ef0557c60990f85b2a1c358250e7",
+    ),
+    "converge_csv_base3": (
+        "base3_full",
+        ["--format", "csv", "multinv", "converge"],
+        {"restrict": [[0], [2]], "kmax": 8},
+        "fb30a5f9f11491b88d4981449a66a74f8d7b78c7b1bbe232d261db7eac55f736",
+    ),
+    "converge_twin": (
+        "twin_two",
+        ["multinv", "converge"],
+        {"restrict": [[0, 0], [1, 1]], "kmax": 5},
+        "5561e906d4af46051afd9bf8860a76959ca46d5518956a9fffa5654280317cd8",
+    ),
+    "converge_csv_twin": (
+        "twin_two",
+        ["--format", "csv", "multinv", "converge"],
+        {"restrict": [[0, 0], [1, 0], [0, 1]], "kmax": 4},
+        "ce483fc2b9c5e0a455d6708f4c724827f403427a91af915d5da36a148d04fd14",
+    ),
+    "check_torus_base3": (
+        "base3_full",
+        ["multinv", "check"],
+        {"restrict": [[0], [2]], "torus_k": 4},
+        "7b5c4e4ff86d64fcaff387d8d3f837a275693826c913444196ecb8c339a52b30",
+    ),
+    "check_torus_twin": (
+        "twin_two",
+        ["multinv", "check"],
+        {"restrict": [[0, 0], [1, 0]], "torus_k": 3},
+        "7b5c4e4ff86d64fcaff387d8d3f837a275693826c913444196ecb8c339a52b30",
+    ),
+    "check_torus_last_digit": (
+        "base3_full",
+        ["multinv", "check"],
+        {"automaton": {"n_digits": 3, "transitions": [[2, 2, 1], [2, 2, 1], [2, 2, 1]], "accepting": [1]}, "torus_k": 3},
+        "2f6066e6430293191dcce0e05c3bd13ba3351c3d1ec429a79e99673415f2ebf4",
+    ),
+    "dims_box_empirical_m3i": (
+        "m3i_048",
+        ["dims", "box"],
+        {"alpha": {"pre": [[-4, 0], [-8, 0]], "cycle": [[0, 0], [8, 0]]}, "empirical_depth": 4},
+        "3af02ffe71f281c67a02d020abcb4e630eebec85707282da70a3df6952c193eb",
+    ),
+    "dims_box_empirical_base10": (
+        "base10",
+        ["dims", "box"],
+        {"alpha": {"pre": [[3]], "cycle": [[0], [5]]}, "strict": False, "empirical_depth": 3},
+        "671330cf2afa86ac51e51d40a062778cc85f7e8255efc5879bde3128de4c60f2",
     ),
 }
 

@@ -177,6 +177,20 @@ class TestAgainstReference:
         assert img.pixels == pixels
         assert rt.overlap_pixel_count(img) == ref_overlap_count(pixels)
 
+    @SETTINGS
+    @given(data=st.data())
+    def test_float_points_round_the_exact_points(self, data):
+        system = data.draw(systems())
+        cloud = rt.ktile_points(system, data.draw(st.integers(0, 4)))
+        points = cloud.float_points()
+        assert points.dtype == np.float64 and points.shape == (len(cloud), system.n)
+        assert points.tolist() == [[float(x) for x in p] for p in cloud.points]
+
+    def test_float_points_round_once(self):
+        # float(2**53 + 1) / 3.0 rounds twice and gives ...330.5; the exact quotient is ...331
+        cloud = rt.PointCloud(rt.RadixSystem(((3,),), ((0,), (1,), (2,))), 1, int_points=[(2**53 + 1,)])
+        assert cloud.float_points().tolist() == [[float(Fraction(2**53 + 1, 3))]] == [[3002399751580331.0]]
+
     def test_large_entries_use_exact_arrays(self):
         system = gauss_system(3, digits=(0, 1, 2**63))
         cloud = rt.ktile_points(system, 3)
