@@ -3,7 +3,7 @@
 Every subcommand reads a system descriptor file plus an optional JSON
 payload and writes a deterministic report.  Exact rationals are emitted
 as "p/q" strings next to float renderings.  Exit codes: 0 success,
-2 precondition failure, 3 budget exceeded.
+2 precondition failure, 3 budget exceeded, 64 usage error.
 """
 
 from __future__ import annotations
@@ -13,18 +13,36 @@ import json
 import sys as _sys
 from datetime import datetime, timezone
 from fractions import Fraction
+from pathlib import Path
 
 from . import intersect, linalg, multinv, neighbours, numsys, radix, render, sep
-from .errors import BudgetError, PreconditionError, PreconditionViolated, RadixTileError
+from .errors import BudgetError, PreconditionError, PreconditionViolated, RadixTileError, UsageError
 
 
 def _parse_frac(text) -> Fraction:
     return Fraction(str(text))
 
 
+class _JsonObject(dict):
+    """A JSON object whose missing key is a precondition failure, not a KeyError."""
+
+    def __missing__(self, key):
+        raise PreconditionViolated(f"missing JSON key {key!r}")
+
+
+def _json_object(source: str, what: str, inline: bool = False) -> dict:
+    """The JSON object in the file named ``source``, or in ``source`` itself when inline."""
+    try:
+        data = json.loads(source if inline else Path(source).read_text(), object_hook=_JsonObject)
+    except OSError as exc:
+        raise PreconditionViolated(f"cannot read the {what} file: {exc}") from None
+    if not isinstance(data, dict):
+        raise PreconditionViolated(f"the {what} must be a JSON object")
+    return data
+
+
 def load_descriptor(path: str) -> numsys.RadixSystem:
-    with open(path) as fh:
-        data = json.load(fh)
+    data = _json_object(path, "descriptor")
     if "polynomial" in data:
         poly = data["polynomial"]
         return numsys.companion_system(poly["coeffs"], poly["digits"])
@@ -248,10 +266,8 @@ def cmd_dims(args, sys, payload):
         raise PreconditionError("sequence is not SEP; no witness-based dimension")
     if kind == "hausdorff":
         _emit_json(args, intersect.hausdorff_dimension_sep(sys, witness).to_json())
-    elif kind == "similarity":
-        _emit_json(args, intersect.similarity_dimension(sys, witness).to_json())
     else:
-        raise ValueError(f"unknown dims kind {kind!r}")
+        _emit_json(args, intersect.similarity_dimension(sys, witness).to_json())
 
 
 def cmd_levelset(args, sys, payload):
@@ -326,7 +342,7 @@ def cmd_multinv(args, sys, payload):
                 ]
             },
         )
-    elif args.action == "converge":
+    else:
         report = multinv.convergence_report(sys, auto, int(payload["kmax"]))
         if args.format == "csv":
             _emit_text(report.to_csv())
@@ -346,8 +362,6 @@ def cmd_multinv(args, sys, payload):
                 ],
             },
         )
-    else:
-        raise ValueError(f"unknown multinv action {args.action!r}")
 
 
 def _int_field(payload, key: str, default: int) -> int:
@@ -383,77 +397,79 @@ def cmd_render(args, sys, payload):
 # ---------------------------------------------------------------------------
 # wiring
 
+FORMATS = ["json", "dot", "pgm", "ppm", "csv"]
+_SWITCH = {"action": "store_true"}
+# Arguments of every subcommand.  The global flags are accepted after the
+# subcommand too, hidden from its help; SUPPRESS keeps a value given before it.
+_COMMON = {
+    "descriptor": dict(help="system descriptor JSON file"),
+    "--payload -p": dict(help="payload JSON file or inline JSON"),
+    "--format": dict(choices=FORMATS, default=argparse.SUPPRESS, help=argparse.SUPPRESS),
+    "--timestamp": dict(_SWITCH, default=argparse.SUPPRESS, help=argparse.SUPPRESS),
+}
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="radixtile",
-        description="Exact analysis of matrix number systems and digit tiles",
-    )
-    parser.add_argument("--format", choices=["json", "dot", "pgm", "ppm", "csv"], default="json")
+# Every subcommand: name -> its arguments in order (option strings -> add_argument
+# keywords), a selector positional before the common ones.  The handler is the
+# function cmd_<name> ("-" read as "_"), looked up when the parser is built so
+# that a wrapper later bound to that name is the one called.
+COMMANDS = {
+    "residues": _COMMON,
+    "numsys-check": _COMMON,
+    "expand": _COMMON,
+    "eval": _COMMON,
+    "equiv": _COMMON,
+    "enumerate-equiv": _COMMON,
+    "unique": {**_COMMON, "--difference": dict(_SWITCH, help="check the difference digit system")},
+    "neighbours": {**_COMMON, "--dot": _SWITCH},
+    "triple-graph": {**_COMMON, "--dot": _SWITCH},
+    "sep": _COMMON,
+    "intersect": {**_COMMON, "--multi": _SWITCH},
+    "dims": {"kind": dict(choices=["box", "hausdorff", "similarity", "bm"]), **_COMMON},
+    "levelset": {**_COMMON, "--lam --lambda": dict(dest="lam", required=True, help="level as p/q")},
+    "union-components": _COMMON,
+    "multinv": {"action": dict(choices=["check", "cloud", "converge"]), **_COMMON},
+    "render": {
+        **_COMMON,
+        "--overlap": dict(help="integer shift, comma separated"),
+        "--out": dict(help="output file for binary formats"),
+    },
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        self.print_usage(_sys.stderr)
+        raise UsageError(message)
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The parser for every subcommand, or for ``command`` alone."""
+    parser = _Parser(prog="radixtile", description="Exact analysis of matrix number systems and digit tiles")
+    parser.add_argument("--format", choices=FORMATS, default="json")
     parser.add_argument("--timestamp", action="store_true", help="include a generation timestamp")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, handler, selector=None, choices=None, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        if selector:
-            p.add_argument(selector, choices=choices)
-        p.add_argument("descriptor", help="system descriptor JSON file")
-        p.add_argument("--payload", "-p", default=None, help="payload JSON file or inline JSON")
-        p.set_defaults(handler=handler)
-        return p
-
-    add("residues", cmd_residues)
-    add("numsys-check", cmd_numsys_check)
-    add("expand", cmd_expand)
-    add("eval", cmd_eval)
-    add("equiv", cmd_equiv)
-    add("enumerate-equiv", cmd_enumerate_equiv)
-    p = add("unique", cmd_unique)
-    p.add_argument("--difference", action="store_true", help="check the difference digit system")
-    p = add("neighbours", cmd_neighbours)
-    p.add_argument("--dot", action="store_true")
-    p = add("triple-graph", cmd_triple_graph)
-    p.add_argument("--dot", action="store_true")
-    add("sep", cmd_sep)
-    p = add("intersect", cmd_intersect)
-    p.add_argument("--multi", action="store_true")
-    add("dims", cmd_dims, selector="kind", choices=["box", "hausdorff", "similarity", "bm"])
-    p = add("levelset", cmd_levelset)
-    p.add_argument("--lam", "--lambda", dest="lam", required=True, help="level as p/q")
-    add("union-components", cmd_union_components)
-    add("multinv", cmd_multinv, selector="action", choices=["check", "cloud", "converge"])
-    p = add("render", cmd_render)
-    p.add_argument("--overlap", default=None, help="integer shift, comma separated")
-    p.add_argument("--out", default=None, help="output file for binary formats")
+    sub.choices = COMMANDS  # usage and unknown-command messages name every subcommand
+    for name in COMMANDS if command is None else [command]:
+        p = sub.add_parser(name)
+        for option, kwargs in COMMANDS[name].items():
+            p.add_argument(*option.split(), **kwargs)
+        p.set_defaults(handler=globals()["cmd_" + name.replace("-", "_")])
     return parser
 
 
-def _load_payload(args) -> dict:
-    if not args.payload:
-        return {}
-    text = args.payload
-    if text.strip().startswith("{"):
-        return json.loads(text)
-    with open(text) as fh:
-        return json.load(fh)
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = _sys.argv[1:] if argv is None else argv
+    # build only the named subcommand; no name (--help, a typo, nothing) builds them all
+    command = next((token for token in argv if token in COMMANDS), None)
     try:
+        args = build_parser(command).parse_args(argv)
         system = load_descriptor(args.descriptor)
-        payload = _load_payload(args)
+        text = args.payload or "{}"
+        payload = _json_object(text, "payload", inline=text.lstrip().startswith(("{", "[")))
         args.handler(args, system, payload)
-    except BudgetError as exc:
+    except (UsageError, RadixTileError, ValueError) as exc:
         _sys.stdout.write(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}) + "\n")
-        return 3
-    except (PreconditionError, ValueError) as exc:
-        _sys.stdout.write(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}) + "\n")
-        return 2
-    except RadixTileError as exc:
-        _sys.stdout.write(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}) + "\n")
-        return 2
+        return 64 if isinstance(exc, UsageError) else 3 if isinstance(exc, BudgetError) else 2
     return 0
 
 

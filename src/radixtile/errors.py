@@ -19,6 +19,10 @@ class BudgetError(RadixTileError):
     """A configurable resource cap was hit before the answer was certain."""
 
 
+class UsageError(Exception):
+    """The command line does not parse; the CLI exits 64 (EX_USAGE of sysexits.h)."""
+
+
 class SingularMatrix(PreconditionError):
     pass
 
