@@ -58,16 +58,35 @@ def load_descriptor(path: str) -> numsys.RadixSystem:
     return numsys.RadixSystem(tuple(map(tuple, matrix)), tuple(digits))
 
 
-def _seq_from_json(data, coerce=linalg.as_vec) -> radix.EpSeq:
+def _json_int(x) -> int:
+    if type(x) is not int:  # bool is an int subclass, a JSON true is not a number
+        raise PreconditionViolated(f"expected a JSON integer, got {x!r}")
+    return x
+
+
+def _json_list(x, what: str) -> list:
+    if type(x) is not list:
+        raise PreconditionViolated(f"{what} must be a JSON list, got {x!r}")
+    return x
+
+
+def _json_vec(x) -> linalg.IntVec:
+    """A vector written as one JSON integer or a list of them."""
+    return (_json_int(x),) if type(x) is not list else tuple(map(_json_int, x))
+
+
+def _seq_from_json(data, coerce=_json_vec) -> radix.EpSeq:
+    if not isinstance(data, dict):
+        raise PreconditionViolated(f"a sequence must be a JSON object, got {data!r}")
     return radix.EpSeq.make(
-        [coerce(x) for x in data.get("pre", [])],
-        [coerce(x) for x in data["cycle"]],
+        [coerce(x) for x in _json_list(data.get("pre", []), "pre")],
+        [coerce(x) for x in _json_list(data["cycle"], "cycle")],
     )
 
 
 def _set_seq_from_json(data) -> radix.EpSeq:
     def coerce(entry):
-        return frozenset(linalg.as_vec(v) for v in entry)
+        return frozenset(map(_json_vec, _json_list(entry, "a digit set")))
 
     return _seq_from_json(data, coerce)
 
@@ -183,7 +202,7 @@ def cmd_triple_graph(args, sys, payload):
 def cmd_sep(args, sys, payload):
     kind = payload.get("kind", "int")
     if kind == "int":
-        seq = _seq_from_json(payload, coerce=int)
+        seq = _seq_from_json(payload, coerce=_json_int)
         witness = sep.is_sep_int(seq)
         out = None
         if witness is not None:
@@ -327,12 +346,12 @@ def cmd_multinv(args, sys, payload):
     if args.action == "check":
         phi_ok, psi_ok = multinv.check_invariance(sys, auto)
         out = {"phi_closed": phi_ok, "psi_closed": psi_ok}
-        k = payload.get("torus_k")
+        k = _int_field(payload, "torus_k", 0)
         if k:
-            out["torus_invariance"] = multinv.torus_invariance_check(sys, auto, int(k))
+            out["torus_invariance"] = multinv.torus_invariance_check(sys, auto, k)
         _emit_json(args, out)
     elif args.action == "cloud":
-        points = sorted(multinv.xk_cloud(sys, auto, int(payload["k"])).points)
+        points = sorted(multinv.xk_cloud(sys, auto, _int_field(payload, "k")).points)
         _emit_json(
             args,
             {
@@ -343,7 +362,7 @@ def cmd_multinv(args, sys, payload):
             },
         )
     else:
-        report = multinv.convergence_report(sys, auto, int(payload["kmax"]))
+        report = multinv.convergence_report(sys, auto, _int_field(payload, "kmax"))
         if args.format == "csv":
             _emit_text(report.to_csv())
             return
@@ -364,8 +383,9 @@ def cmd_multinv(args, sys, payload):
         )
 
 
-def _int_field(payload, key: str, default: int) -> int:
-    value = payload.get(key, default)
+def _int_field(payload, key: str, default: int | None = None) -> int:
+    """payload[key] (or the default when it is absent), which must be a JSON integer."""
+    value = payload[key] if default is None else payload.get(key, default)
     if type(value) is not int:  # bool is an int subclass, a JSON true is not a count
         raise PreconditionViolated(f"{key} must be a JSON integer, got {value!r}")
     return value

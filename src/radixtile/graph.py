@@ -1,11 +1,15 @@
-"""Linear-time passes over finite directed graphs.
+"""Passes over finite directed graphs.
 
 A graph is a dict from each state to an iterable of its successors.  A
 successor that is not a key is a state with no successors.  Each pass
-runs in O(V + E).
+runs in O(V + E).  The ``*_mask`` passes take states 0..count-1 with
+edges src[i] -> dst[i] as index arrays and answer with a boolean mask;
+each round is one whole-array step, so they cost O(rounds * E).
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 
 def live(succ) -> set:
@@ -90,3 +94,29 @@ def components(succ) -> list[list]:
                             break
                     out.append(comp)
     return out
+
+
+def live_mask(count: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """States with an infinite forward path: drop, round by round, those left with no live successor."""
+    alive = np.ones(count, dtype=bool)
+    while True:
+        kept = np.zeros(count, dtype=bool)
+        kept[src[alive[dst]]] = True
+        kept &= alive
+        if kept.sum() == alive.sum():
+            return alive
+        alive = kept
+
+
+def reach_mask(count: int, starts, src: np.ndarray, dst: np.ndarray, within: np.ndarray) -> np.ndarray:
+    """States reachable from starts without leaving within (starts outside it are dropped)."""
+    seen = np.zeros(count, dtype=bool)
+    seen[starts] = True
+    seen &= within
+    frontier, edges = seen.copy(), within[dst]
+    while frontier.any():
+        step = np.zeros(count, dtype=bool)
+        step[dst[edges & frontier[src]]] = True
+        frontier = step & ~seen
+        seen |= frontier
+    return seen

@@ -1,6 +1,7 @@
 """Exact integer and rational linear algebra.
 
-Matrices are tuples of row tuples, vectors are plain tuples.  Everything
+Matrices are tuples of row tuples, vectors are plain tuples, and a batch
+of vectors is one (N, n) integer array under ``dtype_for``.  Everything
 that feeds a decision (residue classes, Smith form, the expanding test,
 operator-norm bounds) is computed exactly over the integers or rationals.
 Floating point only proposes a norm bound, which is then checked exactly;
@@ -13,7 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -42,7 +43,7 @@ def as_matrix(rows) -> IntMatrix:
 def as_vec(v) -> IntVec:
     if isinstance(v, int):
         return (v,)
-    return tuple(int(x) for x in v)
+    return tuple(map(int, v))
 
 
 def identity(n: int) -> IntMatrix:
@@ -98,10 +99,6 @@ def vec_neg(v):
     return tuple(-a for a in v)
 
 
-def vec_scale(c, v):
-    return tuple(c * a for a in v)
-
-
 def norm_sq(v):
     return sum(a * a for a in v)
 
@@ -137,15 +134,13 @@ def mat_frac(a) -> RatMatrix:
     return tuple(tuple(Fraction(x) for x in row) for row in a)
 
 
-def mat_inv(a) -> RatMatrix:
-    """Exact inverse over the rationals (SingularMatrix if det = 0)."""
-    n = len(a)
-    m = [[Fraction(a[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-         for i in range(n)]
+def _gauss_jordan(m: list[list[Fraction]], what: str) -> list[list[Fraction]]:
+    """Reduce the n leading columns of the n rows m to the identity; the rest of each row after them."""
+    n = len(m)
     for col in range(n):
         pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
         if pivot is None:
-            raise SingularMatrix("matrix is singular")
+            raise SingularMatrix(f"{what} is singular")
         m[col], m[pivot] = m[pivot], m[col]
         inv_p = 1 / m[col][col]
         m[col] = [x * inv_p for x in m[col]]
@@ -153,45 +148,32 @@ def mat_inv(a) -> RatMatrix:
             if r != col and m[r][col] != 0:
                 f = m[r][col]
                 m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return tuple(tuple(row[n:]) for row in m)
+    return [row[n:] for row in m]
+
+
+def mat_inv(a) -> RatMatrix:
+    """Exact inverse over the rationals (SingularMatrix if det = 0)."""
+    n = len(a)
+    rows = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
+    return tuple(map(tuple, _gauss_jordan(rows, "matrix")))
 
 
 def solve(a: RatMatrix, b: RatVec) -> RatVec:
     """Solve a x = b exactly over the rationals."""
-    n = len(a)
-    m = [[Fraction(a[i][j]) for j in range(n)] + [Fraction(b[i])] for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            raise SingularMatrix("system is singular")
-        m[col], m[pivot] = m[pivot], m[col]
-        inv_p = 1 / m[col][col]
-        m[col] = [x * inv_p for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return tuple(m[i][n] for i in range(n))
+    rows = [[*map(Fraction, row), Fraction(y)] for row, y in zip(a, b)]
+    return tuple(row[0] for row in _gauss_jordan(rows, "system"))
 
 
 def adjugate(a: IntMatrix) -> IntMatrix:
-    """Integer adjugate, so that adjugate(a) == det(a) * inverse(a)."""
-    d = det(a)
-    if d == 0:
-        # fall back to cofactor expansion for the singular case
-        n = len(a)
-        cof = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                minor = tuple(
-                    tuple(a[r][c] for c in range(n) if c != j)
-                    for r in range(n) if r != i
-                )
-                cof[j][i] = (-1) ** (i + j) * (det(minor) if minor else 1)
-        return tuple(tuple(row) for row in cof)
-    inv = mat_inv(a)
-    adj = tuple(tuple(x * d for x in row) for row in inv)
-    return tuple(tuple(int(x) for x in row) for row in adj)
+    """Integer adjugate, so that adjugate(a) == det(a) * inverse(a): the transposed cofactors."""
+    n = len(a)
+    if n == 1:
+        return ((1,),)
+    # entry (i, j) is the cofactor of a at (j, i): the signed det without row j and column i
+    return tuple(
+        tuple((-1) ** (i + j) * det(tuple(row[:i] + row[i + 1:] for row in a[:j] + a[j + 1:])) for j in range(n))
+        for i in range(n)
+    )
 
 
 def frac_mat_vec(a: RatMatrix, v) -> RatVec:
@@ -361,107 +343,27 @@ def round_div(a: int, b: int) -> int:
 # residue systems
 
 
-def _class_key(adj: IntMatrix, modulus: int, v: IntVec) -> IntVec:
-    """Injective label of the class of v modulo a*Z^n (adj = adjugate(a))."""
-    return tuple(x % modulus for x in mat_vec(adj, v))
-
-
-def lll_reduce(a: IntMatrix) -> IntMatrix:
-    """LLL-reduced basis (delta = 3/4) of the lattice spanned by the columns of a.
-
-    Exact over the rationals; Gram-Schmidt is recomputed after every step,
-    which is cheap at the dimensions used here.
-    """
-    basis, k = list(mat_transpose(a)), 1
-    while k < len(basis):
-        for j in range(k - 1, -1, -1):
-            q = round(_gram_schmidt(basis)[1][k][j])
-            basis[k] = vec_sub(basis[k], vec_scale(q, basis[j]))
-        ortho, mu = _gram_schmidt(basis)
-        if norm_sq(ortho[k]) >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * norm_sq(ortho[k - 1]):
-            k += 1
-        else:
-            basis[k - 1], basis[k] = basis[k], basis[k - 1]
-            k = max(k - 1, 1)
-    return mat_transpose(basis)
-
-
-def _gram_schmidt(basis):
-    """Orthogonal vectors o_i = b_i - sum_j mu[i][j] o_j, mu[i][j] = <b_i, o_j> / <o_j, o_j>."""
-    ortho, mu = [], []
-    for b in basis:
-        mu.append([Fraction(sum(x * y for x, y in zip(b, o)), norm_sq(o)) for o in ortho])
-        ortho.append(tuple(x - sum(c * o[i] for c, o in zip(mu[-1], ortho)) for i, x in enumerate(b)))
-    return ortho, mu
-
-
-@lru_cache(maxsize=None)
-def _reduced_basis(a: IntMatrix) -> tuple[IntMatrix, RatMatrix]:
-    b = lll_reduce(a)
-    return b, mat_inv(b)
-
-
-def minimal_norm_representative(a: IntMatrix, v: IntVec, cap: int = 200_000) -> IntVec:
-    """Smallest representative of v + a*Z^n, ties broken lexicographically.
-
-    In an LLL-reduced basis b of the lattice, iterated Babai rounding
-    shrinks the representative, then the exact optimum is found by
-    enumerating every t with |t_i| <= 2 ||row_i(b^-1)|| ||base||, which
-    holds for each w = base - b t no longer than base.  A box over the cap
-    raises SearchBudgetExceeded.
-    """
-    b, b_inv = _reduced_basis(a)
-
-    def babai(w):
-        while True:
-            t = tuple(round(x) for x in frac_mat_vec(b_inv, w))
-            if all(x == 0 for x in t):
-                return w
-            reduced = vec_sub(w, mat_vec(b, t))
-            if norm_sq(reduced) >= norm_sq(w):
-                return w
-            w = reduced
-
-    base = babai(v)
-    if all(x == 0 for x in base):
-        return base
-    base_sq = norm_sq(base)
-    bounds = [math.isqrt(math.floor(4 * norm_sq(row) * base_sq)) for row in b_inv]
-    volume = math.prod(2 * r + 1 for r in bounds)
-    if volume > cap:
-        raise SearchBudgetExceeded(
-            f"minimal representative search box holds {volume} points (cap {cap})"
-        )
-    best = base
-    for t in itertools.product(*[range(-r, r + 1) for r in bounds]):
-        cand = vec_sub(base, mat_vec(b, t))
-        if (norm_sq(cand), cand) < (norm_sq(best), best):
-            best = cand
-    return best
-
-
 def residue_system(a: IntMatrix) -> tuple[IntVec, ...]:
     """Canonical complete residue system mod the matrix.
 
-    Built from the Smith form box, then each class is replaced by its
-    minimal-Euclidean-norm representative (lexicographic tie-break) so the
-    output is deterministic.  Contains 0 and has exactly |det a| members.
+    The least member of each class, by Euclidean norm and then
+    lexicographically, in lexicographic order: it contains 0 and has
+    exactly |det a| members.  A class with a member in a ball has its
+    minimum there too, so balls of doubling radius are searched until one
+    meets every class, starting from one whose box holds about |det a| points.
     """
-    d = det(a)
+    d = abs(det(a))
     if d == 0:
         raise SingularMatrix("residue systems need det != 0")
-    snf = smith_normal_form(a)
-    diag = [abs(x) for x in snf.diagonal]
-    u_inv = mat_inv(snf.u)
-    reps = []
-    for y in itertools.product(*[range(s) for s in diag]):
-        z = frac_mat_vec(u_inv, y)
-        z_int = tuple(int(x) for x in z)
-        reps.append(minimal_norm_representative(a, z_int))
-    reps.sort()
-    if len(set(reps)) != abs(d):
-        raise SingularMatrix("internal: residue construction produced a collision")
-    return tuple(reps)
+    adj, radius_sq = adjugate(a), max(1, 4 ** ((d.bit_length() - 1) // len(a)) // 4)
+    while True:
+        ball = lattice_ball(len(a), radius_sq)
+        # stable sorts: by norm, then by class, so each class starts with its minimum
+        ball = ball[np.argsort((ball * ball).sum(axis=1), kind="stable")]
+        order, fresh = lex_groups(class_keys(adj, d, ball))
+        if fresh.sum() == d:
+            return tuple(map(tuple, sorted_unique(ball[order[fresh]]).tolist()))
+        radius_sq *= 4
 
 
 def is_complete_residue_system(a: IntMatrix, digits) -> bool:
@@ -469,12 +371,11 @@ def is_complete_residue_system(a: IntMatrix, digits) -> bool:
     d = det(a)
     if d == 0:
         return False
-    digits = tuple(as_vec(v) for v in digits)
-    if len(set(digits)) != len(digits) or len(digits) != abs(d):
+    digits = int_array(digits, len(a))
+    if len(digits) != abs(d):
         return False
-    adj = adjugate(a)
-    keys = {_class_key(adj, abs(d), v) for v in digits}
-    return len(keys) == len(digits)
+    # distinct classes imply distinct digits
+    return len(sorted_unique(class_keys(adjugate(a), abs(d), digits))) == abs(d)
 
 
 # ---------------------------------------------------------------------------
@@ -600,16 +501,113 @@ def require_similarity(a: IntMatrix) -> None:
 # lattice enumeration
 
 
-def lattice_ball(n: int, radius_sq, cap: int = 10**7) -> list[IntVec]:
-    """Integer points p with ||p||^2 <= radius_sq (an exact integer or rational)."""
+def lattice_ball(n: int, radius_sq, cap: int = 10**7) -> np.ndarray:
+    """Integer points p with ||p||^2 <= radius_sq (exact), as array rows in lexicographic order."""
     limit = math.floor(radius_sq)
     r = math.isqrt(limit)
     if (2 * r + 1) ** n > cap:
         raise CandidateBallTooLarge(
             f"candidate ball holds about {(2 * r + 1) ** n} lattice points (cap {cap})"
         )
-    return [
-        p
-        for p in itertools.product(range(-r, r + 1), repeat=n)
-        if norm_sq(p) <= limit
-    ]
+    squares = np.arange(-r, r + 1, dtype=dtype_for(n * r * r)) ** 2
+    # nonzero lists the grid indices in C order, which is lexicographic
+    return np.stack(np.nonzero(reduce(np.add.outer, [squares] * n) <= limit), axis=-1) - r
+
+
+# ---------------------------------------------------------------------------
+# integer arrays
+#
+# A batch of N integer vectors is one (N, n) array: int64 when a certified
+# bound keeps every entry below 2**62 in magnitude, so that the sum of two
+# entries still fits, and object (exact Python ints) otherwise.  The same
+# array code serves both.
+
+_INT64_SAFE = 2**62
+
+
+def dtype_for(bound: int):
+    """int64 when every entry is certified below 2**62 in magnitude."""
+    return np.int64 if bound < _INT64_SAFE else object
+
+
+def inf_norm(a) -> int:
+    """Largest absolute row sum: |(a v)_i| <= inf_norm(a) * max_j |v_j|."""
+    return max(sum(map(abs, row)) for row in a)
+
+
+def int_entry_bound(matrix: IntMatrix, choices) -> int:
+    """Certified bound on |entries| of the matrix and of partial sums drawing choices[j] at position j."""
+    row_sum, bound = inf_norm(matrix), 0
+    for digits in choices:
+        bound = row_sum * bound + max((abs(x) for d in digits for x in d), default=0)
+    return max(bound, row_sum)
+
+
+def int_array(rows, n: int) -> np.ndarray:
+    """The integer vectors as an (N, n) array under dtype_for; an array passes through unchanged."""
+    if isinstance(rows, np.ndarray):
+        return rows
+    rows = tuple(rows)
+    if set(map(len, rows)) - {n}:
+        raise ValueError(f"vectors must have {n} entries")
+    flat = list(itertools.chain.from_iterable(rows))
+    return np.array(flat, dtype=dtype_for(max(map(abs, flat), default=0))).reshape(-1, n)
+
+
+def max_norm_sq(vectors: np.ndarray) -> int:
+    """Largest squared Euclidean norm among the rows."""
+    wide = vectors.astype(dtype_for(vectors.shape[1] * int(np.abs(vectors).max(initial=0)) ** 2))
+    return int((wide * wide).sum(axis=1).max(initial=0))
+
+
+def lex_groups(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row order that sorts arr lexicographically (stable), and which sorted rows are new."""
+    order = np.lexsort(arr.T[::-1])
+    ranked = arr[order]
+    fresh = np.ones(len(arr), dtype=bool)
+    fresh[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    return order, fresh
+
+
+def sorted_unique(arr: np.ndarray) -> np.ndarray:
+    order, fresh = lex_groups(arr)
+    return arr[order[fresh]]
+
+
+def locate(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Index of each row of rows in table, -1 where it is absent.
+
+    table holds distinct rows in lexicographic order.  Rows inside the
+    box the table spans get the mixed-radix codes sum (x_i - lo) base^(n-1-i),
+    which order as the rows do, and are found by searchsorted.
+    """
+    at = np.full(len(rows), -1)
+    if len(table) == 0:
+        return at
+    lo, hi = int(table.min()), int(table.max())
+    rows = rows.astype(table.dtype) if table.dtype == object else rows
+    inside = np.flatnonzero(((rows >= lo) & (rows <= hi)).all(axis=1))
+    base = hi - lo + 1
+    dtype = dtype_for(base ** table.shape[1])
+    keys, codes = (np.zeros(len(x), dtype=dtype) for x in (table, inside))
+    for column, value in zip((table - lo).astype(dtype).T, (rows[inside] - lo).astype(dtype).T):
+        keys, codes = keys * base + column, codes * base + value
+    found = np.searchsorted(keys, codes).clip(max=len(keys) - 1)
+    hit = keys[found] == codes
+    at[inside[hit]] = found[hit]
+    return at
+
+
+def mat_rows(a, vectors: np.ndarray, room: int = 0) -> np.ndarray:
+    """The rows a v for the rows v of vectors, under dtype_for with room to add entries up to room."""
+    dtype = dtype_for(inf_norm(a) * max(int(np.abs(vectors).max(initial=0)), 1) + room)
+    return vectors.astype(dtype, copy=False) @ np.array(a, dtype=dtype).T
+
+
+def class_keys(adj: IntMatrix, modulus: int, vectors: np.ndarray) -> np.ndarray:
+    """Rows adj v mod modulus for the rows v of vectors.
+
+    With adj = adjugate(a) and modulus = |det a|, two vectors get equal
+    rows iff they are congruent mod a*Z^n.
+    """
+    return mat_rows(adj, vectors, modulus) % modulus

@@ -304,7 +304,7 @@ def xk_cloud(sys: RadixSystem, auto: DigitAutomaton, k: int, cap: int = 200_000)
 
     # one array of partial sums per state; a state is kept at step j only
     # when it has an accepted completion of the remaining length
-    dtype = render._dtype_for(render._int_entry_bound(sys.matrix, [sys.digits] * k))
+    dtype = linalg.dtype_for(linalg.int_entry_bound(sys.matrix, [sys.digits] * k))
     level = {padded.initial: np.zeros((1, sys.n), dtype=dtype)} if ways[k][padded.initial] else {}
     power = linalg.identity(sys.n)
     for j in range(k):
@@ -317,7 +317,7 @@ def xk_cloud(sys: RadixSystem, auto: DigitAutomaton, k: int, cap: int = 200_000)
         level = {state: np.concatenate(arrays) for state, arrays in parts.items()}
         power = linalg.mat_mul(sys.matrix, power)
     rows = np.concatenate([np.zeros((0, sys.n), dtype=dtype), *level.values()])
-    return render.PointCloud(sys, k, array=render._sorted_unique(rows))
+    return render.PointCloud(sys, k, array=linalg.sorted_unique(rows))
 
 
 _BLOCK_ROWS = 256
@@ -402,5 +402,5 @@ def torus_invariance_check(sys: RadixSystem, auto: DigitAutomaton, k: int) -> bo
     modulus = abs(sys.determinant) ** (k - 1)
     if modulus == 0:
         raise SingularMatrix("torus check needs det != 0")
-    keys = [{linalg._class_key(adj, modulus, w) for w in xk_cloud(sys, auto, d).int_points} for d in (k, k - 1)]
-    return keys[0] <= keys[1]
+    keys = [linalg.class_keys(adj, modulus, xk_cloud(sys, auto, d).array) for d in (k, k - 1)]
+    return bool((linalg.locate(linalg.sorted_unique(keys[1]), keys[0]) >= 0).all())

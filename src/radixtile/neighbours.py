@@ -3,9 +3,9 @@
 A nonzero vector v is a neighbour of the tile T when T and T + v meet.
 The integer neighbours are exactly the nonzero lattice points of the
 difference tile, and those are computed by pruning: start from every
-lattice point inside a certified radius bound, keep drawing the successor
-relation z -> A z - e over digit differences e, and repeatedly delete
-points with no successor until the survivors stabilize.
+lattice point inside a certified radius bound, draw the successor
+relation z -> A z - e over digit differences e for all of them at once,
+and delete points with no successor until the survivors stabilize.
 """
 
 from __future__ import annotations
@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+
+import numpy as np
 
 from . import graph, linalg
 from .errors import PreconditionViolated
@@ -45,16 +47,18 @@ def tile_integer_points(
 
     A lattice point z lies in the tile iff the successor relation
     z -> A z - d admits an infinite walk from z inside the radius bound,
-    so iterated deletion of walk-dead points computes the set exactly.
+    so trimming the points without one computes the set exactly.
     """
-    radius_sq = max(map(linalg.norm_sq, digits)) * linalg.tail_bound(matrix, 0) ** 2
-    candidates = set(linalg.lattice_ball(len(matrix), radius_sq, cap))
-
-    succ: dict[IntVec, list[IntVec]] = {}
-    for z in candidates:
-        base = linalg.mat_vec(matrix, z)
-        succ[z] = [w for d in digits if (w := linalg.vec_sub(base, d)) in candidates]
-    return frozenset(graph.live(succ))
+    n = len(matrix)
+    digits = linalg.int_array(digits, n)
+    radius_sq = linalg.max_norm_sq(digits) * linalg.tail_bound(matrix, 0) ** 2
+    ball = linalg.lattice_ball(n, radius_sq, cap)
+    image = linalg.mat_rows(matrix, ball, int(np.abs(digits).max()))
+    image = image[:, None, :] - digits.astype(image.dtype)
+    target = linalg.locate(ball, image.reshape(-1, n))
+    edges = np.flatnonzero(target >= 0)
+    alive = graph.live_mask(len(ball), edges // len(digits), target[edges])
+    return frozenset(map(tuple, ball[alive].tolist()))
 
 
 @lru_cache(maxsize=None)
@@ -145,11 +149,7 @@ def quad_bound_filter(a_coef: int, b_coef: int, s) -> bool:
         raise PreconditionViolated("need 1 <= A, 2 <= B, A^2 < 4B")
     s = linalg.as_vec(s)
     p, q = s[0], (s[1] if len(s) > 1 else 0)
-    rho_re = -a_coef / 2.0
-    rho_im = math.sqrt(4 * b_coef - a_coef * a_coef) / 2.0
-    re = p + q * rho_re
-    im = q * rho_im
-    return abs(re - (a_coef / math.sqrt(4 * b_coef - a_coef * a_coef)) * im) < 5
+    return abs(p - a_coef * q) < 5
 
 
 # ---------------------------------------------------------------------------
@@ -194,48 +194,46 @@ def _fmt(v: IntVec) -> str:
     return f"({_vec_label(v)})"
 
 
+def _neighbour_steps(matrix: IntMatrix, digits: tuple[IntVec, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The neighbours plus zero as rows of vecs in lexicographic order, and the moves between them.
+
+    steps[v, x, y] is the index in vecs of A vecs[v] + (x - y) for digits x and y, or -1.
+    """
+    n = len(matrix)
+    vecs = linalg.int_array(sorted(integer_neighbours(matrix, digits).vectors | {linalg.zero_vec(n)}), n)
+    d = linalg.int_array(digits, n)
+    image = linalg.mat_rows(matrix, vecs, 2 * int(np.abs(d).max()))
+    d = d.astype(image.dtype)
+    image = image[:, None, None, :] + (d[:, None] - d[None, :])
+    return vecs, linalg.locate(vecs, image.reshape(-1, n)).reshape(len(vecs), len(d), len(d))
+
+
 def triple_state_graph(matrix: IntMatrix, digits) -> TripleStateGraph:
     """Graph tracking three representations of one value simultaneously."""
     digits = tuple(sorted(linalg.as_vec(d) for d in digits))
-    allowed = set(integer_neighbours(matrix, digits).vectors)
-    zero = linalg.zero_vec(len(matrix))
-    allowed.add(zero)
-
-    states = [
-        (zeta, xi)
-        for zeta in sorted(allowed)
-        for xi in sorted(allowed)
-        if linalg.vec_neg(linalg.vec_add(zeta, xi)) in allowed
-    ]
-    state_set = set(states)
-
-    # difference pairs e = x - y realisable by digits, with the label choices
-    diff_pairs: dict[IntVec, list[tuple[IntVec, IntVec]]] = {}
-    for x in digits:
-        for y in digits:
-            diff_pairs.setdefault(linalg.vec_sub(x, y), []).append((x, y))
-
-    edges = []
-    succ: dict[tuple, set] = {s: set() for s in states}
-    for (zeta, xi) in states:
-        a_zeta = linalg.mat_vec(matrix, zeta)
-        a_xi = linalg.mat_vec(matrix, xi)
-        for p in digits:
-            for q in digits:
-                zeta2 = linalg.vec_add(a_zeta, linalg.vec_sub(p, q))
-                if zeta2 not in allowed:
-                    continue
-                for r in digits:
-                    xi2 = linalg.vec_add(a_xi, linalg.vec_sub(q, r))
-                    if xi2 not in allowed:
-                        continue
-                    if linalg.vec_neg(linalg.vec_add(zeta2, xi2)) not in allowed:
-                        continue
-                    dst = (zeta2, xi2)
-                    if dst in state_set:
-                        edges.append(((zeta, xi), (p, q, r), dst))
-                        succ[(zeta, xi)].add(dst)
-
-    keep = graph.reach([(zero, zero)], succ, graph.live(succ))
-    kept_edges = tuple(sorted(e for e in edges if e[0] in keep and e[2] in keep))
-    return TripleStateGraph(states=tuple(sorted(keep)), edges=kept_edges)
+    vecs, steps = _neighbour_steps(matrix, digits)
+    k = len(vecs)
+    # states (zeta, xi) as indices zeta * k + xi, in lexicographic order
+    pairs = np.arange(k * k)
+    pairs = pairs[linalg.locate(vecs, -(vecs[pairs // k] + vecs[pairs % k])) >= 0]
+    state_of = np.full(k * k, -1)
+    state_of[pairs] = np.arange(len(pairs))
+    # label (p, q, r) moves zeta as the pair (p, q), then xi as the pair (q, r);
+    # np.nonzero keeps the order (src, p, q, r), which is the sorted edge order
+    src, p, q = np.nonzero(steps[pairs // k] >= 0)
+    xi2 = steps[pairs[src] % k, q]
+    target = np.where(xi2 >= 0, state_of[steps[pairs[src] // k, p, q][:, None] * k + xi2], -1)
+    first, r = np.nonzero(target >= 0)
+    src, p, q, dst = src[first], p[first], q[first], target[first, r]
+    zero = linalg.locate(vecs, np.zeros((1, len(matrix)), dtype=np.int64))[0]
+    keep = graph.reach_mask(len(pairs), [state_of[zero * (k + 1)]], src, dst, graph.live_mask(len(pairs), src, dst))
+    rows = [tuple(v) for v in vecs.tolist()]
+    state = {s: (rows[pairs[s] // k], rows[pairs[s] % k]) for s in np.flatnonzero(keep).tolist()}
+    edges = keep[src] & keep[dst]
+    return TripleStateGraph(
+        states=tuple(state.values()),
+        edges=tuple(
+            (state[s], (digits[a], digits[b], digits[c]), state[t])
+            for s, a, b, c, t in zip(*(x[edges].tolist() for x in (src, p, q, r, dst)))
+        ),
+    )

@@ -8,8 +8,12 @@ periodic and the pair is a number system exactly when the only cycle is {0}.
 
 from __future__ import annotations
 
+import itertools
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
+
+import numpy as np
 
 from . import linalg
 from .errors import NonTerminating, NotACrs, ZeroNotInDigits
@@ -25,15 +29,20 @@ class RadixSystem:
 
     def __post_init__(self):
         matrix = linalg.as_matrix(self.matrix)
-        digits = tuple(sorted(linalg.as_vec(d) for d in self.digits))
+        digits = tuple(self.digits)
+        # digits that are already tuples of ints are kept as they are; rebuilding
+        # 10^6 of them would take about 0.6 s
+        if not set(map(type, digits)) <= {tuple} or not set(map(type, itertools.chain.from_iterable(digits))) <= {int}:
+            digits = map(linalg.as_vec, digits)
+        digits = tuple(sorted(digits))
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "digits", digits)
         n = len(matrix)
         if any(len(row) != n for row in matrix):
             raise ValueError("matrix must be square")
-        if len(set(digits)) != len(digits):
+        if any(map(operator.eq, digits, digits[1:])):
             raise ValueError("digits must be pairwise distinct")
-        if any(len(d) != n for d in digits):
+        if set(map(len, digits)) - {n}:
             raise ValueError("digit dimension must match the matrix")
 
     @property
@@ -55,33 +64,36 @@ class RadixSystem:
         return max(linalg.norm_sq(d) for d in self.digits) ** 0.5
 
 
-def system(matrix, digits) -> RadixSystem:
-    return RadixSystem(linalg.as_matrix(matrix), tuple(linalg.as_vec(d) for d in digits))
-
-
 @lru_cache(maxsize=None)
 def _digit_lookup(matrix: IntMatrix, digits: tuple[IntVec, ...]):
-    """(adjugate, det, map residue-class key -> digit); NotACrs if two digits share a class."""
+    """The class keys of the digits, for whole arrays and for one vector at a time.
+
+    Returns (adjugate, det, the keys in lexicographic order, the digits in
+    that order, a map from each key to its digit); NotACrs if two digits
+    share a class.
+    """
     d = linalg.det(matrix)
     if d == 0:
         raise NotACrs("digit lookup needs det != 0")
     adj = linalg.adjugate(matrix)
-    table: dict[IntVec, IntVec] = {}
-    for digit in digits:
-        key = linalg._class_key(adj, abs(d), digit)
-        if key in table:
-            raise NotACrs(f"digits {table[key]} and {digit} are congruent")
-        table[key] = digit
-    return adj, d, table
+    arr = linalg.int_array(digits, len(matrix))
+    keys = linalg.class_keys(adj, abs(d), arr)
+    order, fresh = linalg.lex_groups(keys)
+    if not fresh.all():
+        # name the pair a scan in digit order meets first: the earliest repeat and its class's first digit
+        at = np.flatnonzero(~fresh)[np.argmin(order[~fresh])]
+        first = order[np.flatnonzero(fresh[:at])[-1]]
+        raise NotACrs(f"digits {digits[first]} and {digits[order[at]]} are congruent")
+    keys, arr = keys[order], arr[order]
+    return adj, d, keys, arr, dict(zip(map(tuple, keys.tolist()), map(tuple, arr.tolist())))
 
 
 def digit_of(sys: RadixSystem, v) -> IntVec:
     """The unique digit congruent to v mod A Z^n (NotACrs when missing)."""
     v = linalg.as_vec(v)
-    adj, d, table = _digit_lookup(sys.matrix, sys.digits)
-    key = linalg._class_key(adj, abs(d), v)
+    adj, d, _, _, table = _digit_lookup(sys.matrix, sys.digits)
     try:
-        return table[key]
+        return table[tuple(x % abs(d) for x in linalg.mat_vec(adj, v))]
     except KeyError:
         raise NotACrs(f"no digit is congruent to {v}") from None
 
@@ -102,7 +114,7 @@ class RemainderTrace:
 def _step(sys: RadixSystem, v: IntVec) -> tuple[IntVec, IntVec]:
     """(A^-1 (v - d), d) for the digit d of v: adj (v - d) divided exactly by det."""
     d = digit_of(sys, v)
-    adj, det, _ = _digit_lookup(sys.matrix, sys.digits)
+    adj, det, _, _, _ = _digit_lookup(sys.matrix, sys.digits)
     return tuple(x // det for x in linalg.mat_vec(adj, linalg.vec_sub(v, d))), d
 
 
@@ -151,29 +163,65 @@ def is_number_system(sys: RadixSystem) -> tuple[bool, tuple[tuple[IntVec, ...], 
     """Decide whether every lattice vector expands, with witness cycles.
 
     All cycles of the remainder walk live inside the ball of radius
-    max-digit-norm * tail_bound(A, 0), so enumerating that ball and
-    walking from each point finds every cycle.  The pair is a number
-    system iff the only cycle is {0}.
+    max-digit-norm * tail_bound(A, 0), so the walks from that ball find
+    every cycle.  The pair is a number system iff the only cycle is {0}.
     """
-    zero = linalg.zero_vec(sys.n)
-    if zero not in sys.digits:
+    if linalg.zero_vec(sys.n) not in sys.digits:
         raise ZeroNotInDigits("number systems need 0 among the digits")
-    if not linalg.is_complete_residue_system(sys.matrix, sys.digits):
+    digits = linalg.int_array(sys.digits, sys.n)
+    if not linalg.is_complete_residue_system(sys.matrix, digits):
         raise NotACrs("digits are not a complete residue system")
-    radius_sq = max(map(linalg.norm_sq, sys.digits)) * linalg.tail_bound(sys.matrix, 0) ** 2
-    cycles: set[tuple[IntVec, ...]] = set()
-    for point in linalg.lattice_ball(sys.n, radius_sq):
-        trace = remainder_sequence(sys, point)
-        if trace.cycle != (zero,):
-            cycles.add(_canonical_cycle(trace.cycle))
-    witnesses = tuple(sorted(cycles))
-    return (not witnesses, witnesses)
+    radius_sq = linalg.max_norm_sq(digits) * linalg.tail_bound(sys.matrix, 0) ** 2
+    states, succ = _remainder_graph(sys, linalg.lattice_ball(sys.n, radius_sq))
+    # every state meets its cycle within len(states) steps, so succ^(2^k) maps
+    # each state onto a cycle once 2^k >= len(states), and onto every cycle state
+    onto = succ
+    for _ in range(len(states).bit_length()):
+        onto = onto[onto]
+    witnesses, done = [], set()
+    # states run in lexicographic order, so each cycle is met first at its smallest state
+    for start in sorted(set(onto.tolist())):
+        if start not in done:
+            cycle = [start]
+            while succ[cycle[-1]] != start:
+                cycle.append(int(succ[cycle[-1]]))
+            done.update(cycle)
+            if states[start].any():
+                witnesses.append(tuple(tuple(states[i].tolist()) for i in cycle))
+    return (not witnesses, tuple(witnesses))
 
 
-def _canonical_cycle(cycle: tuple[IntVec, ...]) -> tuple[IntVec, ...]:
-    """Rotate the cycle so its lexicographically smallest state comes first."""
-    rotations = [cycle[i:] + cycle[:i] for i in range(len(cycle))]
-    return min(rotations)
+def _walk_step(lookup, frontier: np.ndarray) -> np.ndarray:
+    """A^-1 (v - d) for each row v of frontier and its digit d: adj (v - d) divided exactly by det.
+
+    The digits must be a complete residue system, so that every class has its digit.
+    """
+    adj, det, keys, digits, _ = lookup
+    found = digits[linalg.locate(keys, linalg.class_keys(adj, abs(det), frontier))]
+    return linalg.mat_rows(adj, frontier - found) // det
+
+
+def _remainder_graph(sys: RadixSystem, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The functional graph of the remainder walks from the rows of starts.
+
+    Returns every state the walks reach, as rows in lexicographic order
+    without repeats, and the index of each state's successor.  Each round
+    steps the whole frontier at once and keeps only the states not seen
+    before, so each distinct state is stepped once.
+    """
+    lookup = _digit_lookup(sys.matrix, sys.digits)
+    frontier = seen = linalg.sorted_unique(starts)
+    stepped, images = [], []
+    while len(frontier):
+        image = _walk_step(lookup, frontier)
+        stepped.append(frontier)
+        images.append(image)
+        fresh = linalg.sorted_unique(image)
+        frontier = fresh[linalg.locate(seen, fresh) < 0]
+        seen = linalg.sorted_unique(np.concatenate([seen, frontier]))
+    succ = np.empty(len(seen), dtype=np.intp)
+    succ[linalg.locate(seen, np.concatenate(stepped))] = linalg.locate(seen, np.concatenate(images))
+    return seen, succ
 
 
 def companion_system(coeffs, digits) -> RadixSystem:
@@ -194,5 +242,5 @@ def companion_system(coeffs, digits) -> RadixSystem:
         for i in range(n)
     )
     linalg.require_expanding(matrix)
-    digit_vecs = tuple((int(d),) + (0,) * (n - 1) for d in digits)
+    digit_vecs = list(zip(map(int, digits), *[itertools.repeat(0)] * (n - 1)))
     return RadixSystem(matrix, digit_vecs)

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 from . import graph, linalg
 from .linalg import IntMatrix, IntVec, RatVec
 from .numsys import RadixSystem
@@ -259,26 +261,22 @@ def _pair_label(pair) -> str:
 
 def pair_automaton(sys: RadixSystem) -> PairAutomaton:
     """Neighbour graph with digit-pair labels, pruned to live states."""
-    from .neighbours import integer_neighbours
+    from .neighbours import _neighbour_steps
 
-    allowed = set(integer_neighbours(sys.matrix, sys.digits).vectors)
-    zero = linalg.zero_vec(sys.n)
-    allowed.add(zero)
-
-    edges = []
-    succ: dict[IntVec, set[IntVec]] = {v: set() for v in allowed}
-    for v in allowed:
-        base = linalg.mat_vec(sys.matrix, v)
-        for x in sys.digits:
-            for y in sys.digits:
-                dst = linalg.vec_add(base, linalg.vec_sub(x, y))
-                if dst in allowed:
-                    edges.append((v, (x, y), dst))
-                    succ[v].add(dst)
-
-    keep = graph.reach([zero], succ, graph.live(succ))
-    kept_edges = tuple(sorted(e for e in edges if e[0] in keep and e[2] in keep))
-    return PairAutomaton(states=tuple(sorted(keep)), edges=kept_edges)
+    vecs, steps = _neighbour_steps(sys.matrix, sys.digits)
+    src, x, y = np.nonzero(steps >= 0)  # in (src, x, y) order, the sorted edge order
+    dst = steps[src, x, y]
+    zero = linalg.locate(vecs, np.zeros((1, sys.n), dtype=np.int64))
+    keep = graph.reach_mask(len(vecs), zero, src, dst, graph.live_mask(len(vecs), src, dst))
+    rows, d = [tuple(v) for v in vecs.tolist()], sys.digits
+    edges = keep[src] & keep[dst]
+    return PairAutomaton(
+        states=tuple(rows[s] for s in np.flatnonzero(keep).tolist()),
+        edges=tuple(
+            (rows[s], (d[a], d[b]), rows[t])
+            for s, a, b, t in zip(*(z[edges].tolist() for z in (src, x, y, dst)))
+        ),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,11 @@
 """Deterministic raster output of depth-k tile approximations.
 
 Point clouds are kept as exact integer combinations w = sum A^{k-j} d_j;
-the true points are A^-k w.  A cloud is one (N, n) integer array: int64
-when a certified bound keeps every entry below 2**62, object (exact Python
-ints) otherwise, with the same array code for both.  Pixel mapping happens
-in exact integer arithmetic against a rational bounding box, so identical
-inputs always produce identical bytes.  Output is binary PGM (P5) for
+the true points are A^-k w.  A cloud is one (N, n) integer array under
+``linalg.dtype_for``: int64 when a certified bound keeps every entry below
+2**62, object (exact Python ints) otherwise, with the same array code for
+both.  Pixel mapping happens in exact integer arithmetic against a
+rational bounding box, so identical inputs always produce identical bytes.  Output is binary PGM (P5) for
 single clouds and PPM (P6) for overlays.
 """
 
@@ -19,32 +19,9 @@ import numpy as np
 
 from . import linalg
 from .errors import DepthTooLarge, EmptyCloud, PreconditionViolated
-from .linalg import IntMatrix, IntVec, RatVec
+from .linalg import IntVec, RatVec
 from .numsys import RadixSystem
 from .radix import EpSeq
-
-# below this magnitude a sum of two entries still fits in int64
-_INT64_SAFE = 2**62
-
-
-def _dtype_for(bound: int):
-    """int64 when every entry is certified below 2**62 in magnitude."""
-    return np.int64 if bound < _INT64_SAFE else object
-
-
-def _lex_groups(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row order that sorts arr lexicographically, and which sorted rows are new."""
-    order = np.lexsort(arr.T[::-1])
-    ranked = arr[order]
-    fresh = np.ones(len(arr), dtype=bool)
-    fresh[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-    return order, fresh
-
-
-def _sorted_unique(arr: np.ndarray) -> np.ndarray:
-    order, fresh = _lex_groups(arr)
-    return arr[order[fresh]]
-
 
 class PointCloud:
     """Depth-k partial sums stored as integer vectors w = A^k * point.
@@ -56,9 +33,7 @@ class PointCloud:
 
     def __init__(self, system: RadixSystem, depth: int, int_points=(), *, array=None):
         if array is None:
-            rows = [linalg.as_vec(w) for w in int_points]
-            bound = max((abs(x) for w in rows for x in w), default=0)
-            array = _sorted_unique(np.array(rows, dtype=_dtype_for(bound)).reshape(-1, system.n))
+            array = linalg.sorted_unique(linalg.int_array([linalg.as_vec(w) for w in int_points], system.n))
         self.system = system
         self.depth = depth
         self.array = array
@@ -114,7 +89,7 @@ def ktile_points(
         for j in range(k)
     ]
     n = sys.n
-    dtype = _dtype_for(_int_entry_bound(sys.matrix, choices))
+    dtype = linalg.dtype_for(linalg.int_entry_bound(sys.matrix, choices))
     digits = [np.array(c, dtype=dtype).reshape(-1, n) for c in choices]
     a_t = np.array(sys.matrix, dtype=dtype).T
 
@@ -122,7 +97,7 @@ def ktile_points(
         points = np.zeros((1, n), dtype=dtype)
         for d in digits:
             points = ((points @ a_t)[:, None, :] + d[None, :, :]).reshape(-1, n)
-        return PointCloud(sys, k, array=_sorted_unique(points))
+        return PointCloud(sys, k, array=linalg.sorted_unique(points))
 
     # Draw attempts until cap distinct points or 20 * cap attempts, keeping the
     # distinct points in order of first appearance; choice() on a range draws
@@ -139,18 +114,9 @@ def ktile_points(
         for d, column in zip(digits, picks.reshape(cap, k).T):
             w = w @ a_t + d[column]
         kept = np.concatenate([kept, w])
-        order, fresh = _lex_groups(kept)
+        order, fresh = linalg.lex_groups(kept)
         kept = kept[np.sort(np.minimum.reduceat(order, np.flatnonzero(fresh)))[:cap]]
-    return PointCloud(sys, k, array=_sorted_unique(kept))
-
-
-def _int_entry_bound(matrix: IntMatrix, choices: list[list[IntVec]]) -> int:
-    """Certified bound on |entries| of partial sums drawing choices[j] at position j."""
-    row_sum = max(sum(abs(x) for x in row) for row in matrix)
-    bound = 0
-    for digits in choices:
-        bound = row_sum * bound + max((abs(x) for d in digits for x in d), default=0)
-    return bound
+    return PointCloud(sys, k, array=linalg.sorted_unique(kept))
 
 
 @dataclass(frozen=True)
@@ -176,9 +142,7 @@ def _scaled_coords(cloud: PointCloud) -> tuple[np.ndarray, int]:
     if scale < 0:
         m = tuple(tuple(-x for x in row) for row in m)
         scale = -scale
-    w_max = int(np.abs(cloud.array).max(initial=0))
-    dtype = _dtype_for(max(sum(abs(x) for x in row) for row in m) * w_max)
-    return cloud.array.astype(dtype, copy=False) @ np.array(m, dtype=dtype).T, scale
+    return linalg.mat_rows(m, cloud.array), scale
 
 
 def rasterize(
@@ -228,7 +192,7 @@ def rasterize(
             edges.append(
                 [_ceil_frac(scale * (a0 + i * per_pixel)) for i in range(pixels + 1)]
             )
-        if max(abs(v) for v in edges[0] + edges[1]) >= _INT64_SAFE:
+        if linalg.dtype_for(max(abs(v) for v in edges[0] + edges[1])) is object:
             coords = coords.astype(object)
         ix, iy = (
             np.searchsorted(np.array(e, dtype=coords.dtype), coords[:, axis], side="right") - 1
@@ -259,7 +223,7 @@ def render_overlap(
         raise PreconditionViolated(f"shift has {len(shift)} entries, the system has dimension {sys.n}")
     base = ktile_points(sys, k)
     scale_shift = linalg.mat_vec(linalg.mat_pow(sys.matrix, k), shift)
-    dtype = _dtype_for(int(np.abs(base.array).max(initial=0)) + max(abs(x) for x in scale_shift))
+    dtype = linalg.dtype_for(int(np.abs(base.array).max(initial=0)) + max(abs(x) for x in scale_shift))
     # adding one vector to every row keeps the rows' lexicographic order
     shifted = base.array.astype(dtype, copy=False) + np.array(scale_shift, dtype=dtype)
     return rasterize([base, PointCloud(sys, k, array=shifted)], width, height)

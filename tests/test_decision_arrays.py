@@ -1,0 +1,259 @@
+"""The integer-array decision layer against per-point reference loops.
+
+The references below are the tuple-at-a-time loops the array passes
+replaced: a lattice ball from itertools.product, the tile trim over a dict
+of successors, one remainder walk per ball point, and the triple-state and
+pair graphs built label by label.  Random 1-, 2- and 3-dimensional systems
+must give the same verdicts, witness cycles, tile points and graphs, and
+entries on both sides of the 2**62 int64 bound must give the same answers.
+"""
+
+import itertools
+import math
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import radixtile as rt
+from radixtile import graph, linalg, numsys
+from radixtile.errors import NotACrs
+from radixtile.neighbours import tile_integer_points
+
+# ---------------------------------------------------------------------------
+# per-point references
+
+
+def ref_ball(n, radius_sq):
+    limit = math.floor(radius_sq)
+    r = math.isqrt(limit)
+    return [p for p in itertools.product(range(-r, r + 1), repeat=n) if linalg.norm_sq(p) <= limit]
+
+
+def ref_radius_sq(matrix, digits):
+    return max(map(linalg.norm_sq, digits)) * linalg.tail_bound(matrix, 0) ** 2
+
+
+def ref_tile_points(matrix, digits):
+    candidates = set(ref_ball(len(matrix), ref_radius_sq(matrix, digits)))
+    succ = {}
+    for z in candidates:
+        base = linalg.mat_vec(matrix, z)
+        succ[z] = [w for d in digits if (w := linalg.vec_sub(base, d)) in candidates]
+    return frozenset(graph.live(succ))
+
+
+def ref_is_number_system(sys):
+    zero = linalg.zero_vec(sys.n)
+    cycles = set()
+    for point in ref_ball(sys.n, ref_radius_sq(sys.matrix, sys.digits)):
+        cycle = rt.remainder_sequence(sys, point).cycle
+        if cycle != (zero,):
+            cycles.add(min(cycle[i:] + cycle[:i] for i in range(len(cycle))))
+    return (not cycles, tuple(sorted(cycles)))
+
+
+def ref_allowed(matrix, digits):
+    return set(rt.integer_neighbours(matrix, digits).vectors) | {linalg.zero_vec(len(matrix))}
+
+
+def ref_pair_automaton(sys):
+    allowed = ref_allowed(sys.matrix, sys.digits)
+    zero = linalg.zero_vec(sys.n)
+    edges, succ = [], {v: set() for v in allowed}
+    for v in allowed:
+        base = linalg.mat_vec(sys.matrix, v)
+        for x in sys.digits:
+            for y in sys.digits:
+                dst = linalg.vec_add(base, linalg.vec_sub(x, y))
+                if dst in allowed:
+                    edges.append((v, (x, y), dst))
+                    succ[v].add(dst)
+    keep = graph.reach([zero], succ, graph.live(succ))
+    return tuple(sorted(keep)), tuple(sorted(e for e in edges if e[0] in keep and e[2] in keep))
+
+
+def ref_triple_state_graph(matrix, digits):
+    digits = tuple(sorted(digits))
+    allowed = ref_allowed(matrix, digits)
+    zero = linalg.zero_vec(len(matrix))
+    states = [
+        (z, x) for z in sorted(allowed) for x in sorted(allowed) if linalg.vec_neg(linalg.vec_add(z, x)) in allowed
+    ]
+    edges, succ = [], {s: set() for s in states}
+    for zeta, xi in states:
+        a_zeta, a_xi = linalg.mat_vec(matrix, zeta), linalg.mat_vec(matrix, xi)
+        for p, q, r in itertools.product(digits, repeat=3):
+            dst = (linalg.vec_add(a_zeta, linalg.vec_sub(p, q)), linalg.vec_add(a_xi, linalg.vec_sub(q, r)))
+            if dst in succ:
+                edges.append(((zeta, xi), (p, q, r), dst))
+                succ[(zeta, xi)].add(dst)
+    keep = graph.reach([(zero, zero)], succ, graph.live(succ))
+    return tuple(sorted(keep)), tuple(sorted(e for e in edges if e[0] in keep and e[2] in keep))
+
+
+# ---------------------------------------------------------------------------
+# random systems
+
+
+def _ball_estimate(matrix, digits):
+    r = math.isqrt(math.floor(ref_radius_sq(matrix, digits)))
+    return (2 * r + 1) ** len(matrix)
+
+
+# expanding cubics x^3 + c2 x^2 + c1 x + c0, as (c0, c1, c2), whose candidate balls stay small
+CUBICS = [
+    (2, 0, 0), (-2, 0, 0), (3, 0, 0), (-3, 0, 0), (-2, 1, -1),
+    (2, 1, 1), (-2, -1, 1), (2, -1, -1), (-3, -1, 0), (3, -1, 0),
+]
+
+
+@st.composite
+def expanding_matrices(draw, n):
+    if n == 2 and draw(st.booleans()):
+        matrix = tuple(tuple(draw(st.integers(-4, 4)) for _ in range(2)) for _ in range(2))
+    else:  # companion matrix of x^n + c_{n-1} x^{n-1} + ... + c_0
+        if n == 3:
+            c = draw(st.sampled_from(CUBICS))
+        else:
+            c0 = draw(st.sampled_from([-6, -5, -4, -3, -2, 2, 3, 4, 5, 6]))
+            c = (c0, *[draw(st.integers(-2, 2)) for _ in range(n - 1)])
+        matrix = tuple(tuple((1 if i == j + 1 else 0) if j < n - 1 else -c[i] for j in range(n)) for i in range(n))
+    assume(2 <= abs(linalg.det(matrix)) <= 7 and linalg.is_expanding(matrix))
+    return matrix
+
+
+@st.composite
+def digit_systems(draw, n):
+    """Digits 0, e1, 2 e1, ... when they are a complete residue system, or residues shifted by lattice vectors."""
+    matrix = draw(expanding_matrices(n))
+    digits = tuple((d,) + (0,) * (n - 1) for d in range(abs(linalg.det(matrix))))
+    if not (linalg.is_complete_residue_system(matrix, digits) and draw(st.booleans())):
+        shift = st.tuples(*[st.sampled_from([0, 0, 1, -1])] * n)
+        residues = linalg.residue_system(matrix)
+        digits = tuple(linalg.vec_add(r, linalg.mat_vec(matrix, draw(shift))) if any(r) else r for r in residues)
+    limit = 7000 if n == 3 else 3000
+    assume(len(set(digits)) == len(digits) and _ball_estimate(matrix, digits) <= limit)
+    return rt.RadixSystem(matrix, digits)
+
+
+dims = st.sampled_from([1, 2, 3])
+
+
+class TestAgainstReferences:
+    @settings(max_examples=40, deadline=None)
+    @given(dims.flatmap(digit_systems))
+    def test_number_system_verdicts_and_cycles(self, sys):
+        assert rt.is_number_system(sys) == ref_is_number_system(sys)
+
+    @settings(max_examples=40, deadline=None)
+    @given(dims.flatmap(digit_systems))
+    def test_tile_points(self, sys):
+        diffs = sys.differences()
+        assert tile_integer_points(sys.matrix, sys.digits) == ref_tile_points(sys.matrix, sys.digits)
+        assert tile_integer_points(sys.matrix, diffs) == ref_tile_points(sys.matrix, diffs)
+
+    @settings(max_examples=30, deadline=None)
+    @given(dims.flatmap(digit_systems))
+    def test_triple_state_and_pair_graphs(self, sys):
+        # the reference visits every state and label: keep it to seconds
+        assume(len(ref_allowed(sys.matrix, sys.digits)) ** 2 * len(sys.digits) ** 3 <= 200_000)
+        triple = rt.triple_state_graph(sys.matrix, sys.digits)
+        assert (triple.states, triple.edges) == ref_triple_state_graph(sys.matrix, sys.digits)
+        pair = rt.pair_automaton(sys)
+        assert (pair.states, pair.edges) == ref_pair_automaton(sys)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3), st.integers(0, 40))
+    def test_lattice_ball_order(self, n, radius_sq):
+        ball = linalg.lattice_ball(n, radius_sq)
+        assert list(map(tuple, ball.tolist())) == ref_ball(n, radius_sq)
+
+
+def test_each_state_is_stepped_once(monkeypatch):
+    # x^2 + 3x + 3 with digits {0, 1, 2}: 5,001 single steps from the 613
+    # ball points visit only 678 distinct states
+    stepped = []
+    step = numsys._walk_step
+
+    def counted(lookup, frontier):
+        stepped.append(len(frontier))
+        return step(lookup, frontier)
+
+    monkeypatch.setattr(numsys, "_walk_step", counted)
+    sys = rt.companion_system([3, 3], [0, 1, 2])
+    assert rt.is_number_system(sys) == (True, ())
+    assert stepped[0] == 613 and sum(stepped) == 678
+
+
+# ---------------------------------------------------------------------------
+# the int64 / object boundary
+
+BIG = st.integers(2**61, 2**64)
+
+
+class TestAcrossTheInt64Bound:
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from([((10,),), ((-3, -1), (1, -3)), ((0, 0, -2), (1, 0, 0), (0, 1, 0))]), st.data())
+    def test_walks_from_far_starts(self, matrix, data):
+        # starts on both sides of 2**62 walk down into the int64 range
+        sys = rt.RadixSystem(matrix, linalg.residue_system(matrix))
+        n = len(matrix)
+        entry = st.one_of(st.integers(-50, 50), BIG, BIG.map(lambda x: -x))
+        starts = data.draw(st.lists(st.tuples(*[entry] * n), min_size=1, max_size=4))
+        states, succ = numsys._remainder_graph(sys, linalg.int_array(starts, n))
+        rows = list(map(tuple, states.tolist()))
+        expected = set()
+        for v in starts:
+            trace = rt.remainder_sequence(sys, v)
+            walk = trace.transient + trace.cycle
+            expected |= set(walk)
+            for a, b in zip(walk, walk[1:] + trace.cycle[:1]):
+                assert rows[succ[rows.index(a)]] == b
+        assert set(rows) == expected and rows == sorted(rows)
+
+    @settings(max_examples=30, deadline=None)
+    @given(BIG, st.sampled_from([1, -1]), st.lists(st.tuples(*[st.integers(-3, 3)] * 3), min_size=1, max_size=3))
+    def test_tile_points_with_huge_entries(self, b, sign, parts):
+        # digits about b long keep the candidate ball small while A z - d crosses 2**62
+        matrix = ((sign * b, 1), (0, sign * b))
+        digits = tuple(sorted({(0, 0), *((k * b + e, f) for k, e, f in parts)}))
+        assert tile_integer_points(matrix, digits) == ref_tile_points(matrix, digits)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([((10,),), ((-3, -1), (1, -3)), ((2, 0), (0, 2))]), st.data())
+    def test_class_keys_of_huge_digits(self, matrix, data):
+        n, d = len(matrix), abs(linalg.det(matrix))
+        shifts = data.draw(st.lists(st.tuples(*[st.one_of(st.integers(-5, 5), BIG)] * n), min_size=d, max_size=d))
+        digits = [linalg.vec_add(r, linalg.mat_vec(matrix, t)) for r, t in zip(linalg.residue_system(matrix), shifts)]
+        adj = linalg.adjugate(matrix)
+        keys = linalg.class_keys(adj, d, linalg.int_array(digits, n))
+        assert [tuple(k) for k in keys.tolist()] == [tuple(x % d for x in linalg.mat_vec(adj, v)) for v in digits]
+        assert linalg.is_complete_residue_system(matrix, digits)
+        column = linalg.mat_vec(matrix, (1,) + (0,) * (n - 1))
+        assert not linalg.is_complete_residue_system(matrix, digits[:-1] + [linalg.vec_add(digits[0], column)])
+        sys = rt.RadixSystem(matrix, tuple(digits))
+        probe = tuple(data.draw(BIG) for _ in range(n))
+        digit = rt.digit_of(sys, probe)
+        quotient = linalg.frac_mat_vec(linalg.mat_inv(matrix), linalg.vec_sub(probe, digit))
+        assert digit in sys.digits and linalg.is_integral(quotient)
+
+    def test_huge_matrix_with_small_points(self):
+        # the matrix itself must fit the dtype even at depth 1 or when every point is 0
+        assert rt.ktile_points(rt.RadixSystem(((2**63,),), ((0,), (1,))), 1).int_points == ((0,), (1,))
+        flat = rt.RadixSystem(((2**40, 1), (0, 2**40)), ((0, 0),))
+        assert rt.rasterize([rt.ktile_points(flat, 2)], 4, 4).width == 4
+
+    def test_dtype_follows_the_bound(self):
+        assert linalg.int_array([(2**62 - 1, 0)], 2).dtype == np.int64
+        assert linalg.int_array([(0, -(2**62))], 2).dtype == object
+        ball = linalg.lattice_ball(2, 8)
+        assert ball.dtype == np.int64 and len(ball) == 25
+
+
+def test_congruent_digits_are_named_in_scan_order():
+    # in digit order, 13 is the first digit whose class an earlier digit holds
+    sys = rt.RadixSystem(((10,),), ((0,), (3,), (20,), (13,), (23,)))
+    with pytest.raises(NotACrs, match=r"digits \(3,\) and \(13,\) are congruent"):
+        rt.digit_of(sys, (5,))

@@ -89,3 +89,27 @@ def test_cli_automaton_must_read_the_system_digits(tmp_path, capsys, action, ext
     auto = {"n_digits": n_digits, "transitions": [[1] * n_digits, [1] * n_digits], "accepting": [1]}
     assert cli.main(["multinv", action, str(path), "-p", json.dumps({"automaton": auto, **extra})]) == 2
     assert json.loads(capsys.readouterr().out)["error"]["type"] == "PreconditionViolated"
+
+
+@pytest.mark.parametrize(
+    "argv, payload",
+    [
+        (["eval"], {"cycle": 5}),
+        (["eval"], {"cycle": [1], "pre": "x"}),
+        (["eval"], {"cycle": ["1"]}),
+        (["eval"], {"cycle": [True]}),
+        (["equiv"], {"x": 5, "y": {"cycle": [0]}}),
+        (["sep"], {"kind": "int", "cycle": [[1]]}),
+        (["sep"], {"kind": "sets", "cycle": [5]}),
+        (["sep"], {"kind": "sets", "cycle": [[[1], "2"]]}),
+        (["multinv", "cloud"], {"restrict": [[0], [2]], "k": [1]}),
+        (["multinv", "cloud"], {"restrict": [[0], [2]], "k": 2.0}),
+        (["multinv", "converge"], {"restrict": [[0], [2]], "kmax": "3"}),
+        (["multinv", "check"], {"restrict": [[0], [2]], "torus_k": True}),
+    ],
+)
+def test_cli_payload_types_are_checked(tmp_path, capsys, argv, payload):
+    path = tmp_path / "base10.json"
+    path.write_text(json.dumps({"matrix": [10], "digits": [[d] for d in range(10)]}))
+    assert cli.main([*argv, str(path), "-p", json.dumps(payload)]) == 2
+    assert json.loads(capsys.readouterr().out)["error"]["type"] == "PreconditionViolated"

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import radixtile as rt
 from radixtile import linalg
-from radixtile.errors import SearchBudgetExceeded, SingularMatrix
+from radixtile.errors import CandidateBallTooLarge, SingularMatrix
 
 
 def mat_eq(a, b):
@@ -144,8 +144,8 @@ class TestResidueSystems:
         assert rt.is_complete_residue_system(a, res)
 
     def test_skewed_lattice_is_minimal(self):
-        # det 160; without basis reduction the enumeration box overflowed
-        # its cap and a local search returned 138 non-minimal members
+        # det 160 on a skewed lattice, where an earlier local search
+        # returned 138 non-minimal members
         a = ((-28, 8, 30), (4, 28, 22), (28, -10, -32))
         res = rt.residue_system(a)
         assert res == minimal_representatives_by_brute_force(a, res)
@@ -161,20 +161,11 @@ class TestResidueSystems:
         res = rt.residue_system(a)
         assert res == minimal_representatives_by_brute_force(a, res)
 
-    def test_box_over_cap_raises(self):
-        a = ((-28, 8, 30), (4, 28, 22), (28, -10, -32))
-        with pytest.raises(SearchBudgetExceeded):
-            linalg.minimal_norm_representative(a, (7, 3, 2), cap=1)
-
-    def test_lll_keeps_the_lattice(self):
-        a = ((-28, 8, 30), (4, 28, 22), (28, -10, -32))
-        b = linalg.lll_reduce(a)
-        assert abs(linalg.det(b)) == abs(linalg.det(a))
-        # each basis reaches the other's columns with integer coefficients
-        for m, n in ((a, b), (b, a)):
-            for col in zip(*n):
-                assert linalg.is_integral(linalg.frac_mat_vec(linalg.mat_inv(m), col))
-        assert max(map(linalg.norm_sq, zip(*b))) < max(map(linalg.norm_sq, zip(*a)))
+    def test_ball_over_cap_raises(self):
+        # det 10^8: a ball that meets every class holds about 10^8 points,
+        # over the ball cap
+        with pytest.raises(CandidateBallTooLarge):
+            rt.residue_system(((0, -(10**8)), (1, -1)))
 
 
 def minimal_representatives_by_brute_force(a, candidates):

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 import radixtile as rt
 from radixtile import linalg
@@ -81,6 +83,17 @@ class TestBoundFilters:
             rt.quad_bound_filter(0, 21, (1, 0))
         with pytest.raises(PreconditionViolated):
             rt.quad_bound_filter(10, 21, (1, 0))
+
+    def test_quad_filter_is_exact_at_the_boundary(self):
+        # |p - A q| = 5 exactly; evaluated in floats this came out below 5
+        assert not rt.quad_bound_filter(1, 2, (999999999999995, 10**15))
+        assert rt.quad_bound_filter(1, 2, (999999999999996, 10**15))
+
+    @given(st.integers(1, 50), st.integers(2, 2000), st.integers(-(10**30), 10**30), st.integers(-(10**28), 10**28))
+    def test_quad_filter_is_the_integer_test(self, a, b, p, q):
+        assume(a * a < 4 * b)
+        assert rt.quad_bound_filter(a, b, (p, q)) == (abs(p - a * q) < 5)
+        assert rt.quad_bound_filter(a, b, (a * q + 4, q)) and not rt.quad_bound_filter(a, b, (a * q - 5, q))
 
     def test_quad_neighbours_satisfy_filter(self):
         sys = rt.companion_system([21, 9], [0, 10, 20])
