@@ -81,6 +81,17 @@ def test_cli_cloud_rejects_negative_depth(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["error"]["type"] == "ValueError"
 
 
+def test_cli_converge_rejects_negative_kmax(tmp_path, capsys):
+    path = tmp_path / "base3.json"
+    path.write_text(json.dumps({"matrix": [3], "digits": [[0], [1], [2]]}))
+    payload = {"restrict": [[0], [2]]}
+    assert cli.main(["multinv", "converge", str(path), "-p", json.dumps({**payload, "kmax": -1})]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error == {"type": "ValueError", "message": "kmax must be >= 0, got -1"}
+    assert cli.main(["multinv", "converge", str(path), "-p", json.dumps({**payload, "kmax": 0})]) == 0
+    assert json.loads(capsys.readouterr().out)["rows"] == []
+
+
 @pytest.mark.parametrize("action, extra", [("cloud", {"k": 2}), ("check", {"torus_k": 2}), ("converge", {"kmax": 2})])
 @pytest.mark.parametrize("n_digits", [2, 4])
 def test_cli_automaton_must_read_the_system_digits(tmp_path, capsys, action, extra, n_digits):

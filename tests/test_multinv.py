@@ -1,3 +1,4 @@
+import itertools
 import math
 import time
 from fractions import Fraction
@@ -122,6 +123,21 @@ class TestDistances:
         with pytest.raises(EmptySet):
             rt.hausdorff_distance([], [(0.0,)])
 
+    @pytest.mark.parametrize(
+        "p, q",
+        [
+            ([(0.0,)], [(3.0, 4.0)]),
+            ([(0.0, 1.0)], [(0.0,), (1.0,)]),
+            ([0.0, 1.0], [(0.0,)]),
+            ([(0.0,)], [0.0, 1.0]),
+            ([0.0, 1.0], [0.0, 1.0]),
+            ([()], [()]),
+        ],
+    )
+    def test_point_arrays_of_one_dimension_required(self, p, q):
+        with pytest.raises(ValueError, match="one n"):
+            rt.hausdorff_distance(p, q)
+
     def test_torus_wraparound(self):
         assert rt.torus_distance((Fraction(9, 10),), (Fraction(1, 20),)) == pytest.approx(0.15)
 
@@ -169,6 +185,12 @@ class TestConvergence:
             bound = base3_full.max_digit_norm() * rt.tail_bound(base3_full.matrix, k)
             for ell in range(k, 9):
                 assert rt.hausdorff_distance(clouds[k], clouds[ell]) <= bound + 1e-12
+
+    def test_kmax_must_not_be_negative(self, base3_full):
+        auto = rt.digit_restriction_automaton(base3_full, [(0,), (2,)])
+        with pytest.raises(ValueError, match="kmax"):
+            rt.convergence_report(base3_full, auto, -1)
+        assert rt.convergence_report(base3_full, auto, 0).rows == ()
 
     def test_csv_shape(self, base3_full):
         auto = rt.digit_restriction_automaton(base3_full, [(0,), (2,)])
@@ -241,6 +263,12 @@ def ref_hausdorff(p, q):
     return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
 
 
+def swept(p, q, a):
+    """The sorted sweep on axis a alone, without the all-pairs matrix for small inputs."""
+    p, q = (x[np.argsort(x[:, a])] for x in (p, q))
+    return float(np.sqrt(max(multinv._directed_sq(p, q, a), multinv._directed_sq(q, p, a))))
+
+
 def ref_torus(sys, auto, k):
     def mod1(v):
         return tuple(x - math.floor(x) for x in v)
@@ -300,17 +328,53 @@ class TestAgainstReferences:
         k = data.draw(st.integers(2, 4 if sys.n == 1 else 3))
         assert rt.torus_invariance_check(sys, auto, k) == ref_torus(sys, auto, k)
 
-    @settings(max_examples=40, deadline=None)
+    # sizes from one point to several 64-point sweep blocks, on both sides of the 2^15 pairs
+    # up to which one matrix is used; spread 2 gives grids with many duplicates and ties, spread
+    # 40 mostly distinct points.  The sweep alone is checked on every axis and at every size.
+    @settings(max_examples=60, deadline=None)
     @given(
-        n=st.integers(1, 2),
-        sizes=st.tuples(*[st.integers(1, 3 * multinv._BLOCK_ROWS)] * 2),
+        n=st.integers(1, 3),
+        sizes=st.tuples(*[st.integers(1, 700)] * 2),
+        spread=st.sampled_from([2, 5, 40]),
+        order=st.sampled_from(["random", "ascending", "descending"]),
         seed=st.integers(0, 2**32 - 1),
     )
-    @example(n=2, sizes=(2 * multinv._BLOCK_ROWS + 1, multinv._BLOCK_ROWS), seed=1)
-    @example(n=1, sizes=(multinv._BLOCK_ROWS, 2 * multinv._BLOCK_ROWS), seed=2)
-    def test_hausdorff(self, n, sizes, seed):
+    @example(n=2, sizes=(513, 256), spread=40, order="random", seed=1)
+    @example(n=1, sizes=(256, 512), spread=40, order="ascending", seed=2)
+    @example(n=3, sizes=(1, 700), spread=2, order="descending", seed=3)
+    @example(n=1, sizes=(1, 1), spread=2, order="random", seed=4)
+    @example(n=2, sizes=(700, 1), spread=5, order="descending", seed=5)
+    @example(n=1, sizes=(700, 700), spread=2, order="ascending", seed=6)
+    @example(n=3, sizes=(65, 64), spread=40, order="descending", seed=7)
+    @example(n=2, sizes=(128, 256), spread=40, order="random", seed=8)
+    @example(n=2, sizes=(129, 256), spread=40, order="random", seed=8)
+    def test_hausdorff(self, n, sizes, spread, order, seed):
         rng = np.random.default_rng(seed)
-        p, q = (rng.integers(-40, 40, size=(m, n)) / rng.integers(1, 30) for m in sizes)
+        p, q = (rng.integers(-spread, spread, size=(m, n)) / rng.integers(1, 30) for m in sizes)
+        if order != "random":
+            step = 1 if order == "ascending" else -1
+            p, q = (x[np.lexsort(x.T[::-1])[::step]] for x in (p, q))
         expected = ref_hausdorff(p, q)
         assert rt.hausdorff_distance(p, q) == expected
+        assert rt.hausdorff_distance(q, p) == expected
         assert rt.hausdorff_distance(p.tolist(), q.tolist()) == expected
+        for a in range(n):
+            assert swept(p, q, a) == expected
+
+    def test_hausdorff_on_clouds(self):
+        # X_k against X_l on both sides of the matrix cutoff, with the float points the
+        # converge tables use: base 3 {0,2}, and 2I with {(0,0),(0,1)}, whose first
+        # coordinates are all 0
+        twin = rt.RadixSystem(((2, 0), (0, 2)), ((0, 0), (1, 0), (0, 1), (1, 1)))
+        cases = [(REF_SYSTEMS[0], [(0,), (2,)]), (twin, [(0, 0), (0, 1)]), (twin, [(0, 0), (1, 1)])]
+        for sys, allowed in cases:
+            auto = rt.digit_restriction_automaton(sys, allowed)
+            clouds = [rt.xk_cloud(sys, auto, k).float_points() for k in range(6, 10)]
+            for p, q in itertools.combinations(clouds, 2):
+                assert rt.hausdorff_distance(p, q) == ref_hausdorff(p, q)
+
+    @pytest.mark.parametrize("tiny", [1e-200, 5e-324])
+    def test_hausdorff_squares_that_underflow(self, tiny):
+        # (p0 - q0)^2 rounds to 0 here, so a window of width sqrt(bound) alone would be empty
+        for p, q in (([(0.0,)], [(tiny,)]), ([(0.0, 1.0), (tiny, 2.0)], [(-tiny, 1.0), (1.0, 3.0)])):
+            assert swept(np.array(p), np.array(q), 0) == ref_hausdorff(p, q)

@@ -2,8 +2,9 @@
 
 Each digest was recorded with the code before a refactor of the path that
 prints it: the JSON, fraction and label helpers, then the integer multinv
-clouds, chunked distances and integer torus check.  Equal digests show the
-refactored code prints the same bytes, floats included.
+clouds, chunked distances and integer torus check, then the sorted-sweep
+distances.  Equal digests show the refactored code prints the same bytes,
+floats included.
 """
 
 import hashlib
@@ -12,6 +13,14 @@ import json
 import pytest
 
 from radixtile import cli
+
+from conftest import gauss_system
+
+
+@pytest.fixture
+def gauss2_full():
+    return gauss_system(2)
+
 
 PINNED = {
     "neighbours_dot_base10": (
@@ -145,6 +154,31 @@ PINNED = {
         ["--format", "csv", "multinv", "converge"],
         {"restrict": [[0], [2]], "kmax": 8},
         "fb30a5f9f11491b88d4981449a66a74f8d7b78c7b1bbe232d261db7eac55f736",
+    ),
+    "converge_base3_k12": (
+        "base3_full",
+        ["multinv", "converge"],
+        {"restrict": [[0], [2]], "kmax": 12},
+        "38698e65eccdbea23c7dbb96385c53f712f9c158f28b04248f4a6419cf20992c",
+    ),
+    "converge_base3_k14": (
+        "base3_full",
+        ["multinv", "converge"],
+        {"restrict": [[0], [2]], "kmax": 14},
+        "4e0d98b75abc2cd21e3907b2255675c726ccadf76fd20c17734b882d8bb5a773",
+    ),
+    # 1024- and 2048-point clouds at the last rows: several 64-point sweep blocks
+    "converge_twin_k10": (
+        "twin_two",
+        ["multinv", "converge"],
+        {"restrict": [[0, 0], [1, 1]], "kmax": 10},
+        "a3e081baed9edcf8bfedcf5f4bbe582f40fcf2707d5d85b298b0c225f02d664d",
+    ),
+    "converge_csv_gauss2": (
+        "gauss2_full",
+        ["--format", "csv", "multinv", "converge"],
+        {"restrict": [[0, 0], [1, 0], [4, 0]], "kmax": 6},
+        "ce3e8a67723101c5a1eb6d5ca01f5926d02576daa6596250c8e9cd6dd3392069",
     ),
     "converge_twin": (
         "twin_two",

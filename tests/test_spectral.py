@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import radixtile as rt
@@ -31,8 +31,10 @@ def as_mpf(x: Fraction) -> mpmath.mpf:
 
 
 def spectral_norm(m) -> mpmath.mpf:
-    rows = [[as_mpf(Fraction(x)) for x in row] for row in m]
-    return max(mpmath.svd_r(mpmath.matrix(rows), compute_uv=False))
+    """sqrt of the largest eigenvalue of m^T m; mpmath's svd_r does not converge on some
+    symmetric inputs, such as A^-5 for A = [[2, 5], [5, -2]]."""
+    rows = mpmath.matrix([[as_mpf(Fraction(x)) for x in row] for row in m])
+    return mpmath.sqrt(max(mpmath.eigsy(rows.T * rows, eigvals_only=True)))
 
 
 def companion(*coeffs):
@@ -113,6 +115,7 @@ class TestTailBound:
 
     @settings(max_examples=40, deadline=None)
     @given(square)
+    @example([[2, 5], [5, -2]])
     def test_random_expanding_matrices(self, rows):
         a = linalg.as_matrix(rows)
         if not linalg.is_expanding(a) or min_eigen_modulus(a) < 1.2:
