@@ -158,7 +158,7 @@ def cmd_equiv(args, sys, payload):
 
 def cmd_enumerate_equiv(args, sys, payload):
     x = _rep(sys, payload["x"])
-    cls, samples = radix.enumerate_equivalents(sys, x, payload.get("limit", 16))
+    cls, samples = radix.enumerate_equivalents(sys, x, _int_field(payload, "limit", 16))
     _emit_json(
         args,
         {"classification": cls, "samples": [s.to_json() for s in samples]},
@@ -218,7 +218,7 @@ def cmd_sep(args, sys, payload):
         witness = sep.is_sep_sets(seq)
     elif kind == "sets-translated":
         witness = sep.is_sep_sets_translated(
-            sys.digits, seq, max_block=payload.get("max_block")
+            sys.digits, seq, max_block=_int_field(payload, "max_block", None)
         )
     else:
         raise ValueError(f"unknown sep kind {kind!r}")
@@ -233,13 +233,13 @@ def cmd_sep(args, sys, payload):
 
 def _translate_from_payload(sys, payload) -> intersect.TranslateSpec:
     alpha = _seq_from_json(payload["alpha"])
-    return intersect.translate_spec(sys, alpha, strict=payload.get("strict", True))
+    return intersect.translate_spec(sys, alpha, strict=_bool_field(payload, "strict", True))
 
 
 def cmd_intersect(args, sys, payload):
     if args.multi:
         specs = [
-            intersect.translate_spec(sys, _seq_from_json(a), strict=payload.get("strict", True))
+            intersect.translate_spec(sys, _seq_from_json(a), strict=_bool_field(payload, "strict", True))
             for a in payload["alphas"]
         ]
         seq = intersect.multi_intersection_sequence(specs)
@@ -248,8 +248,8 @@ def cmd_intersect(args, sys, payload):
     t = _translate_from_payload(sys, payload)
     report = intersect.intersection_report(
         t,
-        sep_budget=payload.get("max_block"),
-        empirical_depth=payload.get("empirical_depth"),
+        sep_budget=_int_field(payload, "max_block", None),
+        empirical_depth=_int_field(payload, "empirical_depth", None),
     )
     _emit_json(args, report)
 
@@ -258,10 +258,10 @@ def cmd_dims(args, sys, payload):
     kind = args.kind
     if kind == "bm":
         dim_h, dim_b = intersect.bm_dimensions(
-            payload["m"],
-            payload["n"],
+            _int_field(payload, "m"),
+            _int_field(payload, "n"),
             payload["digits"],
-            allow_refined=payload.get("allow_refined", False),
+            allow_refined=_bool_field(payload, "allow_refined", False),
         )
         _emit_json(args, {"hausdorff": dim_h, "box": dim_b})
         return
@@ -272,7 +272,7 @@ def cmd_dims(args, sys, payload):
     if kind == "box":
         report = intersect.box_dimension_ep(sys, seq)
         out = report.to_json()
-        depth = payload.get("empirical_depth")
+        depth = _int_field(payload, "empirical_depth", None)
         if depth:
             est = intersect.box_count_exponent(sys, seq, depth)
             out.setdefault("flags", {})
@@ -280,7 +280,7 @@ def cmd_dims(args, sys, payload):
             out["flags"]["empirical_matches_exact"] = abs(est - report.value) < 0.05
         _emit_json(args, out)
         return
-    witness = sep.is_sep_sets_translated(sys.digits, seq, max_block=payload.get("max_block"))
+    witness = sep.is_sep_sets_translated(sys.digits, seq, max_block=_int_field(payload, "max_block", None))
     if witness is None:
         raise PreconditionError("sequence is not SEP; no witness-based dimension")
     if kind == "hausdorff":
@@ -291,12 +291,12 @@ def cmd_dims(args, sys, payload):
 
 def cmd_levelset(args, sys, payload):
     lam = _parse_frac(args.lam)
-    prefix = [linalg.as_vec(a) for a in payload.get("alpha_prefix", [])]
+    prefix = [_json_vec(a) for a in _json_list(payload.get("alpha_prefix", []), "alpha_prefix")]
     if "alpha" in payload and "epsilon" in payload:
         alpha = _seq_from_json(payload["alpha"])
         m = intersect.prefix_length_for_radius(sys, _parse_frac(payload["epsilon"]))
         prefix = [alpha.entry(j) for j in range(m)]
-    t = intersect.level_set_translate(sys, prefix, lam, strict=payload.get("strict", True))
+    t = intersect.level_set_translate(sys, prefix, lam, strict=_bool_field(payload, "strict", True))
     seq = intersect.intersection_sequence(t)
     _emit_json(
         args,
@@ -311,7 +311,7 @@ def cmd_union_components(args, sys, payload):
     t = intersect.TranslateSpec(
         system=sys, alpha=_seq_from_json(payload["alpha"]), uniqueness_checked=False
     )
-    report = intersect.union_components(t, limit=payload.get("limit", 8))
+    report = intersect.union_components(t, limit=_int_field(payload, "limit", 8))
     _emit_json(
         args,
         {
@@ -383,12 +383,22 @@ def cmd_multinv(args, sys, payload):
         )
 
 
-def _int_field(payload, key: str, default: int | None = None) -> int:
-    """payload[key] (or the default when it is absent), which must be a JSON integer."""
-    value = payload[key] if default is None else payload.get(key, default)
-    if type(value) is not int:  # bool is an int subclass, a JSON true is not a count
-        raise PreconditionViolated(f"{key} must be a JSON integer, got {value!r}")
+_REQUIRED = object()
+
+
+def _int_field(payload, key: str, default=_REQUIRED, kind=int):
+    """payload[key], which must be a JSON integer (a JSON boolean for kind=bool);
+    the default when the key is absent and a default is given."""
+    if key not in payload and default is not _REQUIRED:
+        return default
+    value = payload[key]
+    if type(value) is not kind:  # bool is an int subclass, a JSON true is not a count
+        raise PreconditionViolated(f"{key} must be a JSON {'boolean' if kind is bool else 'integer'}, got {value!r}")
     return value
+
+
+def _bool_field(payload, key: str, default: bool) -> bool:
+    return _int_field(payload, key, default, kind=bool)
 
 
 def cmd_render(args, sys, payload):

@@ -10,7 +10,6 @@ log 3 / log 10 are decided without float tolerance.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -246,8 +245,9 @@ def build_ifs(t: TranslateSpec, w: SepSetWitness) -> IfsSpec:
     """IFS generating the intersection from a SEP witness.
 
     One map per choice of u_l in U_l and v_l in V_l:
-      f(x) = A^-p (x + sum_l (A^{p-l} u_l + A^-l v_l) - beta) + beta
+      f(x) = A^-p (x + sum_l (A^{p-l-1} u_l + A^{-l-1} v_l) - beta) + beta
     with beta the value of the witness's translating digit representation.
+    Maps with equal offsets are one map, so the offsets are the distinct ones.
     """
     from .errors import InvalidWitness
 
@@ -258,29 +258,23 @@ def build_ifs(t: TranslateSpec, w: SepSetWitness) -> IfsSpec:
     sys = t.system
     p = w.block
     a = sys.matrix
+    beta = eval_exact(Representation(sys, EpSeq.make(w.beta_head, w.beta_cycle)))
+    # A^-p sum_l (A^{p-l-1} u_l + A^{-l-1} v_l) = A^-2p z with the integer vector
+    # z = sum_l (A^{2p-l-1} u_l + A^{p-l-1} v_l), so each offset is
+    # A^-2p z + (beta - A^-p beta) and z runs over the Minkowski sum over l of
+    # {A^{2p-l-1} u + A^{p-l-1} v}.  z -> offset is injective, so distinct z
+    # give the distinct offsets.
+    zs = {linalg.zero_vec(sys.n)}
+    for l, (us, vs) in enumerate(zip(w.base, w.increments)):
+        a_u, a_v = linalg.mat_pow(a, 2 * p - l - 1), linalg.mat_pow(a, p - l - 1)
+        terms = {linalg.vec_add(linalg.mat_vec(a_u, u), linalg.mat_vec(a_v, v)) for u in us for v in vs}
+        zs = {linalg.vec_add(z, x) for z in zs for x in terms}
     a_inv_p = linalg.mat_inv_pow(a, p)
-    beta_rep = Representation(sys, EpSeq.make(w.beta_head, w.beta_cycle))
-    beta = eval_exact(beta_rep)
-
-    offsets = []
-    u_choices = [sorted(u) for u in w.base]
-    v_choices = [sorted(v) for v in w.increments]
-    for us in itertools.product(*u_choices):
-        for vs in itertools.product(*v_choices):
-            total = [Fraction(0)] * sys.n
-            for l in range(p):
-                term_u = linalg.mat_vec(linalg.mat_pow(a, p - l - 1), us[l])
-                term_v = linalg.frac_mat_vec(linalg.mat_inv_pow(a, l + 1), vs[l])
-                total = [x + tu + tv for x, tu, tv in zip(total, term_u, term_v)]
-            shifted = [x - b for x, b in zip(total, beta)]
-            offset = linalg.frac_mat_vec(a_inv_p, tuple(shifted))
-            offsets.append(tuple(o + b for o, b in zip(offset, beta)))
-    return IfsSpec(
-        power=p,
-        linear=a_inv_p,
-        offsets=tuple(sorted(set(offsets))),
-        beta_value=beta,
-    )
+    a_2p = linalg.mat_pow(a, 2 * p)
+    adj, det = linalg.adjugate(a_2p), linalg.det(a_2p)  # A^-2p = adj / det
+    shift = [b - x for b, x in zip(beta, linalg.frac_mat_vec(a_inv_p, beta))]
+    offsets = (tuple(Fraction(y, det) + s for y, s in zip(linalg.mat_vec(adj, z), shift)) for z in zs)
+    return IfsSpec(power=p, linear=a_inv_p, offsets=tuple(sorted(offsets)), beta_value=beta)
 
 
 def check_ssc(w: SepSetWitness) -> bool:

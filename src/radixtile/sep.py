@@ -5,13 +5,13 @@ A sequence is strongly eventually periodic (SEP) when it has the shape
 with nonnegative increments c (for integers) or sumset increments
 B_l + C_l (for sets).  The decision here is restricted to eventually
 periodic inputs, which are the only finitely encodable ones; within those
-the block search is complete once the block length passes the preperiod,
-because results repeat along multiples of the cycle length.
+the least block length that is a multiple of the cycle length and at least
+the preperiod decides, because longer aligned blocks only add positions
+whose head and tail entries are equal.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from . import linalg
@@ -95,11 +95,9 @@ def sumset_complement(x, y):
     return candidate if sumset(x, candidate) == y else None
 
 
-def _aligned_blocks(seq: EpSeq, max_block: int):
-    """Candidate block lengths: multiples of the cycle at least the preperiod."""
-    c = seq.period
-    start = c * max(1, -(-max(seq.preperiod, 1) // c))  # ceil division
-    return range(start, max_block + 1, c)
+def _first_block(seq: EpSeq) -> int:
+    """The least multiple of the cycle length that is at least the preperiod and 1."""
+    return seq.period * -(-max(seq.preperiod, 1) // seq.period)
 
 
 def is_sep_int(seq: EpSeq) -> SepIntWitness | None:
@@ -113,13 +111,11 @@ def is_sep_int(seq: EpSeq) -> SepIntWitness | None:
     """
     entries = [int(x) for x in list(seq.pre) + list(seq.cycle)]
     seq = EpSeq.make(entries[: seq.preperiod], entries[seq.preperiod:])
-    bound = seq.period * max(1, -(-max(seq.preperiod, 1) // seq.period)) + seq.period
-    for block in _aligned_blocks(seq, bound):
-        incs = [seq.entry(l + block) - seq.entry(l) for l in range(block)]
-        if all(c >= 0 for c in incs):
-            base = tuple(seq.entry(l) for l in range(block))
-            return SepIntWitness(block=block, base=base, increments=tuple(incs))
-    return None
+    block = _first_block(seq)
+    incs = tuple(seq.entry(l + block) - seq.entry(l) for l in range(block))
+    if any(c < 0 for c in incs):
+        return None
+    return SepIntWitness(block=block, base=seq.prefix(block), increments=incs)
 
 
 def _normalize_set_seq(seq: EpSeq) -> EpSeq:
@@ -144,14 +140,15 @@ def is_sep_sets_translated(
 ) -> SepSetWitness | None:
     """Search beta digit blocks making the translated sequence SEP.
 
-    For each candidate block length P (multiples of the cycle length no
-    smaller than the preperiod) and each position l, a pair of digits
-    (beta_head, beta_cycle) is admissible when the translated entries
-    admit a sumset decomposition; positions decouple, so the search is a
-    product of per-position searches.  Exhausting blocks up to the bound
-    is definitive for eventually periodic inputs because the per-position
-    subproblems repeat along further multiples of the cycle; a bound below
-    the first aligned block raises SearchBudgetExceeded instead.
+    The first aligned block P (the least multiple of the cycle length no
+    smaller than the preperiod) decides.  A later aligned block has the
+    same (entry(l), entry(l + P)) pairs at the positions l below the
+    preperiod and only adds pairs of equal entries, which always decompose,
+    so it succeeds exactly when the first one does.  At each position,
+    shifting the head by -a and the tail by -b only shifts the largest
+    complement by a - b, so the least digit d0 serves as both betas when
+    any pair of digits does.  max_block is a budget: a first aligned block
+    beyond it raises SearchBudgetExceeded.
     """
     seq = _normalize_set_seq(seq)
     digits = tuple(sorted({linalg.as_vec(d) for d in digits}))
@@ -160,49 +157,24 @@ def is_sep_sets_translated(
             if not s or not s <= set(digits):
                 raise ValueError("sequence entries must be nonempty digit subsets")
 
-    c = seq.period
-    first = c * max(1, -(-max(seq.preperiod, 1) // c))
-    if max_block is None:
-        max_block = max(12, 3 * first)
-    if first > max_block:
+    block = _first_block(seq)
+    if max_block is not None and block > max_block:
         raise SearchBudgetExceeded(
-            f"block search capped at {max_block}, first aligned block is {first}"
+            f"block search capped at {max_block}, first aligned block is {block}"
         )
-
-    for block in range(first, max_block + 1, c):
-        witness = _try_block(digits, seq, block)
-        if witness is not None:
-            return witness
-    return None
-
-
-def _try_block(digits, seq: EpSeq, block: int) -> SepSetWitness | None:
-    beta_head = []
-    beta_cycle = []
-    base = []
+    beta = digits[0]
+    base = tuple(translate(seq.entry(l), linalg.vec_neg(beta)) for l in range(block))
     incs = []
-    for l in range(block):
-        head_set = seq.entry(l)
-        tail_set = seq.entry(l + block)
-        found = None
-        for bh, bc in itertools.product(digits, repeat=2):
-            u = translate(head_set, linalg.vec_neg(bh))
-            w = translate(tail_set, linalg.vec_neg(bc))
-            v = sumset_complement(u, w)
-            if v is not None:
-                found = (bh, bc, u, v)
-                break
-        if found is None:
+    for l, u in enumerate(base):
+        v = sumset_complement(u, translate(seq.entry(l + block), linalg.vec_neg(beta)))
+        if v is None:
             return None
-        beta_head.append(found[0])
-        beta_cycle.append(found[1])
-        base.append(found[2])
-        incs.append(found[3])
+        incs.append(v)
     return SepSetWitness(
         block=block,
-        beta_head=tuple(beta_head),
-        beta_cycle=tuple(beta_cycle),
-        base=tuple(base),
+        beta_head=(beta,) * block,
+        beta_cycle=(beta,) * block,
+        base=base,
         increments=tuple(incs),
     )
 

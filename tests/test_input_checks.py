@@ -117,6 +117,20 @@ def test_cli_automaton_must_read_the_system_digits(tmp_path, capsys, action, ext
         (["multinv", "cloud"], {"restrict": [[0], [2]], "k": 2.0}),
         (["multinv", "converge"], {"restrict": [[0], [2]], "kmax": "3"}),
         (["multinv", "check"], {"restrict": [[0], [2]], "torus_k": True}),
+        (["intersect"], {"alpha": {"cycle": [[5]]}, "strict": False, "max_block": "x"}),
+        (["intersect"], {"alpha": {"cycle": [[5]]}, "strict": False, "empirical_depth": "3"}),
+        (["intersect"], {"alpha": {"cycle": [[5]]}, "strict": "no"}),
+        (["intersect", "--multi"], {"alphas": [{"cycle": [[5]]}], "strict": 0}),
+        (["sep"], {"kind": "sets-translated", "cycle": [[[0]]], "max_block": 2.5}),
+        (["dims", "hausdorff"], {"alpha": {"cycle": [[5]]}, "strict": False, "max_block": True}),
+        (["dims", "box"], {"alpha": {"cycle": [[5]]}, "strict": False, "empirical_depth": 2.0}),
+        (["dims", "bm"], {"m": 2, "n": 3, "digits": [[0, 0]], "allow_refined": 1}),
+        (["levelset", "--lam", "1/2"], {"strict": "false"}),
+        (["enumerate-equiv"], {"x": {"cycle": [[0]]}, "limit": "4"}),
+        (["union-components"], {"alpha": {"cycle": [[0]]}, "limit": 4.0}),
+        (["dims", "bm"], {"m": "2", "n": 3, "digits": [[0, 0]]}),
+        (["levelset", "--lam", "1/2"], {"strict": False, "alpha_prefix": 5}),
+        (["levelset", "--lam", "1/2"], {"strict": False, "alpha_prefix": [["4"]]}),
     ],
 )
 def test_cli_payload_types_are_checked(tmp_path, capsys, argv, payload):

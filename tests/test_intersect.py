@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -15,7 +16,8 @@ from radixtile.errors import (
     UniquenessNotEstablished,
 )
 from radixtile.intersect import ExactDim, alternating_block_counts, intersection_report
-from radixtile.radix import EpSeq, vector_seq
+from radixtile.radix import EpSeq, Representation, eval_exact, vector_seq
+from radixtile.sep import translate
 
 from conftest import gauss_matrix, gauss_system
 
@@ -171,6 +173,75 @@ class TestIfs:
                     for q in cover_pts
                 )
                 assert dist <= tol
+
+
+def reference_ifs(t, w):
+    """The per-map formula, one Fraction sum per choice of u_l and v_l:
+    A^-p (sum_l (A^{p-l-1} u_l + A^{-l-1} v_l) - beta) + beta."""
+    a, p, n = t.system.matrix, w.block, t.system.n
+    beta = eval_exact(Representation(t.system, EpSeq.make(w.beta_head, w.beta_cycle)))
+    offsets = set()
+    for us in itertools.product(*[sorted(u) for u in w.base]):
+        for vs in itertools.product(*[sorted(v) for v in w.increments]):
+            total = [Fraction(0)] * n
+            for l in range(p):
+                term_u = linalg.mat_vec(linalg.mat_pow(a, p - l - 1), us[l])
+                term_v = linalg.frac_mat_vec(linalg.mat_inv_pow(a, l + 1), vs[l])
+                total = [x + tu + tv for x, tu, tv in zip(total, term_u, term_v)]
+            shifted = tuple(x - b for x, b in zip(total, beta))
+            offset = linalg.frac_mat_vec(linalg.mat_inv_pow(a, p), shifted)
+            offsets.add(tuple(o + b for o, b in zip(offset, beta)))
+    return rt.IfsSpec(p, linalg.mat_inv_pow(a, p), tuple(sorted(offsets)), beta)
+
+
+def rebased(w, digits, draw):
+    """The same decomposition with betas drawn from the digits: base and
+    increments shift so the witness rebuilds the same sequence."""
+    head = tuple(draw(digits) for _ in range(w.block))
+    tail = tuple(draw(digits) for _ in range(w.block))
+    base, incs = [], []
+    for u, v, b0, b1, bh, bc in zip(w.base, w.increments, w.beta_head, w.beta_cycle, head, tail):
+        base.append(translate(u, linalg.vec_sub(b0, bh)))
+        incs.append(translate(v, linalg.vec_add(linalg.vec_sub(bh, bc), linalg.vec_sub(b1, b0))))
+    return rt.SepSetWitness(w.block, head, tail, tuple(base), tuple(incs))
+
+
+IFS_SYSTEMS = {
+    "m3i_048": rt.RadixSystem(gauss_matrix(3), ((0, 0), (4, 0), (8, 0))),
+    "gauss2": gauss_system(2, (0, 1, 4)),
+    "base3": rt.RadixSystem(((3,),), ((0,), (1,), (2,))),
+    "base5": rt.RadixSystem(((5,),), ((0,), (2,), (3,), (4,))),
+}
+
+
+class TestIfsReference:
+    @given(st.sampled_from(sorted(IFS_SYSTEMS)), st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_minkowski_offsets_match_per_map_formula(self, name, data):
+        sys = IFS_SYSTEMS[name]
+        diffs = sorted(sys.differences())
+        pre = data.draw(st.lists(st.sampled_from(diffs), max_size=2))
+        cycle = data.draw(st.lists(st.sampled_from(diffs), min_size=1, max_size=3))
+        try:
+            t = rt.translate_spec(sys, vector_seq(pre, cycle), strict=False)
+            w = rt.is_sep_sets_translated(sys.digits, rt.intersection_sequence(t))
+        except EmptyIntersection:
+            assume(False)
+        assume(w is not None)
+        assert rt.build_ifs(t, w) == reference_ifs(t, w)
+        other = rebased(w, sys.digits, lambda d: data.draw(st.sampled_from(d)))
+        assert other.rebuild() == w.rebuild()
+        assert rt.build_ifs(t, other) == reference_ifs(t, other)
+
+    def test_rebased_fixture(self, m3i_048):
+        t = noSSC_spec(m3i_048)
+        w = rt.is_sep_sets_translated(m3i_048.digits, rt.intersection_sequence(t))
+        digits = iter([(8, 0), (4, 0), (4, 0), (0, 0)])
+        other = rebased(w, m3i_048.digits, lambda d: next(digits))
+        assert other.beta_head == ((8, 0), (4, 0)) and other.beta_cycle == ((4, 0), (0, 0))
+        ifs = rt.build_ifs(t, other)
+        assert ifs == reference_ifs(t, other)
+        assert ifs.beta_value != rt.build_ifs(t, w).beta_value
 
 
 class TestSscAndDims:

@@ -3,7 +3,8 @@
 Each digest was recorded with the code before a refactor of the path that
 prints it: the JSON, fraction and label helpers, then the integer multinv
 clouds, chunked distances and integer torus check, then the sorted-sweep
-distances.  Equal digests show the refactored code prints the same bytes,
+distances, then the first-block SEP search and the Minkowski-sum IFS
+offsets.  Equal digests show the refactored code prints the same bytes,
 floats included.
 """
 
@@ -221,6 +222,31 @@ PINNED = {
         ["dims", "box"],
         {"alpha": {"pre": [[3]], "cycle": [[0], [5]]}, "strict": False, "empirical_depth": 3},
         "671330cf2afa86ac51e51d40a062778cc85f7e8255efc5879bde3128de4c60f2",
+    ),
+    # blocks 7 and 6: IFSs of 144 and 72 maps
+    "intersect_m3i_block7": (
+        "m3i_048",
+        ["intersect"],
+        {"alpha": {"pre": [], "cycle": [[x, 0] for x in (0, 0, 4, 4, 4, 4, 8)]}},
+        "baee2304197c10de98704f9f647e127167cc6781487286a9adeb1ba468d94823",
+    ),
+    "intersect_m3i_block6": (
+        "m3i_048",
+        ["intersect"],
+        {"alpha": {"pre": [], "cycle": [[x, 0] for x in (4, 4, 4, 0, 0, 8)]}},
+        "f2fc38d5a9fd88dde6ff2a725eb878f12830965ee29e634ee085e1ee095d1db1",
+    ),
+    "sep_sets_translated_none_m3i": (
+        "m3i_048",
+        ["sep"],
+        {"kind": "sets-translated", "pre": [[[0, 0], [4, 0], [8, 0]]], "cycle": [[[0, 0], [8, 0]], [[4, 0]]]},
+        "78457add7ee041f3d6a15e1a91ae396ed25418ac3da202b3841bf267feb04702",
+    ),
+    "dims_hausdorff_base10": (
+        "base10",
+        ["dims", "hausdorff"],
+        {"alpha": {"pre": [[-7]], "cycle": [[2], [0]]}, "strict": False},
+        "b3beb6814831a9adf7a8e835b7dc9d6988a6f3ef68b44d39f5d26ca1837535bb",
     ),
 }
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import strategies as st
 import radixtile as rt
 from radixtile.errors import SearchBudgetExceeded
 from radixtile.radix import EpSeq
-from radixtile.sep import cardinality_projection, sumset
+from radixtile.linalg import vec_neg
+from radixtile.sep import cardinality_projection, sumset, translate
 
 
 def fs(*scalars):
@@ -156,3 +158,65 @@ class TestSepSets:
             ).rebuild()
             if rt.is_sep_sets(seq) is not None:
                 assert rt.is_sep_int(cardinality_projection(seq)) is not None
+
+
+def reference_sep_sets_translated(digits, seq):
+    """The exhaustive search: every aligned block up to the default bound, every digit pair."""
+    digits = sorted(set(digits))
+    c = seq.period
+    first = c * max(1, -(-max(seq.preperiod, 1) // c))
+    for block in range(first, max(12, 3 * first) + 1, c):
+        found = []
+        for l in range(block):
+            for bh, bc in itertools.product(digits, repeat=2):
+                u = translate(seq.entry(l), vec_neg(bh))
+                v = rt.sumset_complement(u, translate(seq.entry(l + block), vec_neg(bc)))
+                if v is not None:
+                    found.append((bh, bc, u, v))
+                    break
+            else:
+                break
+        else:
+            return rt.SepSetWitness(block, *(tuple(part) for part in zip(*found)))
+    return None
+
+
+def reference_sep_int(seq):
+    """Every aligned block from the first one to one cycle past it."""
+    c = seq.period
+    first = c * max(1, -(-max(seq.preperiod, 1) // c))
+    for block in range(first, first + c + 1, c):
+        incs = [seq.entry(l + block) - seq.entry(l) for l in range(block)]
+        if all(x >= 0 for x in incs):
+            return rt.SepIntWitness(block, seq.prefix(block), tuple(incs))
+    return None
+
+
+@st.composite
+def digit_set_sequences(draw):
+    """Digits of a 1-D or 2-D system and an ep sequence of nonempty digit subsets."""
+    if draw(st.booleans()):
+        grid = [(x,) for x in range(7)]
+    else:
+        grid = [(x, y) for x in range(3) for y in range(3)]
+    digits = draw(st.lists(st.sampled_from(grid), min_size=1, max_size=5, unique=True))
+    entry = st.frozensets(st.sampled_from(digits), min_size=1)
+    pre = draw(st.lists(entry, max_size=3))
+    cycle = draw(st.lists(entry, min_size=1, max_size=3))
+    return digits, EpSeq.make(pre, cycle)
+
+
+class TestSearchReference:
+    @given(digit_set_sequences())
+    @settings(max_examples=200, deadline=None)
+    def test_first_block_and_least_digit_decide(self, case):
+        digits, seq = case
+        assert rt.is_sep_sets_translated(digits, seq) == reference_sep_sets_translated(digits, seq)
+        zero = (0,) * len(digits[0])
+        assert rt.is_sep_sets(seq) == reference_sep_sets_translated([zero], seq)
+
+    @given(st.lists(st.integers(0, 5), max_size=3), st.lists(st.integers(0, 5), min_size=1, max_size=3))
+    @settings(max_examples=200, deadline=None)
+    def test_int_first_block_decides(self, pre, cycle):
+        seq = EpSeq.make(pre, cycle)
+        assert rt.is_sep_int(seq) == reference_sep_int(seq)
