@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys as _sys
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -17,6 +18,7 @@ from pathlib import Path
 
 from . import intersect, linalg, multinv, neighbours, numsys, radix, render, sep
 from .errors import BudgetError, PreconditionError, PreconditionViolated, RadixTileError, UsageError
+from .errors import json_int, json_ints, json_list, json_vec
 
 
 def _parse_frac(text) -> Fraction:
@@ -44,49 +46,30 @@ def _json_object(source: str, what: str, inline: bool = False) -> dict:
 def load_descriptor(path: str) -> numsys.RadixSystem:
     data = _json_object(path, "descriptor")
     if "polynomial" in data:
-        poly = data["polynomial"]
-        return numsys.companion_system(poly["coeffs"], poly["digits"])
-    flat = data["matrix"]
+        poly = json_list(data["polynomial"], "polynomial", dict)
+        return numsys.companion_system(json_ints(poly["coeffs"], "coeffs"), json_ints(poly["digits"], "digits"))
+    flat = json_list(data["matrix"], "matrix")
     if flat and isinstance(flat[0], list):
-        matrix = [list(map(int, row)) for row in flat]
+        matrix = [json_ints(row, "a matrix row") for row in flat]
     else:
-        n = int(round(len(flat) ** 0.5))
+        n = math.isqrt(len(flat))
         if n * n != len(flat):
             raise ValueError("row-major matrix list must have square length")
-        matrix = [flat[i * n : (i + 1) * n] for i in range(n)]
-    digits = [linalg.as_vec(d) for d in data["digits"]]
-    return numsys.RadixSystem(tuple(map(tuple, matrix)), tuple(digits))
+        matrix = [json_ints(flat[i * n : (i + 1) * n], "matrix") for i in range(n)]
+    return numsys.RadixSystem(tuple(matrix), tuple(map(json_vec, json_list(data["digits"], "digits"))))
 
 
-def _json_int(x) -> int:
-    if type(x) is not int:  # bool is an int subclass, a JSON true is not a number
-        raise PreconditionViolated(f"expected a JSON integer, got {x!r}")
-    return x
-
-
-def _json_list(x, what: str) -> list:
-    if type(x) is not list:
-        raise PreconditionViolated(f"{what} must be a JSON list, got {x!r}")
-    return x
-
-
-def _json_vec(x) -> linalg.IntVec:
-    """A vector written as one JSON integer or a list of them."""
-    return (_json_int(x),) if type(x) is not list else tuple(map(_json_int, x))
-
-
-def _seq_from_json(data, coerce=_json_vec) -> radix.EpSeq:
-    if not isinstance(data, dict):
-        raise PreconditionViolated(f"a sequence must be a JSON object, got {data!r}")
+def _seq_from_json(data, coerce=json_vec) -> radix.EpSeq:
+    json_list(data, "a sequence", dict)
     return radix.EpSeq.make(
-        [coerce(x) for x in _json_list(data.get("pre", []), "pre")],
-        [coerce(x) for x in _json_list(data["cycle"], "cycle")],
+        [coerce(x) for x in json_list(data.get("pre", []), "pre")],
+        [coerce(x) for x in json_list(data["cycle"], "cycle")],
     )
 
 
 def _set_seq_from_json(data) -> radix.EpSeq:
     def coerce(entry):
-        return frozenset(map(_json_vec, _json_list(entry, "a digit set")))
+        return frozenset(map(json_vec, json_list(entry, "a digit set")))
 
     return _seq_from_json(data, coerce)
 
@@ -134,7 +117,7 @@ def cmd_numsys_check(args, sys, payload):
 
 
 def cmd_expand(args, sys, payload):
-    digits = numsys.discrete_expansion(sys, payload["vector"])
+    digits = numsys.discrete_expansion(sys, json_vec(payload["vector"]))
     _emit_json(args, {"digits": [list(d) for d in digits]})
 
 
@@ -202,7 +185,7 @@ def cmd_triple_graph(args, sys, payload):
 def cmd_sep(args, sys, payload):
     kind = payload.get("kind", "int")
     if kind == "int":
-        seq = _seq_from_json(payload, coerce=_json_int)
+        seq = _seq_from_json(payload, coerce=json_int)
         witness = sep.is_sep_int(seq)
         out = None
         if witness is not None:
@@ -240,7 +223,7 @@ def cmd_intersect(args, sys, payload):
     if args.multi:
         specs = [
             intersect.translate_spec(sys, _seq_from_json(a), strict=_bool_field(payload, "strict", True))
-            for a in payload["alphas"]
+            for a in json_list(payload["alphas"], "alphas")
         ]
         seq = intersect.multi_intersection_sequence(specs)
         _emit_json(args, {"sequence": seq.to_json()})
@@ -260,7 +243,7 @@ def cmd_dims(args, sys, payload):
         dim_h, dim_b = intersect.bm_dimensions(
             _int_field(payload, "m"),
             _int_field(payload, "n"),
-            payload["digits"],
+            list(map(json_vec, json_list(payload["digits"], "digits"))),
             allow_refined=_bool_field(payload, "allow_refined", False),
         )
         _emit_json(args, {"hausdorff": dim_h, "box": dim_b})
@@ -291,7 +274,7 @@ def cmd_dims(args, sys, payload):
 
 def cmd_levelset(args, sys, payload):
     lam = _parse_frac(args.lam)
-    prefix = [_json_vec(a) for a in _json_list(payload.get("alpha_prefix", []), "alpha_prefix")]
+    prefix = [json_vec(a) for a in json_list(payload.get("alpha_prefix", []), "alpha_prefix")]
     if "alpha" in payload and "epsilon" in payload:
         alpha = _seq_from_json(payload["alpha"])
         m = intersect.prefix_length_for_radius(sys, _parse_frac(payload["epsilon"]))
@@ -335,9 +318,7 @@ def _automaton_from_payload(sys, payload) -> multinv.DigitAutomaton:
             raise PreconditionViolated(f"automaton reads {auto.n_digits} digits, the system has {len(sys.digits)}")
         return auto
     if "restrict" in payload:
-        return multinv.digit_restriction_automaton(
-            sys, [linalg.as_vec(d) for d in payload["restrict"]]
-        )
+        return multinv.digit_restriction_automaton(sys, list(map(json_vec, json_list(payload["restrict"], "restrict"))))
     raise ValueError("payload needs 'automaton' or 'restrict'")
 
 
@@ -407,9 +388,8 @@ def cmd_render(args, sys, payload):
     k = _int_field(payload, "k", 5)
     bbox = None
     if "bbox" in payload:
-        bbox = tuple(
-            (_parse_frac(lo), _parse_frac(hi)) for lo, hi in payload["bbox"]
-        )
+        axes = [json_list(axis, "a bbox axis") for axis in json_list(payload["bbox"], "bbox")]
+        bbox = tuple((_parse_frac(lo), _parse_frac(hi)) for lo, hi in axes)
     if args.overlap:
         shift = linalg.as_vec([int(x) for x in args.overlap.split(",")])
         img = render.render_overlap(sys, shift, k, width, height)
@@ -418,7 +398,7 @@ def cmd_render(args, sys, payload):
         if "filter" in payload:
             digit_filter = _set_seq_from_json(payload["filter"])
         cloud = render.ktile_points(
-            sys, k, digit_filter=digit_filter, sample_seed=payload.get("seed")
+            sys, k, digit_filter=digit_filter, sample_seed=_int_field(payload, "seed", None)
         )
         img = render.rasterize([cloud], width, height, bbox=bbox)
     _emit_bytes(args, img.to_pnm())

@@ -3,7 +3,8 @@
 Two broad classes matter to callers: precondition failures (the input does
 not satisfy a documented requirement) and budget failures (the computation
 was cut off before an answer could be certified).  The CLI maps the former
-to exit code 2 and the latter to exit code 3.
+to exit code 2 and the latter to exit code 3.  The JSON readers at the end
+turn a value of the wrong JSON type into a precondition failure.
 """
 
 
@@ -93,3 +94,29 @@ class CloudTooLarge(BudgetError):
 
 class DepthTooLarge(BudgetError):
     pass
+
+
+def json_int(x) -> int:
+    if type(x) is not int:  # bool is an int subclass, a JSON true is not a number
+        raise PreconditionViolated(f"expected a JSON integer, got {x!r}")
+    return x
+
+
+def json_list(x, what: str, kind=list):
+    """x, which must be a JSON list (a JSON object for kind=dict)."""
+    if not isinstance(x, kind):
+        raise PreconditionViolated(f"{what} must be a JSON {'list' if kind is list else 'object'}, got {x!r}")
+    return x
+
+
+def json_ints(x, what: str) -> tuple[int, ...]:
+    if set(map(type, json_list(x, what))) - {int}:  # one pass over the types; name the first other entry
+        json_int(next(v for v in x if type(v) is not int))
+    return tuple(x)
+
+
+def json_vec(x) -> tuple[int, ...]:
+    """A vector written as one JSON integer or a list of them."""
+    if type(x) is list and set(map(type, x)) <= {int}:  # the common case, for 10^6 digits
+        return tuple(x)
+    return (json_int(x),) if type(x) is not list else json_ints(x, "a vector")

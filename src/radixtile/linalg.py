@@ -3,9 +3,11 @@
 Matrices are tuples of row tuples, vectors are plain tuples, and a batch
 of vectors is one (N, n) integer array under ``dtype_for``.  Everything
 that feeds a decision (residue classes, Smith form, the expanding test,
-operator-norm bounds) is computed exactly over the integers or rationals.
-Floating point only proposes a norm bound, which is then checked exactly;
-the one float result is the similarity contraction coefficient.
+operator-norm bounds) is exact, and a rational is always integer numerators
+over one fraction-free Bareiss determinant (``cramer``, ``mat_inv`` =
+adjugate / det), never a rational row reduction.  Floating point only
+proposes a norm bound, which is then checked exactly; the one float result
+is the similarity contraction coefficient.
 """
 
 from __future__ import annotations
@@ -130,38 +132,16 @@ def det(a: IntMatrix) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def mat_frac(a) -> RatMatrix:
-    return tuple(tuple(Fraction(x) for x in row) for row in a)
+def cramer(a: IntMatrix, b: IntVec) -> tuple[IntVec, int]:
+    """Cramer's rule: (x, det a) where x_i is det a with column i set to b, so that a x = det(a) b."""
+    return tuple(det(tuple(row[:i] + (y,) + row[i + 1:] for row, y in zip(a, b))) for i in range(len(a))), det(a)
 
 
-def _gauss_jordan(m: list[list[Fraction]], what: str) -> list[list[Fraction]]:
-    """Reduce the n leading columns of the n rows m to the identity; the rest of each row after them."""
-    n = len(m)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            raise SingularMatrix(f"{what} is singular")
-        m[col], m[pivot] = m[pivot], m[col]
-        inv_p = 1 / m[col][col]
-        m[col] = [x * inv_p for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return [row[n:] for row in m]
-
-
-def mat_inv(a) -> RatMatrix:
-    """Exact inverse over the rationals (SingularMatrix if det = 0)."""
-    n = len(a)
-    rows = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
-    return tuple(map(tuple, _gauss_jordan(rows, "matrix")))
-
-
-def solve(a: RatMatrix, b: RatVec) -> RatVec:
-    """Solve a x = b exactly over the rationals."""
-    rows = [[*map(Fraction, row), Fraction(y)] for row, y in zip(a, b)]
-    return tuple(row[0] for row in _gauss_jordan(rows, "system"))
+def mat_inv(a: IntMatrix) -> RatMatrix:
+    """Exact inverse adjugate(a) / det(a) of an integer matrix (SingularMatrix if det = 0)."""
+    if (d := det(a)) == 0:
+        raise SingularMatrix("matrix is singular")
+    return tuple(tuple(Fraction(x, d) for x in row) for row in adjugate(a))
 
 
 def adjugate(a: IntMatrix) -> IntMatrix:
@@ -183,7 +163,7 @@ def frac_mat_vec(a: RatMatrix, v) -> RatVec:
 
 def mat_inv_pow(a: IntMatrix, k: int) -> RatMatrix:
     """Exact A^{-k} for k >= 0."""
-    return mat_frac(mat_pow(a, k)) if k == 0 else mat_inv(mat_pow(a, k))
+    return mat_inv(mat_pow(a, k))
 
 
 def is_integral(v: RatVec) -> bool:
@@ -399,13 +379,10 @@ def is_expanding(a: IntMatrix) -> bool:
     system = tuple(
         tuple(a[k][i] * a[l][j] - ((i, j) == (k, l)) for k, l in cells) for i, j in cells
     )
-    try:
-        p = solve(system, tuple(int(i == j) for i, j in cells))
-    except SingularMatrix:
-        return False
-    scale = math.lcm(*(x.denominator for x in p))
-    rows = (p[i * n:(i + 1) * n] for i in range(n))
-    return _positive_definite(tuple(tuple(int(x * scale) for x in row) for row in rows))
+    # P = x / d is positive definite iff sign(d) x is; d = 0 leaves no unique P
+    x, d = cramer(system, tuple(int(i == j) for i, j in cells))
+    p = [v if d > 0 else -v for v in x]
+    return d != 0 and _positive_definite(tuple(tuple(p[i * n:(i + 1) * n]) for i in range(n)))
 
 
 def require_expanding(a: IntMatrix) -> None:

@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg, render
-from .errors import CloudTooLarge, EmptySet, NotACrs, SingularMatrix
+from .errors import CloudTooLarge, EmptySet, NotACrs, SingularMatrix, json_int, json_ints, json_list
 from .linalg import IntVec
 from .numsys import RadixSystem, discrete_expansion, evaluate_expansion
 
@@ -48,6 +48,8 @@ class DigitAutomaton:
                 raise ValueError("transition rows must cover every digit")
             if any(not (0 <= t < len(self.transitions)) for t in row):
                 raise ValueError("transition target out of range")
+        if not 0 <= self.initial < len(self.transitions):
+            raise ValueError("initial state out of range")
 
     @property
     def n_states(self) -> int:
@@ -69,11 +71,12 @@ class DigitAutomaton:
 
     @classmethod
     def from_json(cls, data: dict) -> "DigitAutomaton":
+        data = json_list(data, "an automaton", dict)
         return cls(
-            n_digits=int(data["n_digits"]),
-            transitions=tuple(tuple(int(x) for x in row) for row in data["transitions"]),
-            accepting=frozenset(int(x) for x in data["accepting"]),
-            initial=int(data.get("initial", 0)),
+            n_digits=json_int(data["n_digits"]),
+            transitions=tuple(json_ints(row, "a transition") for row in json_list(data["transitions"], "transitions")),
+            accepting=frozenset(json_ints(data["accepting"], "accepting")),
+            initial=json_int(data.get("initial", 0)),
         )
 
 
@@ -292,32 +295,44 @@ def xk_cloud(sys: RadixSystem, auto: DigitAutomaton, k: int, cap: int = 200_000)
     expansions of length at most k.  The cap counts those strings, which
     are distinct points whenever no two digits are congruent mod A.
     """
-    if k < 0:
-        raise ValueError(f"depth must be >= 0, got {k}")
+    rows = next(rows for depth, rows in enumerate(_accepted_rows(sys, auto, k, cap)) if depth == k)
+    return render.PointCloud(sys, k, array=linalg.sorted_unique(rows))
+
+
+def _accepted_rows(sys: RadixSystem, auto: DigitAutomaton, kmax: int, cap: int = 200_000):
+    """The rows of xk_cloud at depths 0, ..., kmax, unsorted, from one walk.
+
+    A padded-accepted string stays accepted when a 0 is appended, so one cap
+    check and one pruning at kmax serve every level.
+    """
+    if kmax < 0:
+        raise ValueError(f"depth must be >= 0, got {kmax}")
     padded = _pad_dfa(auto, sys.digits.index(linalg.zero_vec(sys.n)))
     # ways[t][s]: accepted strings of length t read from state s
     ways = [[int(s in padded.accepting) for s in range(padded.n_states)]]
-    for _ in range(k):
+    for _ in range(kmax):
         ways.append([sum(ways[-1][t] for t in row) for row in padded.transitions])
-    if ways[k][padded.initial] > cap:
+    if ways[kmax][padded.initial] > cap:
         raise CloudTooLarge(f"cloud exceeds cap {cap}")
 
     # one array of partial sums per state; a state is kept at step j only
-    # when it has an accepted completion of the remaining length
-    dtype = linalg.dtype_for(linalg.int_entry_bound(sys.matrix, [sys.digits] * k))
-    level = {padded.initial: np.zeros((1, sys.n), dtype=dtype)} if ways[k][padded.initial] else {}
+    # when it has an accepted completion of length kmax - j
+    dtype = linalg.dtype_for(linalg.int_entry_bound(sys.matrix, [sys.digits] * kmax))
+    empty = np.zeros((0, sys.n), dtype=dtype)
+    level = {padded.initial: np.zeros((1, sys.n), dtype=dtype)} if ways[kmax][padded.initial] else {}
     power = linalg.identity(sys.n)
-    for j in range(k):
+    for j in range(kmax + 1):
+        yield np.concatenate([empty, *(sums for state, sums in level.items() if state in padded.accepting)])
+        if j == kmax:
+            return
         shifted = np.array([linalg.mat_vec(power, d) for d in sys.digits], dtype=dtype)
         parts: dict[int, list[np.ndarray]] = {}
         for state, sums in level.items():
             for sym, target in enumerate(padded.transitions[state]):
-                if ways[k - j - 1][target]:
+                if ways[kmax - j - 1][target]:
                     parts.setdefault(target, []).append(sums + shifted[sym])
         level = {state: np.concatenate(arrays) for state, arrays in parts.items()}
         power = linalg.mat_mul(sys.matrix, power)
-    rows = np.concatenate([np.zeros((0, sys.n), dtype=dtype), *level.values()])
-    return render.PointCloud(sys, k, array=linalg.sorted_unique(rows))
 
 
 def _directed_sq(p: np.ndarray, q: np.ndarray, a: int) -> float:
@@ -393,7 +408,8 @@ def convergence_report(sys: RadixSystem, auto: DigitAutomaton, kmax: int) -> Con
         raise ValueError(f"kmax must be >= 0, got {kmax}")
     phi_closed, _ = check_invariance(sys, auto)
     max_digit = sys.max_digit_norm()
-    clouds = {k: xk_cloud(sys, auto, k).float_points() for k in range(1, kmax + 2)}
+    levels = enumerate(_accepted_rows(sys, auto, kmax + 1))
+    clouds = [render.PointCloud(sys, k, array=linalg.sorted_unique(rows)).float_points() for k, rows in levels]
     rows = []
     prev = None
     for k in range(1, kmax + 1):

@@ -12,11 +12,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
 from . import graph, linalg
+from .errors import SingularMatrix
 from .linalg import IntMatrix, IntVec, RatVec
 from .numsys import RadixSystem
 
@@ -133,24 +134,20 @@ def eval_exact(rep: Representation) -> RatVec:
 
 @lru_cache(maxsize=4096)
 def _eval_cached(matrix: IntMatrix, pre: tuple, cycle: tuple) -> RatVec:
-    n = len(matrix)
-    m, p = len(pre), len(cycle)
-    a_pow = linalg.mat_pow(matrix, p)
-    lhs = linalg.mat_frac(linalg.mat_sub(a_pow, linalg.identity(n)))
-    rhs = [Fraction(0)] * n
-    for idx, x in enumerate(cycle):  # idx = l - 1
-        term = linalg.mat_vec(linalg.mat_pow(matrix, p - idx - 1), x)
-        rhs = [r + t for r, t in zip(rhs, term)]
-    w = linalg.solve(lhs, tuple(rhs))
+    def horner(xs):  # the integer vector sum_j A^{len(xs)-1-j} x_j
+        return reduce(lambda total, x: linalg.vec_add(linalg.mat_vec(matrix, total), x), xs, (0,) * len(matrix))
 
-    inv = linalg.mat_inv(matrix)
-    value = list(linalg.frac_mat_vec(linalg.mat_inv_pow(matrix, m), w))
-    power = linalg.mat_frac(linalg.identity(n))
-    for x in pre:
-        power = linalg.mat_mul(power, inv)
-        term = linalg.frac_mat_vec(power, x)
-        value = [v + t for v, t in zip(value, term)]
-    return tuple(value)
+    # w = u / d by Cramer's rule, and with A^-m = adj(A)^m / det(A)^m the value
+    # A^-m (horner(pre) + w) is adj(A)^m (d horner(pre) + u) / (det(A)^m d)
+    a_pow = linalg.mat_pow(matrix, len(cycle))
+    u, d = linalg.cramer(linalg.mat_sub(a_pow, linalg.identity(len(matrix))), horner(cycle))
+    if d == 0:
+        raise SingularMatrix("system is singular")
+    if (det := linalg.det(matrix)) == 0:
+        raise SingularMatrix("matrix is singular")
+    top = linalg.vec_add([d * v for v in horner(pre)], u)
+    top = linalg.mat_vec(linalg.mat_pow(linalg.adjugate(matrix), len(pre)), top)
+    return tuple(Fraction(x, det ** len(pre) * d) for x in top)
 
 
 def equivalent(x: Representation, y: Representation) -> bool:

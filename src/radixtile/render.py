@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg
-from .errors import DepthTooLarge, EmptyCloud, PreconditionViolated
+from .errors import DepthTooLarge, EmptyCloud, PreconditionViolated, SingularMatrix
 from .linalg import IntVec, RatVec
 from .numsys import RadixSystem
 from .radix import EpSeq
@@ -44,8 +44,8 @@ class PointCloud:
 
     @property
     def points(self) -> tuple[RatVec, ...]:
-        inv_k = linalg.mat_inv_pow(self.system.matrix, self.depth)
-        return tuple(linalg.frac_mat_vec(inv_k, w) for w in self.int_points)
+        coords, scale = _scaled_coords(self)
+        return tuple(tuple(Fraction(c, scale) for c in row) for row in coords.tolist())
 
     def float_points(self) -> np.ndarray:
         """(N, n) float64 points A^-k w, each entry its exact value correctly rounded."""
@@ -137,6 +137,8 @@ def _scaled_coords(cloud: PointCloud) -> tuple[np.ndarray, int]:
     """(N, n) integer coordinates det^k-scaled: exact values of A^-k w times |det|^k."""
     a = cloud.system.matrix
     scale = linalg.det(a) ** cloud.depth
+    if scale == 0:
+        raise SingularMatrix("matrix is singular")
     # m / scale == A^-k exactly
     m = linalg.mat_pow(linalg.adjugate(a), cloud.depth)
     if scale < 0:
@@ -174,9 +176,9 @@ def rasterize(
         hi = [max(Fraction(int(c[:, a].max()), s) for c, s in scaled if len(c)) for a in (0, 1)]
         pads = [(hi[a] - lo[a]) / 20 or Fraction(1, 2) for a in (0, 1)]
         bbox = tuple((lo[a] - pads[a], hi[a] + pads[a]) for a in (0, 1))
-    elif any(lo >= hi for lo, hi in bbox):
+    elif len(bbox) != 2 or any(lo >= hi for lo, hi in bbox):
         shown = [[linalg.frac_str(lo), linalg.frac_str(hi)] for lo, hi in bbox]
-        raise PreconditionViolated(f"bbox needs lo < hi on each axis, got {shown}")
+        raise PreconditionViolated(f"bbox needs two axes with lo < hi, got {shown}")
 
     channels = 1 if len(clouds) == 1 else 3
     image = np.zeros(width * height * channels, dtype=np.uint8)

@@ -131,10 +131,64 @@ def test_cli_automaton_must_read_the_system_digits(tmp_path, capsys, action, ext
         (["dims", "bm"], {"m": "2", "n": 3, "digits": [[0, 0]]}),
         (["levelset", "--lam", "1/2"], {"strict": False, "alpha_prefix": 5}),
         (["levelset", "--lam", "1/2"], {"strict": False, "alpha_prefix": [["4"]]}),
+        (["expand"], {"vector": [12.9]}),
+        (["expand"], {"vector": True}),
+        (["multinv", "cloud"], {"restrict": [[0.5], [2]], "k": 2}),
+        (["multinv", "cloud"], {"restrict": 5, "k": 2}),
+        (["multinv", "cloud"], {"restrict": [[0], [True]], "k": 2}),
+        (["multinv", "cloud"], {"automaton": [1], "k": 2}),
+        (["multinv", "cloud"], {"automaton": {"n_digits": 10.0, "transitions": [[0] * 10], "accepting": [0]}, "k": 2}),
+        (["multinv", "cloud"], {"automaton": {"n_digits": 10, "transitions": [[0] * 9 + [True]], "accepting": [0]}, "k": 2}),
+        (["multinv", "cloud"], {"automaton": {"n_digits": 10, "transitions": 4, "accepting": [0]}, "k": 2}),
+        (["multinv", "cloud"], {"automaton": {"n_digits": 10, "transitions": [[0] * 10], "accepting": 0}, "k": 2}),
+        (["multinv", "check"], {"automaton": {"n_digits": 10, "transitions": [[0] * 10], "accepting": [0], "initial": "0"}}),
+        (["dims", "bm"], {"m": 2, "n": 3, "digits": 5}),
+        (["dims", "bm"], {"m": 2, "n": 3, "digits": [[0, 0.5]]}),
+        (["render"], {"k": 1, "bbox": 5}),
+        (["render"], {"k": 1, "bbox": [5, 6]}),
+        (["render"], {"k": 1, "bbox": [["0", "1"]]}),
+        (["intersect", "--multi"], {"alphas": 5}),
+        (["render"], {"k": 1, "seed": [1]}),
+        (["render"], {"k": 1, "seed": 1.5}),
     ],
 )
 def test_cli_payload_types_are_checked(tmp_path, capsys, argv, payload):
     path = tmp_path / "base10.json"
     path.write_text(json.dumps({"matrix": [10], "digits": [[d] for d in range(10)]}))
     assert cli.main([*argv, str(path), "-p", json.dumps(payload)]) == 2
+    assert json.loads(capsys.readouterr().out)["error"]["type"] == "PreconditionViolated"
+
+
+def test_automaton_initial_state_must_exist(tmp_path, capsys):
+    path = tmp_path / "base3.json"
+    path.write_text(json.dumps({"matrix": [3], "digits": [[0], [1], [2]]}))
+    for initial in (1, -1):
+        auto = {"n_digits": 3, "transitions": [[0, 0, 0]], "accepting": [0], "initial": initial}
+        assert cli.main(["multinv", "cloud", str(path), "-p", json.dumps({"automaton": auto, "k": 2})]) == 2
+        assert json.loads(capsys.readouterr().out)["error"] == {"type": "ValueError", "message": "initial state out of range"}
+
+
+@pytest.mark.parametrize(
+    "descriptor",
+    [
+        {"matrix": [10.7], "digits": [[d] for d in range(10)]},
+        {"matrix": [True], "digits": [[0]]},
+        {"matrix": 5, "digits": [[0]]},
+        {"matrix": [[2, 0], 3], "digits": [[0, 0]]},
+        {"matrix": [2, [0], 0, 2], "digits": [[0, 0]]},
+        {"matrix": [[2, 0], [0, "2"]], "digits": [[0, 0]]},
+        {"matrix": [10], "digits": 3},
+        {"matrix": [10], "digits": [[0], [1.0]]},
+        {"matrix": [10], "digits": [[0], [True]]},
+        {"polynomial": [1]},
+        {"polynomial": {"coeffs": [3, 3.5], "digits": [0, 1, 2]}},
+        {"polynomial": {"coeffs": 3, "digits": [0, 1, 2]}},
+        {"polynomial": {"coeffs": [3, 3], "digits": [0, 1, [2]]}},
+        {"polynomial": {"coeffs": [3, 3], "digits": [0, 1, False]}},
+    ],
+)
+def test_cli_descriptor_types_are_checked(tmp_path, capsys, descriptor):
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(descriptor))
+    assert cli.main(["residues", str(path)]) == 2
     assert json.loads(capsys.readouterr().out)["error"]["type"] == "PreconditionViolated"

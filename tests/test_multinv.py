@@ -192,6 +192,28 @@ class TestConvergence:
             rt.convergence_report(base3_full, auto, -1)
         assert rt.convergence_report(base3_full, auto, 0).rows == ()
 
+    def test_one_walk_per_report(self, base3_full, monkeypatch):
+        pads = []
+
+        def counted(*args):
+            pads.append(args)
+            return pad(*args)
+
+        pad = multinv._pad_dfa
+        monkeypatch.setattr(multinv, "_pad_dfa", counted)
+        auto = rt.digit_restriction_automaton(base3_full, [(0,), (2,)])
+        for kmax in (0, 1, 6):
+            pads.clear()
+            rt.convergence_report(base3_full, auto, kmax)
+            assert len(pads) == 2  # one for the invariance check, one for every cloud
+
+    def test_long_report_on_one_point_clouds(self, base3_full):
+        # 3^301 needs exact object arrays for the partial sums
+        auto = rt.digit_restriction_automaton(base3_full, [(0,)])
+        report = rt.convergence_report(base3_full, auto, 300)
+        assert [row.k for row in report.rows] == list(range(1, 301))
+        assert all(row.measured == 0.0 for row in report.rows)
+
     def test_csv_shape(self, base3_full):
         auto = rt.digit_restriction_automaton(base3_full, [(0,), (2,)])
         text = rt.convergence_report(base3_full, auto, 3).to_csv()
@@ -274,8 +296,7 @@ def ref_torus(sys, auto, k):
         return tuple(x - math.floor(x) for x in v)
 
     previous = {mod1(p) for p in ref_xk_cloud(sys, auto, k - 1)}
-    a = linalg.mat_frac(sys.matrix)
-    return all(mod1(linalg.frac_mat_vec(a, x)) in previous for x in ref_xk_cloud(sys, auto, k))
+    return all(mod1(linalg.frac_mat_vec(sys.matrix, x)) in previous for x in ref_xk_cloud(sys, auto, k))
 
 
 # each digit set is a complete residue system, so digit strings of one
@@ -319,6 +340,19 @@ class TestAgainstReferences:
         if expected:
             with pytest.raises(CloudTooLarge):
                 rt.xk_cloud(sys, auto, k, cap=len(expected) - 1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_one_walk_gives_every_cloud(self, data):
+        sys = data.draw(st.sampled_from(REF_SYSTEMS))
+        auto = data.draw(automata(sys))
+        kmax = data.draw(st.integers(0, 4 if sys.n == 1 else 3))
+        levels = list(multinv._accepted_rows(sys, auto, kmax))
+        assert len(levels) == kmax + 1
+        for k, rows in enumerate(levels):
+            cloud = rt.PointCloud(sys, k, array=linalg.sorted_unique(rows))
+            assert cloud.int_points == rt.xk_cloud(sys, auto, k).int_points
+            assert set(cloud.points) == ref_xk_cloud(sys, auto, k)
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import radixtile as rt
 from radixtile import cli, linalg
-from radixtile.errors import EmptyCloud
+from radixtile.errors import EmptyCloud, SingularMatrix
 from radixtile.radix import EpSeq
 
 from conftest import gauss_system
@@ -185,6 +185,21 @@ class TestAgainstReference:
         points = cloud.float_points()
         assert points.dtype == np.float64 and points.shape == (len(cloud), system.n)
         assert points.tolist() == [[float(x) for x in p] for p in cloud.points]
+
+    @SETTINGS
+    @given(data=st.data())
+    def test_points_are_the_inverse_power_images(self, data):
+        system = data.draw(systems())
+        k = data.draw(st.integers(0, 4))
+        cloud = rt.ktile_points(system, k)
+        inv_k = linalg.mat_inv_pow(system.matrix, k)
+        assert cloud.points == tuple(linalg.frac_mat_vec(inv_k, w) for w in ref_cloud(system, k))
+
+    def test_points_of_a_singular_matrix(self):
+        system = rt.RadixSystem(((0,),), ((0,), (1,)))
+        assert rt.PointCloud(system, 0, int_points=[(1,)]).points == ((Fraction(1),),)
+        with pytest.raises(SingularMatrix, match="matrix is singular"):
+            rt.PointCloud(system, 1, int_points=[(1,)]).points
 
     def test_float_points_round_once(self):
         # float(2**53 + 1) / 3.0 rounds twice and gives ...330.5; the exact quotient is ...331
