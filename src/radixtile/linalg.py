@@ -5,7 +5,9 @@ of vectors is one (N, n) integer array under ``dtype_for``.  Everything
 that feeds a decision (residue classes, Smith form, the expanding test,
 operator-norm bounds) is exact, and a rational is always integer numerators
 over one fraction-free Bareiss determinant (``cramer``, ``mat_inv`` =
-adjugate / det), never a rational row reduction.  Floating point only
+adjugate / det), never a rational row reduction.  A residue class mod
+a*Z^n is one integer in [0, |det a|) read off the Smith form
+(``class_index``).  Floating point only
 proposes a norm bound, which is then checked exactly; the one float result
 is the similarity contraction coefficient.
 """
@@ -335,14 +337,14 @@ def residue_system(a: IntMatrix) -> tuple[IntVec, ...]:
     d = abs(det(a))
     if d == 0:
         raise SingularMatrix("residue systems need det != 0")
-    adj, radius_sq = adjugate(a), max(1, 4 ** ((d.bit_length() - 1) // len(a)) // 4)
+    radius_sq = max(1, 4 ** ((d.bit_length() - 1) // len(a)) // 4)
     while True:
         ball = lattice_ball(len(a), radius_sq)
-        # stable sorts: by norm, then by class, so each class starts with its minimum
+        # a stable sort by norm keeps ties in lexicographic order, so each class starts with its minimum
         ball = ball[np.argsort((ball * ball).sum(axis=1), kind="stable")]
-        order, fresh = lex_groups(class_keys(adj, d, ball))
-        if fresh.sum() == d:
-            return tuple(map(tuple, sorted_unique(ball[order[fresh]]).tolist()))
+        _, first = np.unique(class_index(a, ball), return_index=True)
+        if len(first) == d:
+            return tuple(map(tuple, sorted_unique(ball[first]).tolist()))
         radius_sq *= 4
 
 
@@ -355,7 +357,31 @@ def is_complete_residue_system(a: IntMatrix, digits) -> bool:
     if len(digits) != abs(d):
         return False
     # distinct classes imply distinct digits
-    return len(sorted_unique(class_keys(adjugate(a), abs(d), digits))) == abs(d)
+    index = np.sort(class_index(a, digits))
+    return bool((index[1:] != index[:-1]).all())
+
+
+@lru_cache(maxsize=None)
+def _class_basis(a: IntMatrix) -> tuple[IntMatrix, IntVec]:
+    """The rows u_i of the Smith transform U a V = S, each reduced mod s_i, and the s_i."""
+    snf = smith_normal_form(a)
+    if 0 in snf.diagonal:
+        raise SingularMatrix("residue classes need det != 0")
+    return tuple(tuple(x % s for x in row) for row, s in zip(snf.u, snf.diagonal)), snf.diagonal
+
+
+def class_index(a: IntMatrix, vectors: np.ndarray) -> np.ndarray:
+    """The class of each row v of vectors mod a*Z^n, one integer in [0, |det a|) under dtype_for(|det a|).
+
+    With U a V = S, v = w mod a*Z^n iff (U v)_i = (U w)_i mod s_i for every i,
+    so the index is the mixed-radix number of the (U v)_i mod s_i.
+    """
+    rows, moduli = _class_basis(a)
+    index = np.zeros(len(vectors), dtype=dtype_for(math.prod(moduli)))
+    # the room keeps a modulus of 2**62 or more from meeting an int64 column
+    for column, s in zip(mat_rows(rows, vectors, max(moduli)).T, moduli):
+        index = index * s + (column % s).astype(index.dtype)
+    return index
 
 
 # ---------------------------------------------------------------------------
@@ -576,15 +602,7 @@ def locate(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 def mat_rows(a, vectors: np.ndarray, room: int = 0) -> np.ndarray:
-    """The rows a v for the rows v of vectors, under dtype_for with room to add entries up to room."""
-    dtype = dtype_for(inf_norm(a) * max(int(np.abs(vectors).max(initial=0)), 1) + room)
+    """The rows a v for the rows v of vectors, in a dtype_for that holds the vectors and leaves room to add up to room."""
+    dtype = dtype_for(max(inf_norm(a), 1) * max(int(np.abs(vectors).max(initial=0)), 1) + room)
     return vectors.astype(dtype, copy=False) @ np.array(a, dtype=dtype).T
 
-
-def class_keys(adj: IntMatrix, modulus: int, vectors: np.ndarray) -> np.ndarray:
-    """Rows adj v mod modulus for the rows v of vectors.
-
-    With adj = adjugate(a) and modulus = |det a|, two vectors get equal
-    rows iff they are congruent mod a*Z^n.
-    """
-    return mat_rows(adj, vectors, modulus) % modulus

@@ -429,9 +429,11 @@ def torus_invariance_check(sys: RadixSystem, auto: DigitAutomaton, k: int) -> bo
     """
     if k < 2:
         raise ValueError("needs k >= 2")
-    adj = linalg.mat_pow(linalg.adjugate(sys.matrix), k - 1)
-    modulus = abs(sys.determinant) ** (k - 1)
-    if modulus == 0:
+    if sys.determinant == 0:
         raise SingularMatrix("torus check needs det != 0")
-    keys = [linalg.class_keys(adj, modulus, xk_cloud(sys, auto, d).array) for d in (k, k - 1)]
-    return bool((linalg.locate(linalg.sorted_unique(keys[1]), keys[0]) >= 0).all())
+    power = linalg.mat_pow(sys.matrix, k - 1)
+    levels = itertools.islice(_accepted_rows(sys, auto, k), k - 1, None)
+    prev, last = (linalg.class_index(power, rows) for rows in levels)
+    # last adds no class to prev's; unlike np.isin, this stays O(N log N) on object indices
+    classes = [len(np.unique(x, return_index=True)[0]) for x in (prev, np.concatenate([prev, last]))]
+    return classes[0] == classes[1]

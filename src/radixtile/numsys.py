@@ -4,6 +4,8 @@ A radix system is an expanding integer matrix together with a finite digit
 set.  When the digits form a complete residue system, every lattice vector
 has a unique remainder walk v -> A^-1 (v - digit(v)); the walk is eventually
 periodic and the pair is a number system exactly when the only cycle is {0}.
+A digit is found by its residue class, one integer from the Smith form of A
+(``linalg.class_index``); a walk needs A expanding, which makes it close.
 """
 
 from __future__ import annotations
@@ -66,36 +68,25 @@ class RadixSystem:
 
 @lru_cache(maxsize=None)
 def _digit_lookup(matrix: IntMatrix, digits: tuple[IntVec, ...]):
-    """The class keys of the digits, for whole arrays and for one vector at a time.
-
-    Returns (adjugate, det, the keys in lexicographic order, the digits in
-    that order, a map from each key to its digit); NotACrs if two digits
-    share a class.
-    """
+    """(matrix, adjugate, det, the digits' sorted class indices then |det|, the digits in that order), or NotACrs."""
     d = linalg.det(matrix)
     if d == 0:
         raise NotACrs("digit lookup needs det != 0")
-    adj = linalg.adjugate(matrix)
     arr = linalg.int_array(digits, len(matrix))
-    keys = linalg.class_keys(adj, abs(d), arr)
-    order, fresh = linalg.lex_groups(keys)
-    if not fresh.all():
+    keys, first, inverse = np.unique(linalg.class_index(matrix, arr), return_index=True, return_inverse=True)
+    if len(keys) < len(arr):
         # name the pair a scan in digit order meets first: the earliest repeat and its class's first digit
-        at = np.flatnonzero(~fresh)[np.argmin(order[~fresh])]
-        first = order[np.flatnonzero(fresh[:at])[-1]]
-        raise NotACrs(f"digits {digits[first]} and {digits[order[at]]} are congruent")
-    keys, arr = keys[order], arr[order]
-    return adj, d, keys, arr, dict(zip(map(tuple, keys.tolist()), map(tuple, arr.tolist())))
+        at = np.flatnonzero(first[inverse] != np.arange(len(arr)))[0]
+        raise NotACrs(f"digits {digits[first[inverse[at]]]} and {digits[at]} are congruent")
+    # |det| lies above every class index, so searchsorted on the keys always lands on an entry
+    return matrix, linalg.adjugate(matrix), d, np.append(keys, abs(d)), arr[first]
 
 
 def digit_of(sys: RadixSystem, v) -> IntVec:
-    """The unique digit congruent to v mod A Z^n (NotACrs when missing)."""
+    """The unique digit congruent to v mod A Z^n (NotACrs when missing), read off one step as v - A A^-1 (v - d)."""
     v = linalg.as_vec(v)
-    adj, d, _, _, table = _digit_lookup(sys.matrix, sys.digits)
-    try:
-        return table[tuple(x % abs(d) for x in linalg.mat_vec(adj, v))]
-    except KeyError:
-        raise NotACrs(f"no digit is congruent to {v}") from None
+    step = _walk_step(_digit_lookup(sys.matrix, sys.digits), linalg.int_array([v], sys.n))
+    return linalg.vec_sub(v, linalg.mat_vec(sys.matrix, step[0].tolist()))
 
 
 @dataclass(frozen=True)
@@ -111,34 +102,17 @@ class RemainderTrace:
     digits_emitted: tuple[IntVec, ...]
 
 
-def _step(sys: RadixSystem, v: IntVec) -> tuple[IntVec, IntVec]:
-    """(A^-1 (v - d), d) for the digit d of v: adj (v - d) divided exactly by det."""
-    d = digit_of(sys, v)
-    adj, det, _, _, _ = _digit_lookup(sys.matrix, sys.digits)
-    return tuple(x // det for x in linalg.mat_vec(adj, linalg.vec_sub(v, d))), d
-
-
-def remainder_sequence(sys: RadixSystem, v, max_steps: int = 100_000) -> RemainderTrace:
-    """Iterate v -> A^-1 (v - digit(v)) until the walk repeats a state."""
-    v = linalg.as_vec(v)
-    seen: dict[IntVec, int] = {}
-    states: list[IntVec] = []
-    digits: list[IntVec] = []
-    current = v
-    for _ in range(max_steps):
-        if current in seen:
-            start = seen[current]
-            return RemainderTrace(
-                transient=tuple(states[:start]),
-                cycle=tuple(states[start:]),
-                digits_emitted=tuple(digits),
-            )
-        seen[current] = len(states)
-        states.append(current)
-        nxt, d = _step(sys, current)
-        digits.append(d)
-        current = nxt
-    raise NotACrs(f"remainder walk from {v} did not close after {max_steps} steps")
+def remainder_sequence(sys: RadixSystem, v) -> RemainderTrace:
+    """Iterate v -> A^-1 (v - digit(v)) until a state repeats, as it must for an expanding A (else NotExpanding)."""
+    linalg.require_expanding(sys.matrix)
+    lookup, seen = _digit_lookup(sys.matrix, sys.digits), {}
+    current = linalg.int_array([linalg.as_vec(v)], sys.n)
+    while (state := tuple(current[0].tolist())) not in seen:
+        seen[state] = len(seen)
+        current = _walk_step(lookup, current)
+    states, start = tuple(seen), seen[state]
+    digits = tuple(linalg.vec_sub(a, linalg.mat_vec(sys.matrix, b)) for a, b in zip(states, states[1:] + (state,)))
+    return RemainderTrace(transient=states[:start], cycle=states[start:], digits_emitted=digits)
 
 
 def discrete_expansion(sys: RadixSystem, v) -> tuple[IntVec, ...]:
@@ -192,13 +166,13 @@ def is_number_system(sys: RadixSystem) -> tuple[bool, tuple[tuple[IntVec, ...], 
 
 
 def _walk_step(lookup, frontier: np.ndarray) -> np.ndarray:
-    """A^-1 (v - d) for each row v of frontier and its digit d: adj (v - d) divided exactly by det.
-
-    The digits must be a complete residue system, so that every class has its digit.
-    """
-    adj, det, keys, digits, _ = lookup
-    found = digits[linalg.locate(keys, linalg.class_keys(adj, abs(det), frontier))]
-    return linalg.mat_rows(adj, frontier - found) // det
+    """A^-1 (v - d), adj (v - d) divided exactly by det, for each row v of frontier and its digit d (or NotACrs)."""
+    matrix, adj, det, keys, digits = lookup
+    index = linalg.class_index(matrix, frontier)
+    at = np.searchsorted(keys, index)
+    if not (hit := keys[at] == index).all():
+        raise NotACrs(f"no digit is congruent to {tuple(frontier[hit.argmin()].tolist())}")
+    return linalg.mat_rows(adj, frontier - digits[at]) // det
 
 
 def _remainder_graph(sys: RadixSystem, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -145,6 +145,7 @@ def _eval_cached(matrix: IntMatrix, pre: tuple, cycle: tuple) -> RatVec:
         raise SingularMatrix("system is singular")
     if (det := linalg.det(matrix)) == 0:
         raise SingularMatrix("matrix is singular")
+    linalg.require_expanding(matrix)
     top = linalg.vec_add([d * v for v in horner(pre)], u)
     top = linalg.mat_vec(linalg.mat_pow(linalg.adjugate(matrix), len(pre)), top)
     return tuple(Fraction(x, det ** len(pre) * d) for x in top)

@@ -200,11 +200,23 @@ class TestFormatsAndCodes:
         assert "generated_at" in stamped
 
     def test_precondition_exit_code(self, capsys, tmp_path):
+        shear = {"matrix": [1, 1, 0, 1], "digits": [[0, 0]]}
+        # eigenvalues 2 +- sqrt 3: one of them is inside the unit circle
+        saddle = {"matrix": [4, -1, 1, 0], "digits": [[0, 3]]}
+        cases = [
+            ("neighbours", shear, None),
+            ("expand", shear, {"vector": [1, 0]}),
+            ("expand", saddle, {"vector": [-2, 0]}),
+            # the series sum_j A^-j x_j diverges, so no value exists
+            ("eval", {"matrix": [-1], "digits": [[1]]}, {"pre": [], "cycle": [[1]]}),
+            ("eval", {"matrix": [4, -1, 1, 0], "digits": [[1, 0]]}, {"pre": [], "cycle": [[1, 0]]}),
+        ]
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"matrix": [1, 1, 0, 1], "digits": [[0, 0]]}))
-        code, data = run_json(capsys, ["neighbours", str(path)])
-        assert code == 2
-        assert data["error"]["type"] == "NotExpanding"
+        for command, system, payload in cases:
+            path.write_text(json.dumps(system))
+            code, data = run_json(capsys, [command, str(path)] + (["-p", json.dumps(payload)] if payload else []))
+            assert code == 2
+            assert data["error"]["type"] == "NotExpanding"
 
     def test_budget_exit_code(self, capsys, base10_file):
         payload = json.dumps(

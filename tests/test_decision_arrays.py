@@ -13,7 +13,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+import sympy
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import radixtile as rt
@@ -193,6 +194,33 @@ def test_each_state_is_stepped_once(monkeypatch):
 BIG = st.integers(2**61, 2**64)
 
 
+def assert_classes_match_sympy(matrix, vectors):
+    """class_index lies in [0, |det a|), and two vectors share it iff sympy finds a^-1 (v - w) integral."""
+    index = linalg.class_index(matrix, linalg.int_array(vectors, len(matrix))).tolist()
+    assert all(0 <= i < abs(linalg.det(matrix)) for i in index)
+    inv = sympy.Matrix(matrix).inv()
+    for (v, i), (w, j) in itertools.combinations(zip(vectors, index), 2):
+        assert (i == j) == all(x.is_integer for x in inv * sympy.Matrix(linalg.vec_sub(v, w)))
+
+
+@st.composite
+def classes_across_the_bound(draw):
+    """A nonsingular 1-3-D matrix and vectors v + a t, with v small and t's entries on both sides of 2**62.
+
+    The vectors draw from at most three v, so that congruent pairs occur at every determinant.
+    """
+    n, scale = draw(st.integers(1, 3)), draw(st.sampled_from([1, 1, 2, 3]))
+    # a scale c makes c divide every s_i, so that Z^n / a Z^n is not cyclic
+    entries = st.integers(-6, 6).map(scale.__mul__)
+    matrix = draw(st.lists(st.tuples(*[entries] * n), min_size=n, max_size=n).map(linalg.as_matrix))
+    assume(linalg.det(matrix) != 0)
+    small = st.tuples(*[st.integers(-4, 4)] * n)
+    starts = draw(st.lists(small, min_size=1, max_size=3))
+    entry = st.one_of(st.integers(-3, 3), BIG, BIG.map(lambda x: -x))
+    pairs = draw(st.lists(st.tuples(st.sampled_from(starts), st.tuples(*[entry] * n)), min_size=2, max_size=8))
+    return matrix, [linalg.vec_add(v, linalg.mat_vec(matrix, t)) for v, t in pairs]
+
+
 class TestAcrossTheInt64Bound:
     @settings(max_examples=25, deadline=None)
     @given(st.sampled_from([((10,),), ((-3, -1), (1, -3)), ((0, 0, -2), (1, 0, 0), (0, 1, 0))]), st.data())
@@ -223,13 +251,11 @@ class TestAcrossTheInt64Bound:
 
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from([((10,),), ((-3, -1), (1, -3)), ((2, 0), (0, 2))]), st.data())
-    def test_class_keys_of_huge_digits(self, matrix, data):
+    def test_class_index_of_huge_digits(self, matrix, data):
         n, d = len(matrix), abs(linalg.det(matrix))
         shifts = data.draw(st.lists(st.tuples(*[st.one_of(st.integers(-5, 5), BIG)] * n), min_size=d, max_size=d))
         digits = [linalg.vec_add(r, linalg.mat_vec(matrix, t)) for r, t in zip(linalg.residue_system(matrix), shifts)]
-        adj = linalg.adjugate(matrix)
-        keys = linalg.class_keys(adj, d, linalg.int_array(digits, n))
-        assert [tuple(k) for k in keys.tolist()] == [tuple(x % d for x in linalg.mat_vec(adj, v)) for v in digits]
+        assert_classes_match_sympy(matrix, digits)
         assert linalg.is_complete_residue_system(matrix, digits)
         column = linalg.mat_vec(matrix, (1,) + (0,) * (n - 1))
         assert not linalg.is_complete_residue_system(matrix, digits[:-1] + [linalg.vec_add(digits[0], column)])
@@ -238,6 +264,14 @@ class TestAcrossTheInt64Bound:
         digit = rt.digit_of(sys, probe)
         quotient = linalg.frac_mat_vec(linalg.mat_inv(matrix), linalg.vec_sub(probe, digit))
         assert digit in sys.digits and linalg.is_integral(quotient)
+
+    @settings(max_examples=150, deadline=None)
+    @given(classes_across_the_bound())
+    @example((((2, 1), (1, 1)), [(2**62, -3), (0, 0), (-(2**63), 2**62 - 1)]))
+    @example((((-1,),), [(2**62,), (2**62 - 1,)]))
+    @example((((2, 0), (0, 2)), [(0, 0), (1, 0), (0, 1), (1, 1), (2**62, 3), (3, 2**63 + 2)]))
+    def test_class_index_against_sympy(self, case):
+        assert_classes_match_sympy(*case)
 
     def test_huge_matrix_with_small_points(self):
         # the matrix itself must fit the dtype even at depth 1 or when every point is 0

@@ -206,6 +206,9 @@ class TestConvergence:
             pads.clear()
             rt.convergence_report(base3_full, auto, kmax)
             assert len(pads) == 2  # one for the invariance check, one for every cloud
+        pads.clear()
+        assert rt.torus_invariance_check(base3_full, auto, 5)
+        assert len(pads) == 1  # depths k - 1 and k come from one walk
 
     def test_long_report_on_one_point_clouds(self, base3_full):
         # 3^301 needs exact object arrays for the partial sums

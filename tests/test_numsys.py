@@ -27,6 +27,13 @@ class TestDigitOf:
         with pytest.raises(NotACrs):
             rt.digit_of(sys, (5,))
 
+    def test_huge_determinant_without_a_crs(self):
+        # two digits of 2**70 classes: the lookup builds no table of every class
+        sys = rt.RadixSystem(((2**70,),), ((0,), (1,)))
+        assert rt.digit_of(sys, (2**70 + 1,)) == (1,)
+        with pytest.raises(NotACrs, match=r"no digit is congruent to \(5,\)"):
+            rt.digit_of(sys, (5,))
+
 
 class TestRemainderSequence:
     def test_fixed_point_minus_one(self, base10):
