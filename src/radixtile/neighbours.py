@@ -20,7 +20,7 @@ from . import graph, linalg
 from .errors import PreconditionViolated
 from .linalg import IntMatrix, IntVec
 from .numsys import RadixSystem
-from .radix import PairAutomaton, _vec_label, pair_automaton
+from .radix import PairAutomaton, _dot, _vec_label, pair_automaton
 
 
 @dataclass(frozen=True)
@@ -40,9 +40,7 @@ class NeighbourSet:
 
 
 @lru_cache(maxsize=None)
-def tile_integer_points(
-    matrix: IntMatrix, digits: tuple[IntVec, ...], cap: int = 10**7
-) -> frozenset[IntVec]:
+def tile_integer_points(matrix: IntMatrix, digits: tuple[IntVec, ...]) -> frozenset[IntVec]:
     """All lattice points of the tile generated by (matrix, digits).
 
     A lattice point z lies in the tile iff the successor relation
@@ -52,7 +50,7 @@ def tile_integer_points(
     n = len(matrix)
     digits = linalg.int_array(digits, n)
     radius_sq = linalg.max_norm_sq(digits) * linalg.tail_bound(matrix, 0) ** 2
-    ball = linalg.lattice_ball(n, radius_sq, cap)
+    ball = linalg.lattice_ball(n, radius_sq)
     image = linalg.mat_rows(matrix, ball, int(np.abs(digits).max()))
     image = image[:, None, :] - digits.astype(image.dtype)
     target = linalg.locate(ball, image.reshape(-1, n))
@@ -62,14 +60,12 @@ def tile_integer_points(
 
 
 @lru_cache(maxsize=None)
-def integer_neighbours(
-    matrix: IntMatrix, digits: tuple[IntVec, ...], cap: int = 10**7
-) -> NeighbourSet:
+def integer_neighbours(matrix: IntMatrix, digits: tuple[IntVec, ...]) -> NeighbourSet:
     """Nonzero integer points of the difference tile of (matrix, digits)."""
     digits = tuple(sorted({linalg.as_vec(d) for d in digits}))
     diffs = tuple(sorted({linalg.vec_sub(a, b) for a in digits for b in digits}))
     max_norm = max(math.sqrt(linalg.norm_sq(e)) for e in diffs)
-    points = tile_integer_points(matrix, diffs, cap)
+    points = tile_integer_points(matrix, diffs)
     zero = linalg.zero_vec(len(matrix))
     return NeighbourSet(
         vectors=frozenset(p for p in points if p != zero),
@@ -172,32 +168,25 @@ class TripleStateGraph:
         return any(s == src and t == dst for s, _, t in self.edges)
 
     def to_dot(self) -> str:
-        lines = ["digraph triple_state {"]
-        index = {s: i for i, s in enumerate(self.states)}
-        for s in self.states:
-            zeta, xi = s
-            third = linalg.vec_neg(linalg.vec_add(zeta, xi))
-            label = f"{_fmt(zeta)}|{_fmt(xi)}|{_fmt(third)}"
-            lines.append(f'  n{index[s]} [label="{label}"];')
-        grouped: dict[tuple, list] = {}
-        for src, lab, dst in self.edges:
-            grouped.setdefault((src, dst), []).append(lab)
-        for (src, dst) in sorted(grouped):
-            labs = sorted(grouped[(src, dst)])
-            text = ",".join(_fmt(x) for x in labs[0]) + ("+" if len(labs) > 1 else "")
-            lines.append(f'  n{index[src]} -> n{index[dst]} [label="{text}"];')
-        lines.append("}")
-        return "\n".join(lines)
+        return _dot(
+            "triple_state",
+            self.states,
+            self.edges,
+            lambda s: f"{_fmt(s[0])}|{_fmt(s[1])}|{_fmt(linalg.vec_neg(linalg.vec_add(*s)))}",
+            lambda label: ",".join(map(_fmt, label)),
+        )
 
 
 def _fmt(v: IntVec) -> str:
     return f"({_vec_label(v)})"
 
 
-def _neighbour_steps(matrix: IntMatrix, digits: tuple[IntVec, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """The neighbours plus zero as rows of vecs in lexicographic order, and the moves between them.
+@lru_cache(maxsize=None)
+def _neighbour_steps(matrix: IntMatrix, digits: tuple[IntVec, ...]) -> tuple[np.ndarray, np.ndarray, int]:
+    """The neighbours plus zero as rows of vecs in lexicographic order, the moves between them, and the row of 0.
 
-    steps[v, x, y] is the index in vecs of A vecs[v] + (x - y) for digits x and y, or -1.
+    steps[v, x, y] is the index in vecs of A vecs[v] + (x - y) for digits x and y, or -1.  This is
+    the one place a neighbour move is computed; every neighbour walk steps through these rows.
     """
     n = len(matrix)
     vecs = linalg.int_array(sorted(integer_neighbours(matrix, digits).vectors | {linalg.zero_vec(n)}), n)
@@ -205,13 +194,15 @@ def _neighbour_steps(matrix: IntMatrix, digits: tuple[IntVec, ...]) -> tuple[np.
     image = linalg.mat_rows(matrix, vecs, 2 * int(np.abs(d).max()))
     d = d.astype(image.dtype)
     image = image[:, None, None, :] + (d[:, None] - d[None, :])
-    return vecs, linalg.locate(vecs, image.reshape(-1, n)).reshape(len(vecs), len(d), len(d))
+    steps = linalg.locate(vecs, image.reshape(-1, n)).reshape(len(vecs), len(d), len(d))
+    vecs.flags.writeable = steps.flags.writeable = False  # the cache hands them to every caller
+    return vecs, steps, int(linalg.locate(vecs, np.zeros((1, n), dtype=np.int64))[0])
 
 
 def triple_state_graph(matrix: IntMatrix, digits) -> TripleStateGraph:
     """Graph tracking three representations of one value simultaneously."""
     digits = tuple(sorted(linalg.as_vec(d) for d in digits))
-    vecs, steps = _neighbour_steps(matrix, digits)
+    vecs, steps, zero = _neighbour_steps(matrix, digits)
     k = len(vecs)
     # states (zeta, xi) as indices zeta * k + xi, in lexicographic order
     pairs = np.arange(k * k)
@@ -225,7 +216,6 @@ def triple_state_graph(matrix: IntMatrix, digits) -> TripleStateGraph:
     target = np.where(xi2 >= 0, state_of[steps[pairs[src] // k, p, q][:, None] * k + xi2], -1)
     first, r = np.nonzero(target >= 0)
     src, p, q, dst = src[first], p[first], q[first], target[first, r]
-    zero = linalg.locate(vecs, np.zeros((1, len(matrix)), dtype=np.int64))[0]
     keep = graph.reach_mask(len(pairs), [state_of[zero * (k + 1)]], src, dst, graph.live_mask(len(pairs), src, dst))
     rows = [tuple(v) for v in vecs.tolist()]
     state = {s: (rows[pairs[s] // k], rows[pairs[s] % k]) for s in np.flatnonzero(keep).tolist()}

@@ -4,7 +4,10 @@ A representation assigns the exact rational value sum_j A^-j x_j to an
 eventually periodic digit sequence.  Equivalence of two representations is
 decided two independent ways: exact rational equality of the values, and
 the neighbour-sequence walk zeta_{k+1} = A zeta_k + (x_k - y_k), which must
-stay inside the integer neighbour set of the digit tile.
+stay inside the integer neighbour set of the digit tile.  Every neighbour
+walk steps through the rows of one memoised move table,
+``neighbours._neighbour_steps``; the walks over (phase, row) states use an
+explicit stack, so no preperiod is too long for the Python stack.
 """
 
 from __future__ import annotations
@@ -173,7 +176,7 @@ def integer_sequence(x: Representation, y: Representation, k: int) -> list[IntVe
 
 
 def is_neighbour_sequence(x: Representation, y: Representation) -> bool:
-    """Walk the integer sequence of (x, y) inside neighbours-plus-zero.
+    """Walk the integer sequence of (x, y) through the rows of the neighbour move table.
 
     The walk is run over the aligned preperiod and cycle until a
     (phase, state) pair repeats; it certifies equivalence iff it never
@@ -181,29 +184,22 @@ def is_neighbour_sequence(x: Representation, y: Representation) -> bool:
     """
     if x.system != y.system:
         raise ValueError("representations must share a system")
-    from .neighbours import integer_neighbours
+    from .neighbours import _neighbour_steps
 
     sys = x.system
-    allowed = set(integer_neighbours(sys.matrix, sys.digits).vectors)
-    allowed.add(linalg.zero_vec(sys.n))
-
+    _, steps, state = _neighbour_steps(sys.matrix, sys.digits)
+    index = {d: i for i, d in enumerate(sys.digits)}
     pre = max(x.seq.preperiod, y.seq.preperiod)
     cyc = math.lcm(x.seq.period, y.seq.period)
-    a = sys.matrix
-    zeta = linalg.zero_vec(sys.n)
     seen = set()
     j = 0
-    while True:
-        phase = j if j < pre else pre + (j - pre) % cyc
-        key = (phase, zeta)
-        if key in seen:
-            return True
+    while (key := (j if j < pre else pre + (j - pre) % cyc, state)) not in seen:
         seen.add(key)
-        diff = linalg.vec_sub(x.seq.entry(j), y.seq.entry(j))
-        zeta = linalg.vec_add(linalg.mat_vec(a, zeta), diff)
-        if zeta not in allowed:
+        state = steps[state, index[x.seq.entry(j)], index[y.seq.entry(j)]]
+        if state < 0:
             return False
         j += 1
+    return True
 
 
 def representations_unique(sys: RadixSystem) -> bool:
@@ -233,39 +229,35 @@ class PairAutomaton:
 
     def to_dot(self) -> str:
         """Deterministic DOT text; parallel edges merge with a '+' mark."""
-        lines = ["digraph pair_automaton {"]
-        index = {v: i for i, v in enumerate(self.states)}
-        for v in self.states:
-            lines.append(f'  n{index[v]} [label="{_vec_label(v)}"];')
-        grouped: dict[tuple[IntVec, IntVec], list[tuple[IntVec, IntVec]]] = {}
-        for src, pair, dst in self.edges:
-            grouped.setdefault((src, dst), []).append(pair)
-        for (src, dst) in sorted(grouped):
-            pairs = sorted(grouped[(src, dst)])
-            label = _pair_label(pairs[0]) + ("+" if len(pairs) > 1 else "")
-            lines.append(f'  n{index[src]} -> n{index[dst]} [label="{label}"];')
-        lines.append("}")
-        return "\n".join(lines)
+        return _dot("pair_automaton", self.states, self.edges, _vec_label, lambda xy: "/".join(map(_vec_label, xy)))
 
 
 def _vec_label(v: IntVec) -> str:
     return ",".join(str(x) for x in v)
 
 
-def _pair_label(pair) -> str:
-    x, y = pair
-    return f"{_vec_label(x)}/{_vec_label(y)}"
+def _dot(name: str, states, edges, state_label, edge_label) -> str:
+    """Deterministic DOT text; parallel edges merge into their least label with a '+' mark."""
+    index = {s: i for i, s in enumerate(states)}
+    grouped: dict = {}
+    for src, label, dst in edges:
+        grouped.setdefault((src, dst), []).append(label)
+    lines = [f"digraph {name} {{"] + [f'  n{i} [label="{state_label(s)}"];' for s, i in index.items()]
+    for src, dst in sorted(grouped):
+        labels = grouped[src, dst]
+        text = edge_label(min(labels)) + ("+" if len(labels) > 1 else "")
+        lines.append(f'  n{index[src]} -> n{index[dst]} [label="{text}"];')
+    return "\n".join(lines + ["}"])
 
 
 def pair_automaton(sys: RadixSystem) -> PairAutomaton:
     """Neighbour graph with digit-pair labels, pruned to live states."""
     from .neighbours import _neighbour_steps
 
-    vecs, steps = _neighbour_steps(sys.matrix, sys.digits)
+    vecs, steps, zero = _neighbour_steps(sys.matrix, sys.digits)
     src, x, y = np.nonzero(steps >= 0)  # in (src, x, y) order, the sorted edge order
     dst = steps[src, x, y]
-    zero = linalg.locate(vecs, np.zeros((1, sys.n), dtype=np.int64))
-    keep = graph.reach_mask(len(vecs), zero, src, dst, graph.live_mask(len(vecs), src, dst))
+    keep = graph.reach_mask(len(vecs), [zero], src, dst, graph.live_mask(len(vecs), src, dst))
     rows, d = [tuple(v) for v in vecs.tolist()], sys.digits
     edges = keep[src] & keep[dst]
     return PairAutomaton(
@@ -292,8 +284,9 @@ def enumerate_equivalents(
 ) -> tuple[str, tuple[EpSeq, ...]]:
     """Classify and sample the representations equivalent to x.
 
-    The product walk tracks (position phase of x, integer state zeta); a
-    digit choice d extends a walk via zeta' = A zeta + (x_j - d).  Walks
+    The product walk tracks (position phase of x, row of the integer state
+    zeta in the neighbour move table); a digit choice d extends a walk via
+    zeta' = A zeta + (x_j - d).  Walks
     that can continue forever correspond exactly to equivalent
     representations, one per walk, so the shape of the live graph decides
     cardinality:
@@ -305,49 +298,32 @@ def enumerate_equivalents(
       countably infinite;
     - otherwise finitely many, which are enumerated exhaustively.
     """
-    from .neighbours import integer_neighbours
+    from .neighbours import _neighbour_steps
 
     if x.system != sys:
         raise ValueError("representation does not belong to the system")
-    allowed = set(integer_neighbours(sys.matrix, sys.digits).vectors)
-    zero = linalg.zero_vec(sys.n)
-    allowed.add(zero)
+    _, steps, zero = _neighbour_steps(sys.matrix, sys.digits)
+    k, index = len(steps), {d: i for i, d in enumerate(sys.digits)}
+    entries, m = x.seq.pre + x.seq.cycle, x.seq.preperiod
 
-    m, c = x.seq.preperiod, x.seq.period
-    phases = m + c
-
-    def next_phase(ph: int) -> int:
-        return ph + 1 if ph + 1 < phases else m
-
-    def digit_at(ph: int) -> IntVec:
-        return x.seq.pre[ph] if ph < m else x.seq.cycle[ph - m]
-
-    # build the full product graph
-    states = set()
-    succ: dict[tuple[int, IntVec], list[tuple[IntVec, tuple[int, IntVec]]]] = {}
-    stack = [(0, zero)]
-    states.add((0, zero))
+    # the product state ph * k + v stands at phase ph of x on row v of the
+    # move table; reading the digit d steps v along row steps[v, x_ph]
+    succ: dict[int, list[tuple[IntVec, int]]] = {}
+    stack = [zero]
     while stack:
-        ph, zeta = stack.pop()
-        base = linalg.mat_vec(sys.matrix, zeta)
-        out = []
-        for d in sys.digits:
-            nxt = linalg.vec_add(base, linalg.vec_sub(digit_at(ph), d))
-            if nxt in allowed:
-                s = (next_phase(ph), nxt)
-                out.append((d, s))
-                if s not in states:
-                    states.add(s)
-                    stack.append(s)
-        succ[(ph, zeta)] = out
+        ph, v = divmod(state := stack.pop(), k)
+        if state not in succ:
+            nxt = (ph + 1 if ph + 1 < len(entries) else m) * k
+            row = steps[v, index[entries[ph]]].tolist()
+            succ[state] = [(d, nxt + t) for d, t in zip(sys.digits, row) if t >= 0]
+            stack.extend(t for _, t in succ[state])
 
     # keep the states on infinite walks from the start
-    start = (0, zero)
     targets = {s: [t for _, t in out] for s, out in succ.items()}
-    keep = graph.reach([start], targets, graph.live(targets))
+    keep = graph.reach([zero], targets, graph.live(targets))
     walks = {s: [(d, t) for d, t in succ[s] if t in keep] for s in keep}
 
-    if all(s[1] == zero for s in walks):
+    if all(s % k == zero for s in walks):
         return UNIQUE, (x.seq,)
 
     # distinct edges carry distinct digits, so walks and sequences match
@@ -361,7 +337,7 @@ def enumerate_equivalents(
     else:
         cls = FINITELY_MANY
 
-    samples = _sample_walks(walks, start, sample_limit, exhaustive=(cls == FINITELY_MANY))
+    samples = _sample_walks(walks, zero, sample_limit, exhaustive=(cls == FINITELY_MANY))
     if x.seq in samples:
         samples = [x.seq] + [s for s in samples if s != x.seq]
     else:
@@ -375,33 +351,26 @@ def _sample_walks(graph, start, limit, exhaustive) -> list[EpSeq]:
     In the finitely-many case every revisit has a deterministic
     continuation, so closing at the first revisit enumerates everything.
     Otherwise walks are also explored past revisits (bounded depth) so the
-    samples include mixed loop orders, up to `limit` of them.
+    samples include mixed loop orders, up to `limit` of them.  The walk
+    keeps one path and an explicit stack, so its depth is not bounded by
+    the Python stack.
     """
-    out: list[EpSeq] = []
-    seen_seqs = set()
+    found: dict[EpSeq, None] = {}
     depth_cap = 3 * (len(graph) + 1)
-
-    def emit(digits, close_at):
-        seq = EpSeq.make(digits[:close_at], digits[close_at:])
-        if seq not in seen_seqs:
-            seen_seqs.add(seq)
-            out.append(seq)
-
-    def walk(state, path_index, digits):
-        if len(out) >= limit and not exhaustive:
-            return
-        if state in path_index:
-            emit(digits, path_index[state])
+    digits: list = []  # the digits read along the current walk
+    first: dict = {}  # state -> number of digits read when the current walk first entered it
+    stack = [(0, (), start)]  # (digits kept from the current walk, the digit read, state)
+    while stack and (exhaustive or len(found) < limit):
+        kept, read, state = stack.pop()
+        digits[kept:] = read
+        while first and next(reversed(first.values())) >= len(digits):
+            first.popitem()
+        if state in first:
+            found[EpSeq.make(digits[: first[state]], digits[first[state] :])] = None
             if exhaustive or len(digits) >= depth_cap:
-                return
+                continue
             # keep exploring so samples mix distinct loops
         else:
-            path_index = dict(path_index)
-            path_index[state] = len(digits)
-        for d, t in sorted(graph[state]):
-            walk(t, path_index, digits + [d])
-            if len(out) >= limit and not exhaustive:
-                break
-
-    walk(start, {}, [])
-    return out if exhaustive else out[:limit]
+            first[state] = len(digits)
+        stack.extend((len(digits), (d,), t) for d, t in sorted(graph[state], reverse=True))
+    return list(found)

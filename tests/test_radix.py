@@ -224,6 +224,15 @@ class TestEnumerateEquivalents:
         for s in samples:
             assert rt.eval_exact(rt.Representation(base10, s)) == target
 
+    def test_long_preperiod(self, base10):
+        # the sampler walks 1,200 digits deep on one path and an explicit stack
+        x = rt.representation(base10, [(3,)] * 1200, [(0,)])
+        other = EpSeq.make([(3,)] * 1199 + [(2,)], [(9,)])
+        cls, samples = rt.enumerate_equivalents(base10, x, sample_limit=4)
+        assert cls == "finitely-many"
+        assert samples == (x.seq, other)
+        assert rt.is_neighbour_sequence(x, rt.Representation(base10, other))
+
     def test_unique_implies_system_consistency(self):
         sys = gauss_system(3, digits=range(5))
         assert rt.representations_unique(sys)
