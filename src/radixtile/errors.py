@@ -96,6 +96,10 @@ class DepthTooLarge(BudgetError):
     pass
 
 
+class RasterTooLarge(BudgetError):
+    pass
+
+
 def json_int(x) -> int:
     if type(x) is not int:  # bool is an int subclass, a JSON true is not a number
         raise PreconditionViolated(f"expected a JSON integer, got {x!r}")

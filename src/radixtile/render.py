@@ -18,10 +18,13 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg
-from .errors import DepthTooLarge, EmptyCloud, PreconditionViolated, SingularMatrix
+from .errors import DepthTooLarge, EmptyCloud, PreconditionViolated, RasterTooLarge, SingularMatrix
 from .linalg import IntVec, RatVec
 from .numsys import RadixSystem
 from .radix import EpSeq
+
+RASTER_CAP = 2**28  # bytes of one raster buffer, width * height * channels
+
 
 class PointCloud:
     """Depth-k partial sums stored as integer vectors w = A^k * point.
@@ -156,7 +159,11 @@ def rasterize(
     """Paint clouds into channels; multiple clouds produce an RGB image.
 
     The bounding box defaults to the union of cloud bounds padded by 5%.
-    All coordinate mapping is exact integer arithmetic.
+    All coordinate mapping is exact integer arithmetic: for an axis with ends
+    p0/q0 < p1/q1, pixel i covers the det^k-scaled coordinates [edge_i, edge_{i+1}),
+    edge_i = ceil((N0 + i*S) / D) over the one denominator D = q0*q1*pixels, with
+    N0 = scale*p0*q1*pixels and S = scale*(p1*q0 - p0*q1).  A buffer past
+    RASTER_CAP bytes raises RasterTooLarge before it is allocated.
     """
     if width < 1 or height < 1:
         raise PreconditionViolated(f"image size must be at least 1x1, got {width}x{height}")
@@ -165,6 +172,10 @@ def rasterize(
         raise EmptyCloud("nothing to rasterize")
     if any(c.system.n > 2 for c in clouds):
         raise ValueError("rasterization covers 1-d and 2-d systems")
+    channels = 1 if len(clouds) == 1 else 3
+    size = width * height * channels
+    if size > RASTER_CAP:
+        raise RasterTooLarge(f"raster of {width}x{height}x{channels} = {size} bytes exceeds cap {RASTER_CAP}")
 
     # one-dimensional systems render along the x axis
     scaled = [
@@ -180,21 +191,17 @@ def rasterize(
         shown = [[linalg.frac_str(lo), linalg.frac_str(hi)] for lo, hi in bbox]
         raise PreconditionViolated(f"bbox needs two axes with lo < hi, got {shown}")
 
-    channels = 1 if len(clouds) == 1 else 3
-    image = np.zeros(width * height * channels, dtype=np.uint8)
+    image = np.zeros(size, dtype=np.uint8)
     for channel, (coords, scale) in enumerate(scaled):
         chan = min(channel, channels - 1)
         edges = []
         for axis, pixels in ((0, width), (1, height)):
-            a0, a1 = bbox[axis]
-            span = a1 - a0
-            # pixel i covers scaled coordinates in [edge_i, edge_{i+1});
-            # edge_i is the exact ceiling of scale * (a0 + i * span / pixels)
-            per_pixel = Fraction(span, pixels)
-            edges.append(
-                [_ceil_frac(scale * (a0 + i * per_pixel)) for i in range(pixels + 1)]
-            )
-        if linalg.dtype_for(max(abs(v) for v in edges[0] + edges[1])) is object:
+            # edge_i = ceil(scale * (a0 + i * (a1 - a0) / pixels)) over one denominator
+            (p0, q0), (p1, q1) = ((end.numerator, end.denominator) for end in bbox[axis])
+            d, n0, step = q0 * q1 * pixels, scale * p0 * q1 * pixels, scale * (p1 * q0 - p0 * q1)
+            edges.append([-((-n0 - i * step) // d) for i in range(pixels + 1)])
+        # step > 0, so each axis's edges rise and its ends bound the rest
+        if linalg.dtype_for(max(max(abs(e[0]), abs(e[-1])) for e in edges)) is object:
             coords = coords.astype(object)
         ix, iy = (
             np.searchsorted(np.array(e, dtype=coords.dtype), coords[:, axis], side="right") - 1
@@ -206,10 +213,6 @@ def rasterize(
         # image rows run top to bottom
         image[((height - 1 - iy[keep]) * width + ix[keep]) * channels + chan] = 255
     return RasterImage(width=width, height=height, channels=channels, pixels=image.tobytes(), bbox=bbox)
-
-
-def _ceil_frac(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
 
 
 def render_overlap(

@@ -1,9 +1,15 @@
+import json
+import os
+import resource
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
 import radixtile as rt
-from radixtile.errors import DepthTooLarge, EmptyCloud
+from radixtile.errors import DepthTooLarge, EmptyCloud, RasterTooLarge
+from radixtile.render import RASTER_CAP
 from radixtile.radix import vector_seq
 
 from conftest import gauss_matrix, gauss_system
@@ -108,3 +114,45 @@ class TestOverlap:
         img = rt.render_overlap(sys, (1, 0), 6, 128, 128)
         assert rt.overlap_pixel_count(img) > 0
         assert img.to_pnm().startswith(b"P6\n128 128\n255\n")
+
+
+KNUTH = rt.RadixSystem(((-1, -1), (1, -1)), ((0, 0), (1, 0)))
+
+
+class TestRasterCap:
+    def test_library(self):
+        cloud = rt.ktile_points(KNUTH, 3)
+        side = 3 * 10**9
+        with pytest.raises(RasterTooLarge, match=f"{side}x{side}x1 = {side * side} bytes exceeds cap {RASTER_CAP}"):
+            rt.rasterize([cloud], side, side)
+        # one byte past the cap on one channel, and an overlay whose three channels pass it
+        assert RASTER_CAP == 2**14 * 2**14
+        with pytest.raises(RasterTooLarge):
+            rt.rasterize([cloud], 2**14, 2**14 + 1)
+        with pytest.raises(RasterTooLarge, match="x3 = "):
+            rt.render_overlap(KNUTH, (1, 0), 3, 2**14, 2**13)
+
+    def test_cli_under_an_address_space_limit(self, tmp_path):
+        # without the cap numpy asks for 9.31 GiB and the process dies in a traceback
+        path = tmp_path / "knuth.json"
+        path.write_text(json.dumps({"matrix": [[-1, -1], [1, -1]], "digits": [[0, 0], [1, 0]]}))
+        payload = json.dumps({"k": 3, "width": 100000, "height": 100000})
+        argv = ["render", str(path), "-p", payload, "--out", str(tmp_path / "out.pgm")]
+
+        def limit():  # runs in the child only
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+        src = os.path.dirname(os.path.dirname(rt.__file__))
+        done = subprocess.run(
+            [sys.executable, "-m", "radixtile.cli", *argv],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            preexec_fn=limit,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.returncode == 3, done.stderr
+        lines = done.stdout.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"]["type"] == "RasterTooLarge"
+        assert not (tmp_path / "out.pgm").exists()

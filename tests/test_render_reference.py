@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import radixtile as rt
@@ -223,6 +223,55 @@ class TestAgainstReference:
         assert len(cloud) == 0
         with pytest.raises(EmptyCloud):
             rt.rasterize([cloud], 4, 4)
+
+
+# ---------------------------------------------------------------------------
+# points exactly on the pixel edges
+
+
+@st.composite
+def box_ends(draw):
+    """An axis [lo, hi] around an integer m, its two ends plain ints or Fractions."""
+    m = draw(st.integers(-10**6, 10**6))
+    if draw(st.booleans()):
+        return m, m - draw(st.integers(0, 5)), m + draw(st.integers(1, 5))
+    below = draw(st.fractions(min_value=0, max_value=3, max_denominator=10**6))
+    above = draw(st.fractions(min_value=0, max_value=3, max_denominator=10**6).filter(bool))
+    assume(below.denominator != above.denominator)
+    return m, m - below, m + above
+
+
+class TestPixelEdges:
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+    @given(
+        scale=st.integers(1, 10**30),
+        axes=st.tuples(box_ends(), box_ends()),
+        size=st.tuples(st.integers(1, 1024), st.integers(1, 1024)),
+    )
+    @example(scale=10**30, axes=((0, -1, 2), (5, 5, 6)), size=(7, 3))  # plain int ends on both axes
+    def test_points_on_the_edges(self, scale, axes, size):
+        """Scaled coordinates edge_i and edge_i - 1 land in the pixels the Fraction edges give.
+
+        diag(scale, 1) at depth 1 has scaled coordinates (w0, scale * w1), so its x
+        coordinates are free; diag(1, scale) frees y.  Each cloud's other coordinate
+        is the integer m inside its axis.
+        """
+        bbox = tuple((lo, hi) for _, lo, hi in axes)
+        clouds = []
+        for free in (0, 1):
+            a0, a1 = bbox[free]
+            pixels = size[free]
+            per_pixel = Fraction(a1 - a0, pixels)
+            edges = [ceil_frac(scale * (a0 + i * per_pixel)) for i in range(pixels + 1)]
+            matrix = ((scale, 0), (0, 1)) if free == 0 else ((1, 0), (0, scale))
+            system = rt.RadixSystem(matrix, ((0, 0),))
+            m = axes[1 - free][0]
+            points = [(e, m) if free == 0 else (m, e) for edge in edges for e in (edge, edge - 1)]
+            clouds.append((system, 1, sorted(set(points))))
+        img = rt.rasterize([rt.PointCloud(*c) for c in clouds], *size, bbox=bbox)
+        pixels, _ = ref_raster(clouds, *size, bbox)
+        assert img.pixels == pixels
+        assert img.bbox == bbox
 
 
 # ---------------------------------------------------------------------------
