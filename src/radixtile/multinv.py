@@ -296,7 +296,7 @@ def xk_cloud(sys: RadixSystem, auto: DigitAutomaton, k: int, cap: int = 200_000)
     are distinct points whenever no two digits are congruent mod A.
     """
     rows = next(rows for depth, rows in enumerate(_accepted_rows(sys, auto, k, cap)) if depth == k)
-    return render.PointCloud(sys, k, array=linalg.sorted_unique(rows))
+    return render.PointCloud(sys, k, rows=rows)
 
 
 def _accepted_rows(sys: RadixSystem, auto: DigitAutomaton, kmax: int, cap: int = 200_000):
@@ -409,7 +409,7 @@ def convergence_report(sys: RadixSystem, auto: DigitAutomaton, kmax: int) -> Con
     phi_closed, _ = check_invariance(sys, auto)
     max_digit = sys.max_digit_norm()
     levels = enumerate(_accepted_rows(sys, auto, kmax + 1))
-    clouds = [render.PointCloud(sys, k, array=linalg.sorted_unique(rows)).float_points() for k, rows in levels]
+    clouds = [render.PointCloud(sys, k, rows=rows).float_points() for k, rows in levels]
     rows = []
     prev = None
     for k in range(1, kmax + 1):

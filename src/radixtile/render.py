@@ -1,16 +1,17 @@
 """Deterministic raster output of depth-k tile approximations.
 
 Point clouds are kept as exact integer combinations w = sum A^{k-j} d_j;
-the true points are A^-k w.  A cloud is one (N, n) integer array under
-``linalg.dtype_for``: int64 when a certified bound keeps every entry below
-2**62, object (exact Python ints) otherwise, with the same array code for
-both.  Pixel mapping happens in exact integer arithmetic against a
-rational bounding box, so identical inputs always produce identical bytes.  Output is binary PGM (P5) for
-single clouds and PPM (P6) for overlays.
+the true points are A^-k w.  A cloud's rows are one (N, n) integer array
+under ``linalg.dtype_for`` (int64 below a certified 2**62, else object), in
+the order they were built; rasters read them as they are, and ``array``,
+their sorted distinct view, is computed on first use.  Pixel mapping is
+exact integer arithmetic against a rational bounding box, so identical inputs
+give identical bytes: binary PGM (P5) for single clouds, PPM (P6) for overlays.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,17 +30,21 @@ RASTER_CAP = 2**28  # bytes of one raster buffer, width * height * channels
 class PointCloud:
     """Depth-k partial sums stored as integer vectors w = A^k * point.
 
-    ``array`` is one (N, n) integer array of the rows w in lexicographic
-    order without repeats.  The constructor builds it from the integer
-    vectors ``int_points``; ``array=`` passes one already in that form.
+    ``rows`` is one (N, n) integer array of the rows w as built (``int_points``
+    or ``rows=``), in any order with repeats allowed; ``array`` is the same rows
+    in lexicographic order without repeats, computed on first use.
     """
 
-    def __init__(self, system: RadixSystem, depth: int, int_points=(), *, array=None):
-        if array is None:
-            array = linalg.sorted_unique(linalg.int_array([linalg.as_vec(w) for w in int_points], system.n))
+    def __init__(self, system: RadixSystem, depth: int, int_points=(), *, rows=None):
+        if rows is None:
+            rows = linalg.int_array([linalg.as_vec(w) for w in int_points], system.n)
         self.system = system
         self.depth = depth
-        self.array = array
+        self.rows = rows
+
+    @functools.cached_property
+    def array(self) -> np.ndarray:
+        return linalg.sorted_unique(self.rows)
 
     @property
     def int_points(self) -> tuple[IntVec, ...]:
@@ -47,12 +52,12 @@ class PointCloud:
 
     @property
     def points(self) -> tuple[RatVec, ...]:
-        coords, scale = _scaled_coords(self)
+        coords, scale = _scaled_coords(self, self.array)
         return tuple(tuple(Fraction(c, scale) for c in row) for row in coords.tolist())
 
     def float_points(self) -> np.ndarray:
         """(N, n) float64 points A^-k w, each entry its exact value correctly rounded."""
-        coords, scale = _scaled_coords(self)
+        coords, scale = _scaled_coords(self, self.array)
         # int / int on Python ints rounds the exact quotient once, as float(Fraction) does
         return (coords.astype(object) / scale).astype(np.float64)
 
@@ -100,7 +105,7 @@ def ktile_points(
         points = np.zeros((1, n), dtype=dtype)
         for d in digits:
             points = ((points @ a_t)[:, None, :] + d[None, :, :]).reshape(-1, n)
-        return PointCloud(sys, k, array=linalg.sorted_unique(points))
+        return PointCloud(sys, k, rows=points)
 
     # Draw attempts until cap distinct points or 20 * cap attempts, keeping the
     # distinct points in order of first appearance; choice() on a range draws
@@ -119,7 +124,7 @@ def ktile_points(
         kept = np.concatenate([kept, w])
         order, fresh = linalg.lex_groups(kept)
         kept = kept[np.sort(np.minimum.reduceat(order, np.flatnonzero(fresh)))[:cap]]
-    return PointCloud(sys, k, array=linalg.sorted_unique(kept))
+    return PointCloud(sys, k, rows=kept)
 
 
 @dataclass(frozen=True)
@@ -136,8 +141,8 @@ class RasterImage:
         return header + self.pixels
 
 
-def _scaled_coords(cloud: PointCloud) -> tuple[np.ndarray, int]:
-    """(N, n) integer coordinates det^k-scaled: exact values of A^-k w times |det|^k."""
+def _scaled_coords(cloud: PointCloud, rows: np.ndarray) -> tuple[np.ndarray, int]:
+    """(N, n) integer coordinates det^k-scaled: exact values of A^-k w times |det|^k for the rows w."""
     a = cloud.system.matrix
     scale = linalg.det(a) ** cloud.depth
     if scale == 0:
@@ -147,7 +152,7 @@ def _scaled_coords(cloud: PointCloud) -> tuple[np.ndarray, int]:
     if scale < 0:
         m = tuple(tuple(-x for x in row) for row in m)
         scale = -scale
-    return linalg.mat_rows(m, cloud.array), scale
+    return linalg.mat_rows(m, rows), scale
 
 
 def rasterize(
@@ -162,13 +167,15 @@ def rasterize(
     All coordinate mapping is exact integer arithmetic: for an axis with ends
     p0/q0 < p1/q1, pixel i covers the det^k-scaled coordinates [edge_i, edge_{i+1}),
     edge_i = ceil((N0 + i*S) / D) over the one denominator D = q0*q1*pixels, with
-    N0 = scale*p0*q1*pixels and S = scale*(p1*q0 - p0*q1).  A buffer past
-    RASTER_CAP bytes raises RasterTooLarge before it is allocated.
+    N0 = scale*p0*q1*pixels and S = scale*(p1*q0 - p0*q1).  A point at or past an
+    axis's upper end lands in its last pixel, one below its lower end is dropped: an
+    explicit bbox paints points past its top or right edge into the top row or right
+    column.  A buffer past RASTER_CAP bytes raises RasterTooLarge before allocation.
     """
     if width < 1 or height < 1:
         raise PreconditionViolated(f"image size must be at least 1x1, got {width}x{height}")
     clouds = list(clouds)
-    if not clouds or all(len(c) == 0 for c in clouds):
+    if not clouds or all(len(c.rows) == 0 for c in clouds):
         raise EmptyCloud("nothing to rasterize")
     if any(c.system.n > 2 for c in clouds):
         raise ValueError("rasterization covers 1-d and 2-d systems")
@@ -178,9 +185,8 @@ def rasterize(
         raise RasterTooLarge(f"raster of {width}x{height}x{channels} = {size} bytes exceeds cap {RASTER_CAP}")
 
     # one-dimensional systems render along the x axis
-    scaled = [
-        (np.hstack([c, np.zeros_like(c)]) if c.shape[1] == 1 else c, s) for c, s in map(_scaled_coords, clouds)
-    ]
+    scaled = [_scaled_coords(c, c.rows) for c in clouds]
+    scaled = [(np.hstack([c, np.zeros_like(c)]) if c.shape[1] == 1 else c, s) for c, s in scaled]
 
     if bbox is None:
         lo = [min(Fraction(int(c[:, a].min()), s) for c, s in scaled if len(c)) for a in (0, 1)]
@@ -228,10 +234,9 @@ def render_overlap(
         raise PreconditionViolated(f"shift has {len(shift)} entries, the system has dimension {sys.n}")
     base = ktile_points(sys, k)
     scale_shift = linalg.mat_vec(linalg.mat_pow(sys.matrix, k), shift)
-    dtype = linalg.dtype_for(int(np.abs(base.array).max(initial=0)) + max(abs(x) for x in scale_shift))
-    # adding one vector to every row keeps the rows' lexicographic order
-    shifted = base.array.astype(dtype, copy=False) + np.array(scale_shift, dtype=dtype)
-    return rasterize([base, PointCloud(sys, k, array=shifted)], width, height)
+    dtype = linalg.dtype_for(int(np.abs(base.rows).max(initial=0)) + max(abs(x) for x in scale_shift))
+    shifted = base.rows.astype(dtype, copy=False) + np.array(scale_shift, dtype=dtype)
+    return rasterize([base, PointCloud(sys, k, rows=shifted)], width, height)
 
 
 def overlap_pixel_count(img: RasterImage) -> int:

@@ -353,7 +353,7 @@ class TestAgainstReferences:
         levels = list(multinv._accepted_rows(sys, auto, kmax))
         assert len(levels) == kmax + 1
         for k, rows in enumerate(levels):
-            cloud = rt.PointCloud(sys, k, array=linalg.sorted_unique(rows))
+            cloud = rt.PointCloud(sys, k, rows=rows)
             assert cloud.int_points == rt.xk_cloud(sys, auto, k).int_points
             assert set(cloud.points) == ref_xk_cloud(sys, auto, k)
 

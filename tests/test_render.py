@@ -1,3 +1,4 @@
+import collections
 import json
 import os
 import resource
@@ -8,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 import radixtile as rt
+from radixtile import cli, linalg
 from radixtile.errors import DepthTooLarge, EmptyCloud, RasterTooLarge
 from radixtile.render import RASTER_CAP
 from radixtile.radix import vector_seq
@@ -114,6 +116,34 @@ class TestOverlap:
         img = rt.render_overlap(sys, (1, 0), 6, 128, 128)
         assert rt.overlap_pixel_count(img) > 0
         assert img.to_pnm().startswith(b"P6\n128 128\n255\n")
+
+
+class TestRenderPathDoesNotSort:
+    def test_cli_render_sorts_nothing(self, monkeypatch, tmp_path):
+        """A raster reads the rows as built; only listing the points sorts them, once."""
+        calls = collections.Counter()
+        for name in ("sorted_unique", "lex_groups"):
+
+            def counted(*args, _name=name, _original=getattr(linalg, name)):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(linalg, name, counted)
+        path = tmp_path / "m3i.json"
+        path.write_text(json.dumps({"matrix": gauss_matrix(3), "digits": [[d, 0] for d in range(10)]}))
+        payload = json.dumps({"k": 4, "width": 32, "height": 32})
+        for extra, magic in (([], b"P5"), (["--overlap", "1,0"], b"P6")):
+            out = tmp_path / "out.pnm"
+            assert cli.main(["render", str(path), "-p", payload, "--out", str(out), *extra]) == 0
+            assert out.read_bytes().startswith(magic + b"\n32 32\n255\n")
+        assert calls == {}
+
+        cloud = rt.ktile_points(gauss_system(3), 4)
+        assert calls == {}
+        points = cloud.int_points
+        assert list(points) == sorted(set(points)) and len(points) == 10**4
+        assert cloud.int_points == points
+        assert calls == {"sorted_unique": 1, "lex_groups": 1}
 
 
 KNUTH = rt.RadixSystem(((-1, -1), (1, -1)), ((0, 0), (1, 0)))

@@ -10,6 +10,7 @@ import bisect
 import hashlib
 import json
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -194,6 +195,36 @@ class TestAgainstReference:
         cloud = rt.ktile_points(system, k)
         inv_k = linalg.mat_inv_pow(system.matrix, k)
         assert cloud.points == tuple(linalg.frac_mat_vec(inv_k, w) for w in ref_cloud(system, k))
+
+    @SETTINGS
+    @given(data=st.data())
+    def test_row_order_and_repeats_do_not_matter(self, data):
+        """A cloud's rows shuffled and partly repeated give the sorted cloud's points and pixels."""
+        system = data.draw(systems())
+        k = data.draw(st.integers(0, 4))
+        bbox = data.draw(st.none() | bboxes())
+        width, height = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 12))
+        shift = data.draw(st.tuples(*[st.integers(-3, 3)] * system.n))
+        rng = data.draw(st.randoms(use_true_random=False))
+
+        rows = rt.ktile_points(system, k).array
+        picks = list(range(len(rows))) + rng.choices(range(len(rows)), k=rng.randint(0, len(rows)))
+        rng.shuffle(picks)
+        messy = rt.PointCloud(system, k, rows=rows[picks])
+        tidy = rt.PointCloud(system, k, rows=rows)
+        assert messy.int_points == tidy.int_points
+        assert messy.points == tidy.points
+        assert messy.float_points().tolist() == tidy.float_points().tolist()
+        assert len(messy) == len(tidy) == len(rows)
+
+        images = []
+        for cloud in (messy, tidy):
+            with mock.patch.object(rt.render, "ktile_points", lambda *_: cloud):
+                overlap = rt.render_overlap(system, shift, k, width, height)
+            images.append((rt.rasterize([cloud], width, height, bbox=bbox), overlap))
+        (img, overlap), (ref_img, ref_overlap) = images
+        assert (img.pixels, img.bbox) == (ref_img.pixels, ref_img.bbox)
+        assert (overlap.pixels, overlap.bbox) == (ref_overlap.pixels, ref_overlap.bbox)
 
     def test_points_of_a_singular_matrix(self):
         system = rt.RadixSystem(((0,),), ((0,), (1,)))
