@@ -9,6 +9,7 @@ as "p/q" strings next to float renderings.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys as _sys
@@ -89,11 +90,20 @@ def _emit_text(text: str) -> None:
 
 
 def _emit_bytes(args, blob: bytes) -> None:
-    if args.out:
-        with open(args.out, "wb") as fh:
-            fh.write(blob)
-    else:
+    if not args.out:
         _sys.stdout.buffer.write(blob)
+        return
+    try:
+        fh = open(args.out, "wb")
+        try:
+            with fh:
+                fh.write(blob)
+        except OSError:  # the open truncated it: leave no partial file behind
+            if Path(args.out).is_file():
+                Path(args.out).unlink()
+            raise
+    except OSError as exc:
+        raise PreconditionViolated(f"cannot write the output file: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -420,8 +430,8 @@ _COMMON = {
 
 # Every subcommand: name -> its arguments in order (option strings -> add_argument
 # keywords), a selector positional before the common ones.  The handler is the
-# function cmd_<name> ("-" read as "_"), looked up when the parser is built so
-# that a wrapper later bound to that name is the one called.
+# function cmd_<name> ("-" read as "_"), looked up by name at each call, so a
+# wrapper later bound to that name is the one called, cached parser or not.
 COMMANDS = {
     "residues": _COMMON,
     "numsys-check": _COMMON,
@@ -452,8 +462,10 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser(command=None) -> argparse.ArgumentParser:
-    """The parser for every subcommand, or for ``command`` alone."""
+    """The parser for every subcommand, or for ``command`` alone, built once per
+    process and shared by every caller: do not modify it."""
     parser = _Parser(prog="radixtile", description="Exact analysis of matrix number systems and digit tiles")
     parser.add_argument("--format", choices=FORMATS, default="json")
     parser.add_argument("--timestamp", action="store_true", help="include a generation timestamp")
@@ -463,7 +475,6 @@ def build_parser(command=None) -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         for option, kwargs in COMMANDS[name].items():
             p.add_argument(*option.split(), **kwargs)
-        p.set_defaults(handler=globals()["cmd_" + name.replace("-", "_")])
     return parser
 
 
@@ -476,7 +487,7 @@ def main(argv=None) -> int:
         system = load_descriptor(args.descriptor)
         text = args.payload or "{}"
         payload = _json_object(text, "payload", inline=text.lstrip().startswith(("{", "[")))
-        args.handler(args, system, payload)
+        globals()["cmd_" + args.command.replace("-", "_")](args, system, payload)
     except (UsageError, RadixTileError, ValueError) as exc:
         _sys.stdout.write(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}) + "\n")
         return 64 if isinstance(exc, UsageError) else 3 if isinstance(exc, BudgetError) else 2

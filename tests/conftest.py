@@ -1,5 +1,9 @@
 """Shared systems used across the test modules."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 import radixtile as rt
@@ -14,6 +18,19 @@ def gauss_system(n: int, digits=None) -> rt.RadixSystem:
     if digits is None:
         digits = range(n * n + 1)
     return rt.RadixSystem(gauss_matrix(n), tuple((int(d), 0) for d in digits))
+
+
+def run_cli_process(argv, limit=None) -> subprocess.CompletedProcess:
+    """Run ``python -m radixtile.cli argv`` in a fresh process, ``limit()`` in the child before it starts."""
+    src = os.path.dirname(os.path.dirname(rt.__file__))
+    return subprocess.run(
+        [sys.executable, "-m", "radixtile.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        preexec_fn=limit,
+        env={**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
+    )
 
 
 @pytest.fixture

@@ -1,8 +1,11 @@
 import json
+import resource
 
 import pytest
 
 from radixtile import cli
+
+from conftest import run_cli_process
 
 
 @pytest.fixture
@@ -186,6 +189,49 @@ class TestFormatsAndCodes:
         code, _ = run(capsys, ["render", base10_file, "-p", payload, "--out", str(out_file)])
         assert code == 0
         assert out_file.read_bytes().startswith(b"P5\n16 4\n255\n")
+
+    def test_render_to_a_path_that_cannot_be_written_exits_2(self, capsys, tmp_path, m3i_file):
+        payload = '{"k": 2, "width": 8, "height": 8}'
+        for out_file in (tmp_path / "no_such_dir" / "x.pgm", tmp_path):
+            argv = ["--format", "pgm", "render", m3i_file, "-p", payload, "--out", str(out_file)]
+            code, out = run(capsys, argv)
+            assert code == 2
+            assert out.count("\n") == 1
+            error = json.loads(out)["error"]
+            assert error["type"] == "PreconditionViolated"
+            assert error["message"].startswith("cannot write the output file: ")
+            assert str(out_file) in error["message"]
+
+    def test_a_write_that_fails_midway_leaves_no_partial_file(self, tmp_path, m3i_file):
+        out_file = tmp_path / "x.pgm"
+
+        def limit():  # runs in the child only: a file write past 16 bytes fails with EFBIG
+            resource.setrlimit(resource.RLIMIT_FSIZE, (16, 16))
+
+        payload = '{"k": 2, "width": 8, "height": 8}'
+        done = run_cli_process(["--format", "pgm", "render", m3i_file, "-p", payload, "--out", str(out_file)], limit)
+        assert done.returncode == 2, done.stderr
+        lines = done.stdout.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])["error"]
+        assert error["type"] == "PreconditionViolated"
+        assert error["message"].startswith("cannot write the output file: ")
+        assert not out_file.exists()
+
+    @pytest.mark.parametrize(
+        "argv, code, check",
+        [
+            (["residues", "{d}"], 0, lambda out: json.loads(out)["count"] == 10),
+            (["--help"], 0, lambda out: out.startswith("usage: radixtile")),
+            (["residues", "{d}", "--bogus"], 64, lambda out: json.loads(out)["error"]["type"] == "UsageError"),
+        ],
+        ids=["residues", "help", "unknown-flag"],
+    )
+    def test_entry_point_in_a_fresh_process(self, base10_file, argv, code, check):
+        done = run_cli_process([arg.format(d=base10_file) for arg in argv])
+        assert done.returncode == code, done.stderr
+        assert check(done.stdout)
+        assert code == 0 or done.stdout.count("\n") == 1
 
     def test_reproducible_output(self, capsys, m3i_file):
         payload = json.dumps({"alpha": {"pre": [[-4, 0], [-8, 0]], "cycle": [[0, 0], [8, 0]]}})

@@ -1,10 +1,13 @@
 """The command table, the parser built for one subcommand, and the error contract.
 
-``main`` builds the parser for the subcommand argv names; the full parser is
-built only when no token names one.  The help texts were pinned with the parser
-that built all sixteen subparsers each call, ``reference_parser`` below keeps a
-copy of it, and the hypothesis test checks that both parse every table-drawn
-command line to the same namespace.
+``main`` uses the parser for the subcommand argv names; the full parser is
+used only when no token names one.  ``build_parser`` is cached, so each of
+them is built once per process and then shared by every call, and ``main``
+looks the handler up by name at each call.  The help texts were pinned with the
+parser that built all sixteen subparsers each call, ``reference_parser`` below
+keeps a copy of it, and the hypothesis tests check that both parse every
+table-drawn command line to the same namespace, and that a reused parser parses
+and rejects lines as a freshly built one does and keeps its help text.
 """
 
 import argparse
@@ -18,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from radixtile import cli
+from radixtile.errors import UsageError
 
 # sha256 of the help text at 80 columns, recorded with the full parser
 HELP_PINS = {
@@ -178,8 +182,109 @@ def command_lines(draw):
 def test_one_command_parser_matches_the_full_reference(lines):
     name, argv, reference_argv = lines
     expected = vars(reference_parser().parse_args(reference_argv))
+    # the parser sets no handler; main calls the one its command names
+    assert getattr(cli, "cmd_" + expected["command"].replace("-", "_")) is expected.pop("handler")
     assert vars(cli.build_parser(name).parse_args(argv)) == expected
     assert vars(cli.build_parser().parse_args(argv)) == expected
+
+
+# ---------------------------------------------------------------------------
+# one parser per process: reuse, help and dispatch
+
+
+@st.composite
+def bad_lines(draw):
+    """(name, argv) that does not parse: a bad selector, or an unknown flag or bad choice put in."""
+    if draw(st.booleans()):
+        name = draw(st.sampled_from(["dims", "multinv"]))
+        return name, [name, "volume", draw(_WORD)]
+    name, argv, _ = draw(command_lines())
+    at = draw(st.integers(argv.index(name) + 1, len(argv)))
+    return name, argv[:at] + [draw(st.sampled_from(["--bogus", "--format=svg"]))] + argv[at:]
+
+
+@st.composite
+def sessions(draw):
+    """Command lines, at least one of them a usage error, as one process might see them."""
+    lines = draw(st.lists(command_lines().map(lambda line: line[:2]), max_size=6))
+    at = draw(st.integers(0, len(lines)))
+    return lines[:at] + [draw(bad_lines())] + lines[at:]
+
+
+def outcome(parser, argv):
+    """The namespace argv parses to, or the message of the UsageError it raises."""
+    try:
+        return vars(parser.parse_args(argv))
+    except UsageError as exc:
+        return f"UsageError: {exc}"
+
+
+@settings(max_examples=100, deadline=None)
+@given(sessions())
+def test_a_reused_parser_keeps_no_state_between_calls(lines):
+    errors = 0
+    for name, argv in lines:
+        fresh = outcome(cli.build_parser.__wrapped__(name), argv)
+        assert outcome(cli.build_parser(name), argv) == fresh
+        assert outcome(cli.build_parser(), argv) == fresh
+        errors += isinstance(fresh, str)
+    assert errors >= 1
+
+
+def minimal_line(name):
+    """A command line of ``name`` that parses: first choices, a required value, a descriptor."""
+    argv = [name]
+    for option, kwargs in cli.COMMANDS[name].items():
+        if not option.startswith("-"):
+            argv.append(kwargs["choices"][0] if "choices" in kwargs else "d.json")
+        elif kwargs.get("required"):
+            argv += [option.split()[0], "1/2"]
+    return argv
+
+
+def help_text(parser, argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exit_info:
+        parser.parse_args(argv)
+    assert exit_info.value.code == 0
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("command", sorted(HELP_PINS))
+def test_help_after_reuse_keeps_its_pin_and_reads_the_width(monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    parser = cli.build_parser(command or None)
+    for name in [command] if command else cli.COMMANDS:
+        assert parser.parse_args(minimal_line(name)).command == name
+        with pytest.raises(UsageError):
+            parser.parse_args(minimal_line(name) + ["--bogus"])
+    argv = [command, "--help"] if command else ["--help"]
+    narrow = help_text(parser, argv)
+    assert hashlib.sha256(narrow.encode()).hexdigest() == HELP_PINS[command]
+    for columns in ("120", "40"):
+        monkeypatch.setenv("COLUMNS", columns)
+        text = help_text(parser, argv)
+        assert text == help_text(cli.build_parser.__wrapped__(command or None), argv)
+    assert text != narrow  # the width is read when the help is printed, not when the parser is built
+
+
+def test_the_handler_bound_at_call_time_is_called(monkeypatch, capsys, base10_file):
+    code, out, _ = run(capsys, ["residues", "{d}"], d=base10_file)
+    assert code == 0
+    assert json.loads(out)["count"] == 10
+    calls = []
+    monkeypatch.setattr(cli, "cmd_residues", lambda args, system, payload: calls.append(args.command))
+    code, out, _ = run(capsys, ["residues", "{d}"], d=base10_file)
+    assert (code, out, calls) == (0, "", ["residues"])
+
+
+def test_main_builds_one_parser_per_subcommand(capsys, base10_file):
+    cli.build_parser.cache_clear()
+    for _ in range(5):
+        assert run(capsys, ["residues", "{d}"], d=base10_file)[0] == 0
+        assert run(capsys, ["residues", "{d}", "--bogus"], d=base10_file)[0] == 64
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 9, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,6 @@
 import collections
 import json
-import os
 import resource
-import subprocess
-import sys
 from fractions import Fraction
 
 import pytest
@@ -14,7 +11,7 @@ from radixtile.errors import DepthTooLarge, EmptyCloud, RasterTooLarge
 from radixtile.render import RASTER_CAP
 from radixtile.radix import vector_seq
 
-from conftest import gauss_matrix, gauss_system
+from conftest import gauss_matrix, gauss_system, run_cli_process
 
 
 class TestKtilePoints:
@@ -172,15 +169,7 @@ class TestRasterCap:
         def limit():  # runs in the child only
             resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
-        src = os.path.dirname(os.path.dirname(rt.__file__))
-        done = subprocess.run(
-            [sys.executable, "-m", "radixtile.cli", *argv],
-            capture_output=True,
-            text=True,
-            timeout=120,
-            preexec_fn=limit,
-            env={**os.environ, "PYTHONPATH": src},
-        )
+        done = run_cli_process(argv, limit)
         assert done.returncode == 3, done.stderr
         lines = done.stdout.splitlines()
         assert len(lines) == 1
