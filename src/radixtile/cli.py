@@ -1,9 +1,11 @@
 """Command line front end: JSON in, JSON (or DOT / PNM / CSV) out.
 
 Every subcommand reads a system descriptor file plus an optional JSON
-payload and writes a deterministic report.  Exact rationals are emitted
-as "p/q" strings next to float renderings.  Exit codes: 0 success,
-2 precondition failure, 3 budget exceeded, 64 usage error.
+payload and produces a deterministic report.  Its handler ``cmd_<name>``
+returns the report (a dict for JSON, a str for DOT or CSV, bytes for PNM)
+and writes nothing; ``main`` writes it through ``_write``.  Exact rationals
+are emitted as "p/q" strings next to float renderings.  Exit codes:
+0 success, 2 precondition failure, 3 budget exceeded, 64 usage error.
 """
 
 from __future__ import annotations
@@ -79,117 +81,94 @@ def _rep(sys, data) -> radix.Representation:
     return radix.Representation(sys, _seq_from_json(data))
 
 
-def _emit_json(args, payload: dict) -> None:
-    if getattr(args, "timestamp", False):
-        payload["generated_at"] = datetime.now(timezone.utc).isoformat()
-    _sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-
-
-def _emit_text(text: str) -> None:
-    _sys.stdout.write(text if text.endswith("\n") else text + "\n")
-
-
-def _emit_bytes(args, blob: bytes) -> None:
-    if not args.out:
-        _sys.stdout.buffer.write(blob)
-        return
-    try:
-        fh = open(args.out, "wb")
+def _write(args, report) -> None:
+    """Write a handler's report: a dict as sorted JSON, a str as text, bytes to ``--out`` or stdout."""
+    if isinstance(report, dict):
+        if getattr(args, "timestamp", False):
+            report["generated_at"] = datetime.now(timezone.utc).isoformat()
+        _sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
+    elif isinstance(report, str):
+        _sys.stdout.write(report if report.endswith("\n") else report + "\n")
+    elif not getattr(args, "out", None):
+        _sys.stdout.buffer.write(report)
+    else:
         try:
-            with fh:
-                fh.write(blob)
-        except OSError:  # the open truncated it: leave no partial file behind
-            if Path(args.out).is_file():
-                Path(args.out).unlink()
-            raise
-    except OSError as exc:
-        raise PreconditionViolated(f"cannot write the output file: {exc}") from exc
+            fh = open(args.out, "wb")
+            try:
+                with fh:
+                    fh.write(report)
+            except OSError:  # the open truncated it: leave no partial file behind
+                if Path(args.out).is_file():
+                    Path(args.out).unlink()
+                raise
+        except OSError as exc:
+            raise PreconditionViolated(f"cannot write the output file: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: each returns its report and writes nothing; main writes it
 
 
 def cmd_residues(args, sys, payload):
     reps = linalg.residue_system(sys.matrix)
-    _emit_json(args, {"residues": [list(v) for v in reps], "count": len(reps)})
+    return {"residues": [list(v) for v in reps], "count": len(reps)}
 
 
 def cmd_numsys_check(args, sys, payload):
     ok, witnesses = numsys.is_number_system(sys)
-    _emit_json(
-        args,
-        {
-            "number_system": ok,
-            "witness_cycles": [[list(v) for v in cycle] for cycle in witnesses],
-        },
-    )
+    return {
+        "number_system": ok,
+        "witness_cycles": [[list(v) for v in cycle] for cycle in witnesses],
+    }
 
 
 def cmd_expand(args, sys, payload):
     digits = numsys.discrete_expansion(sys, json_vec(payload["vector"]))
-    _emit_json(args, {"digits": [list(d) for d in digits]})
+    return {"digits": [list(d) for d in digits]}
 
 
 def cmd_eval(args, sys, payload):
     value = radix.eval_exact(_rep(sys, payload))
-    _emit_json(
-        args,
-        {"value": {"exact": [linalg.frac_str(x) for x in value], "float": [float(x) for x in value]}},
-    )
+    return {"value": {"exact": [linalg.frac_str(x) for x in value], "float": [float(x) for x in value]}}
 
 
 def cmd_equiv(args, sys, payload):
     x = _rep(sys, payload["x"])
     y = _rep(sys, payload["y"])
     same = radix.equivalent(x, y)
-    _emit_json(
-        args,
-        {"equivalent": same, "neighbour_walk_agrees": radix.is_neighbour_sequence(x, y) == same},
-    )
+    return {"equivalent": same, "neighbour_walk_agrees": radix.is_neighbour_sequence(x, y) == same}
 
 
 def cmd_enumerate_equiv(args, sys, payload):
     x = _rep(sys, payload["x"])
     cls, samples = radix.enumerate_equivalents(sys, x, _int_field(payload, "limit", 16))
-    _emit_json(
-        args,
-        {"classification": cls, "samples": [s.to_json() for s in samples]},
-    )
+    return {"classification": cls, "samples": [s.to_json() for s in samples]}
 
 
 def cmd_unique(args, sys, payload):
     target = sys.difference_system() if args.difference else sys
-    _emit_json(args, {"unique": radix.representations_unique(target)})
+    return {"unique": radix.representations_unique(target)}
 
 
 def cmd_neighbours(args, sys, payload):
     result = neighbours.integer_neighbours(sys.matrix, sys.digits)
     if args.dot or args.format == "dot":
-        _emit_text(neighbours.neighbour_graph(sys.matrix, sys.digits).to_dot())
-        return
-    _emit_json(
-        args,
-        {
-            "neighbours": [list(v) for v in result.sorted()],
-            "ball_radius": result.ball_radius,
-            "count": len(result.vectors),
-        },
-    )
+        return neighbours.neighbour_graph(sys.matrix, sys.digits).to_dot()
+    return {
+        "neighbours": [list(v) for v in result.sorted()],
+        "ball_radius": result.ball_radius,
+        "count": len(result.vectors),
+    }
 
 
 def cmd_triple_graph(args, sys, payload):
     graph = neighbours.triple_state_graph(sys.matrix, sys.digits)
     if args.dot or args.format == "dot":
-        _emit_text(graph.to_dot())
-        return
-    _emit_json(
-        args,
-        {
-            "states": [[list(z), list(x)] for z, x in graph.states],
-            "edge_count": len(graph.edges),
-        },
-    )
+        return graph.to_dot()
+    return {
+        "states": [[list(z), list(x)] for z, x in graph.states],
+        "edge_count": len(graph.edges),
+    }
 
 
 def cmd_sep(args, sys, payload):
@@ -204,8 +183,7 @@ def cmd_sep(args, sys, payload):
                 "base": list(witness.base),
                 "increments": list(witness.increments),
             }
-        _emit_json(args, {"sep": witness is not None, "witness": out})
-        return
+        return {"sep": witness is not None, "witness": out}
     seq = _set_seq_from_json(payload)
     if kind == "sets":
         witness = sep.is_sep_sets(seq)
@@ -215,36 +193,28 @@ def cmd_sep(args, sys, payload):
         )
     else:
         raise ValueError(f"unknown sep kind {kind!r}")
-    _emit_json(
-        args,
-        {
-            "sep": witness is not None,
-            "witness": None if witness is None else intersect.witness_json(witness),
-        },
-    )
+    return {
+        "sep": witness is not None,
+        "witness": None if witness is None else intersect.witness_json(witness),
+    }
 
 
-def _translate_from_payload(sys, payload) -> intersect.TranslateSpec:
-    alpha = _seq_from_json(payload["alpha"])
-    return intersect.translate_spec(sys, alpha, strict=_bool_field(payload, "strict", True))
+def _translate_from_payload(sys, payload, alpha) -> intersect.TranslateSpec:
+    """The translate with digit-difference representation ``alpha``, strict unless the payload waives it."""
+    return intersect.translate_spec(sys, _seq_from_json(alpha), strict=_bool_field(payload, "strict", True))
 
 
 def cmd_intersect(args, sys, payload):
     if args.multi:
-        specs = [
-            intersect.translate_spec(sys, _seq_from_json(a), strict=_bool_field(payload, "strict", True))
-            for a in json_list(payload["alphas"], "alphas")
-        ]
+        specs = [_translate_from_payload(sys, payload, a) for a in json_list(payload["alphas"], "alphas")]
         seq = intersect.multi_intersection_sequence(specs)
-        _emit_json(args, {"sequence": seq.to_json()})
-        return
-    t = _translate_from_payload(sys, payload)
-    report = intersect.intersection_report(
+        return {"sequence": seq.to_json()}
+    t = _translate_from_payload(sys, payload, payload["alpha"])
+    return intersect.intersection_report(
         t,
         sep_budget=_int_field(payload, "max_block", None),
         empirical_depth=_int_field(payload, "empirical_depth", None),
     )
-    _emit_json(args, report)
 
 
 def cmd_dims(args, sys, payload):
@@ -256,30 +226,27 @@ def cmd_dims(args, sys, payload):
             list(map(json_vec, json_list(payload["digits"], "digits"))),
             allow_refined=_bool_field(payload, "allow_refined", False),
         )
-        _emit_json(args, {"hausdorff": dim_h, "box": dim_b})
-        return
+        return {"hausdorff": dim_h, "box": dim_b}
     if "sequence" in payload:
         seq = _set_seq_from_json(payload["sequence"])
     else:
-        seq = intersect.intersection_sequence(_translate_from_payload(sys, payload))
+        seq = intersect.intersection_sequence(_translate_from_payload(sys, payload, payload["alpha"]))
     if kind == "box":
         report = intersect.box_dimension_ep(sys, seq)
         out = report.to_json()
         depth = _int_field(payload, "empirical_depth", None)
         if depth:
             est = intersect.box_count_exponent(sys, seq, depth)
-            out.setdefault("flags", {})
-            out["flags"]["empirical_exponent"] = est
-            out["flags"]["empirical_matches_exact"] = abs(est - report.value) < 0.05
-        _emit_json(args, out)
-        return
+            flags = out.setdefault("flags", {})
+            flags["empirical_exponent"] = est
+            flags["empirical_matches_exact"] = abs(est - report.value) < intersect.EMPIRICAL_TOLERANCE
+        return out
     witness = sep.is_sep_sets_translated(sys.digits, seq, max_block=_int_field(payload, "max_block", None))
     if witness is None:
         raise PreconditionError("sequence is not SEP; no witness-based dimension")
     if kind == "hausdorff":
-        _emit_json(args, intersect.hausdorff_dimension_sep(sys, witness).to_json())
-    else:
-        _emit_json(args, intersect.similarity_dimension(sys, witness).to_json())
+        return intersect.hausdorff_dimension_sep(sys, witness).to_json()
+    return intersect.similarity_dimension(sys, witness).to_json()
 
 
 def cmd_levelset(args, sys, payload):
@@ -291,13 +258,10 @@ def cmd_levelset(args, sys, payload):
         prefix = [alpha.entry(j) for j in range(m)]
     t = intersect.level_set_translate(sys, prefix, lam, strict=_bool_field(payload, "strict", True))
     seq = intersect.intersection_sequence(t)
-    _emit_json(
-        args,
-        {
-            "beta": t.alpha.to_json(),
-            "dimension": intersect.box_dimension_ep(sys, seq).to_json(),
-        },
-    )
+    return {
+        "beta": t.alpha.to_json(),
+        "dimension": intersect.box_dimension_ep(sys, seq).to_json(),
+    }
 
 
 def cmd_union_components(args, sys, payload):
@@ -305,20 +269,17 @@ def cmd_union_components(args, sys, payload):
         system=sys, alpha=_seq_from_json(payload["alpha"]), uniqueness_checked=False
     )
     report = intersect.union_components(t, limit=_int_field(payload, "limit", 8))
-    _emit_json(
-        args,
-        {
-            "classification": report.classification,
-            "components": [
-                {
-                    "alpha": c.alpha_rep.to_json(),
-                    "sequence": c.sets.to_json(),
-                    "dim_lower": c.dim_lower.to_json(),
-                }
-                for c in report.components
-            ],
-        },
-    )
+    return {
+        "classification": report.classification,
+        "components": [
+            {
+                "alpha": c.alpha_rep.to_json(),
+                "sequence": c.sets.to_json(),
+                "dim_lower": c.dim_lower.to_json(),
+            }
+            for c in report.components
+        ],
+    }
 
 
 def _automaton_from_payload(sys, payload) -> multinv.DigitAutomaton:
@@ -340,38 +301,30 @@ def cmd_multinv(args, sys, payload):
         k = _int_field(payload, "torus_k", 0)
         if k:
             out["torus_invariance"] = multinv.torus_invariance_check(sys, auto, k)
-        _emit_json(args, out)
-    elif args.action == "cloud":
+        return out
+    if args.action == "cloud":
         points = sorted(multinv.xk_cloud(sys, auto, _int_field(payload, "k")).points)
-        _emit_json(
-            args,
+        return {
+            "points": [
+                {"exact": [linalg.frac_str(x) for x in p], "float": [float(x) for x in p]}
+                for p in points
+            ]
+        }
+    report = multinv.convergence_report(sys, auto, _int_field(payload, "kmax"))
+    if args.format == "csv":
+        return report.to_csv()
+    return {
+        "phi_closed": report.phi_closed,
+        "rows": [
             {
-                "points": [
-                    {"exact": [linalg.frac_str(x) for x in p], "float": [float(x) for x in p]}
-                    for p in points
-                ]
-            },
-        )
-    else:
-        report = multinv.convergence_report(sys, auto, _int_field(payload, "kmax"))
-        if args.format == "csv":
-            _emit_text(report.to_csv())
-            return
-        _emit_json(
-            args,
-            {
-                "phi_closed": report.phi_closed,
-                "rows": [
-                    {
-                        "k": r.k,
-                        "measured": r.measured,
-                        "bound": r.bound,
-                        "ratio_to_prev": r.ratio_to_prev,
-                    }
-                    for r in report.rows
-                ],
-            },
-        )
+                "k": r.k,
+                "measured": r.measured,
+                "bound": r.bound,
+                "ratio_to_prev": r.ratio_to_prev,
+            }
+            for r in report.rows
+        ],
+    }
 
 
 _REQUIRED = object()
@@ -402,16 +355,14 @@ def cmd_render(args, sys, payload):
         bbox = tuple((_parse_frac(lo), _parse_frac(hi)) for lo, hi in axes)
     if args.overlap:
         shift = linalg.as_vec([int(x) for x in args.overlap.split(",")])
-        img = render.render_overlap(sys, shift, k, width, height)
-    else:
-        digit_filter = None
-        if "filter" in payload:
-            digit_filter = _set_seq_from_json(payload["filter"])
-        cloud = render.ktile_points(
-            sys, k, digit_filter=digit_filter, sample_seed=_int_field(payload, "seed", None)
-        )
-        img = render.rasterize([cloud], width, height, bbox=bbox)
-    _emit_bytes(args, img.to_pnm())
+        return render.render_overlap(sys, shift, k, width, height).to_pnm()
+    digit_filter = None
+    if "filter" in payload:
+        digit_filter = _set_seq_from_json(payload["filter"])
+    cloud = render.ktile_points(
+        sys, k, digit_filter=digit_filter, sample_seed=_int_field(payload, "seed", None)
+    )
+    return render.rasterize([cloud], width, height, bbox=bbox).to_pnm()
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +438,7 @@ def main(argv=None) -> int:
         system = load_descriptor(args.descriptor)
         text = args.payload or "{}"
         payload = _json_object(text, "payload", inline=text.lstrip().startswith(("{", "[")))
-        globals()["cmd_" + args.command.replace("-", "_")](args, system, payload)
+        _write(args, globals()["cmd_" + args.command.replace("-", "_")](args, system, payload))
     except (UsageError, RadixTileError, ValueError) as exc:
         _sys.stdout.write(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}) + "\n")
         return 64 if isinstance(exc, UsageError) else 3 if isinstance(exc, BudgetError) else 2

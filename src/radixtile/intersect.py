@@ -11,6 +11,7 @@ log 3 / log 10 are decided without float tolerance.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ import numpy as np
 from . import linalg, sep
 from .errors import (
     DigitShapeViolation,
+    DimensionTooLong,
     EmptyIntersection,
     GridViolation,
     UniquenessNotEstablished,
@@ -34,8 +36,6 @@ from .sep import SepIntWitness, SepSetWitness
 
 
 def _int_nth_root(a: int, e: int) -> int:
-    if e == 1:
-        return a
     lo, hi = 1, 1 << (a.bit_length() // e + 2)
     while lo < hi:
         mid = (lo + hi + 1) // 2
@@ -45,16 +45,42 @@ def _int_nth_root(a: int, e: int) -> int:
             hi = mid - 1
     return lo
 
+
 def _primitive_power(a: int) -> tuple[int, int]:
-    """Write a = base**exp with base not a perfect power."""
-    if a < 2:
-        return a, 1
+    """Write a >= 2 as base**exp with base not a perfect power: the first hit of
+    the largest exponent, since a root that were a power would give a larger one."""
     for e in range(a.bit_length(), 1, -1):
         r = _int_nth_root(a, e)
-        if r**e == a and r >= 2:
-            base, inner = _primitive_power(r)
-            return base, inner * e
+        if r**e == a:
+            return r, e
     return a, 1
+
+
+def _primitive_factors(factors) -> dict[int, int]:
+    """{r: f} with prod(factors) = prod(r**f), the r pairwise coprime and none a
+    perfect power.  The distinct factors are split into a coprime base by gcds,
+    so the time is polynomial in their bit lengths, whatever their primes."""
+    distinct = Counter(factors)
+    base: list[int] = []
+    todo = [c for c in distinct if c > 1]
+    while todo:  # each split replaces x, b by g, x/g, b/g: their product falls by g
+        x = todo.pop()
+        for i, b in enumerate(base):
+            g = math.gcd(x, b)
+            if g > 1:
+                del base[i]
+                todo += [y for y in (g, x // g, b // g) if y > 1]
+                break
+        else:
+            base.append(x)
+    out = {}
+    for b in base:
+        root, k = _primitive_power(b)
+        for c, times in distinct.items():
+            while c % b == 0:
+                out[root] = out.get(root, 0) + k * times
+                c //= b
+    return out
 
 
 @dataclass(frozen=True)
@@ -82,24 +108,24 @@ class ExactDim:
     @classmethod
     def log_ratio(cls, num: int, den: int, coeff: Fraction = Fraction(1)) -> "ExactDim":
         """coeff * log(num)/log(den) for integers num >= 1, den >= 2."""
-        if num <= 0 or den <= 1:
-            raise ValueError("log_ratio needs num >= 1 and den >= 2")
-        if num == 1 or coeff == 0:
-            return cls.zero()
-        a0, s = _primitive_power(num)
-        b0, t = _primitive_power(den)
-        c = Fraction(coeff) * Fraction(s, t)
-        if a0 == b0:
-            return cls.rational(c)
-        return cls(c, a0, b0)
+        return cls.from_counts([num], 1, den, 1).scale(coeff)
 
     @classmethod
     def from_counts(cls, counts, period: int, determinant: int, dim: int) -> "ExactDim":
-        """dim * sum(log counts) / (period * log |det|)."""
-        product = 1
-        for c in counts:
-            product *= int(c)
-        return cls.log_ratio(product, abs(determinant), Fraction(dim, period))
+        """dim * sum(log counts) / (period * log |det|).  The product of the
+        counts, which can have thousands of digits, is only built as its
+        primitive root, from the coprime primitive factors of the counts."""
+        counts = [int(c) for c in counts]
+        if min(counts, default=1) <= 0 or abs(determinant) <= 1:
+            raise ValueError("log_ratio needs num >= 1 and den >= 2")
+        exponents = _primitive_factors(counts)
+        if not exponents:
+            return cls.zero()
+        s = math.gcd(*exponents.values())
+        a0 = math.prod(r ** (f // s) for r, f in exponents.items())
+        b0, t = _primitive_power(abs(determinant))
+        c = Fraction(dim * s, period * t)
+        return cls.rational(c) if a0 == b0 else cls(c, a0, b0)
 
     def scale(self, factor: Fraction) -> "ExactDim":
         factor = Fraction(factor)
@@ -116,7 +142,10 @@ class ExactDim:
     def __str__(self) -> str:
         if self.base_num == 0:
             return str(self.coeff)
-        core = f"log({self.base_num})/log({self.base_den})"
+        try:
+            core = f"log({self.base_num})/log({self.base_den})"
+        except ValueError as exc:  # Python's int-to-str digit limit
+            raise DimensionTooLong(f"the exact dimension is too long to print: {exc}") from None
         if self.coeff == 1:
             return core
         return f"({self.coeff})*{core}"
@@ -561,6 +590,10 @@ def union_components(t: TranslateSpec, limit: int = 8) -> UnionReport:
 # empirical box-count arbiter
 
 
+# an empirical box-count exponent matches an exact dimension when within this distance of it
+EMPIRICAL_TOLERANCE = 0.05
+
+
 def box_count_exponent(sys: RadixSystem, seq: EpSeq, depth: int, mesh_scale: float = 0.5) -> float:
     """Empirical box-count exponent of the depth-k point cloud.
 
@@ -614,7 +647,7 @@ def intersection_report(t: TranslateSpec, sep_budget: int | None = None, empiric
     if empirical_depth:
         est = box_count_exponent(t.system, seq, empirical_depth)
         dims["empirical_box_exponent"] = est
-        out["flags"]["empirical_matches_exact"] = abs(est - box.value) < 0.05
+        out["flags"]["empirical_matches_exact"] = abs(est - box.value) < EMPIRICAL_TOLERANCE
     out["dims"] = dims
     return out
 

@@ -1,5 +1,6 @@
 import json
 import resource
+import sys
 
 import pytest
 
@@ -276,3 +277,21 @@ class TestFormatsAndCodes:
         code, data = run_json(capsys, ["sep", base10_file, "-p", payload])
         assert code == 3
         assert data["error"]["type"] == "SearchBudgetExceeded"
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="this Python prints integers of any length")
+    def test_a_dimension_too_long_to_print_exits_3_within_seconds(self, monkeypatch, tmp_path, base10_file):
+        # log 2 + 9,999 log 3 over log 10^10,000: the primitive base 2 * 3**9999 has 4,772 digits
+        payload = tmp_path / "seq.json"
+        payload.write_text(json.dumps({"sequence": {"pre": [], "cycle": [[[0], [1]]] + 9999 * [[[0], [1], [2]]]}}))
+        monkeypatch.setenv("PYTHONINTMAXSTRDIGITS", "4300")
+
+        def limit():  # runs in the child only: past 10 s of CPU the job is killed
+            resource.setrlimit(resource.RLIMIT_CPU, (10, 10))
+
+        done = run_cli_process(["dims", "box", base10_file, "-p", str(payload)], limit)
+        assert done.returncode == 3, done.stderr
+        lines = done.stdout.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])["error"]
+        assert error["type"] == "DimensionTooLong"
+        assert "4300" in error["message"]

@@ -273,9 +273,67 @@ def test_the_handler_bound_at_call_time_is_called(monkeypatch, capsys, base10_fi
     assert code == 0
     assert json.loads(out)["count"] == 10
     calls = []
-    monkeypatch.setattr(cli, "cmd_residues", lambda args, system, payload: calls.append(args.command))
+    monkeypatch.setattr(cli, "cmd_residues", lambda args, system, payload: calls.append(args.command) or {"stub": 1})
     code, out, _ = run(capsys, ["residues", "{d}"], d=base10_file)
-    assert (code, out, calls) == (0, "", ["residues"])
+    assert (code, json.loads(out), calls) == (0, {"stub": 1}, ["residues"])
+
+
+_ALPHA = '{"alpha": {"pre": [[-4, 0], [-8, 0]], "cycle": [[0, 0], [8, 0]]}}'
+_X = '{"pre": [[1]], "cycle": [[0]]}'
+# a small job for every handler, with the type of report it returns
+HANDLER_CASES = [
+    (["residues", "{d}"], dict),
+    (["numsys-check", "{d}"], dict),
+    (["expand", "{d}", "-p", '{"vector": [905]}'], dict),
+    (["eval", "{d}", "-p", _X], dict),
+    (["equiv", "{d}", "-p", '{"x": %s, "y": {"pre": [[0]], "cycle": [[9]]}}' % _X], dict),
+    (["enumerate-equiv", "{d}", "-p", '{"x": %s}' % _X], dict),
+    (["unique", "--difference", "{m}"], dict),
+    (["neighbours", "{d}"], dict),
+    (["neighbours", "--dot", "{d}"], str),
+    (["triple-graph", "{d}"], dict),
+    (["triple-graph", "{d}", "--format", "dot"], str),
+    (["sep", "{d}", "-p", '{"kind": "int", "pre": [0], "cycle": [2]}'], dict),
+    (["intersect", "{m}", "-p", _ALPHA], dict),
+    (["intersect", "--multi", "{m}", "-p", '{"alphas": [{"cycle": [[0, 0]]}, {"cycle": [[4, 0]]}]}'], dict),
+    (["dims", "box", "{m}", "-p", _ALPHA], dict),
+    (["dims", "hausdorff", "{m}", "-p", _ALPHA], dict),
+    (["dims", "similarity", "{m}", "-p", _ALPHA], dict),
+    (["dims", "bm", "{d}", "-p", '{"m": 2, "n": 3, "digits": [[0, 0], [1, 2]]}'], dict),
+    (["levelset", "--lam", "1/2", "{m}"], dict),
+    (["union-components", "{m}", "-p", '{"alpha": {"cycle": [[0, 0]]}, "limit": 4}'], dict),
+    (["multinv", "check", "{d}", "-p", '{"restrict": [[0], [2]], "torus_k": 2}'], dict),
+    (["multinv", "cloud", "{d}", "-p", '{"restrict": [[0], [2]], "k": 2}'], dict),
+    (["multinv", "converge", "{d}", "-p", '{"restrict": [[0], [2]], "kmax": 2}'], dict),
+    (["multinv", "converge", "{d}", "-p", '{"restrict": [[0], [2]], "kmax": 2}', "--format", "csv"], str),
+    (["render", "{d}", "-p", '{"k": 2, "width": 8, "height": 4}', "--out", "{o}"], bytes),
+]
+
+
+def test_every_handler_is_covered_by_a_case():
+    assert {argv[0] for argv, _ in HANDLER_CASES} == set(cli.COMMANDS)
+
+
+@pytest.mark.parametrize("argv, kind", HANDLER_CASES, ids=[f"{i}-{argv[0]}" for i, (argv, _) in enumerate(HANDLER_CASES)])
+def test_a_handler_returns_its_report_and_main_writes_it(capsys, tmp_path, base10_file, argv, kind):
+    m3i = tmp_path / "m3i.json"
+    m3i.write_text(json.dumps({"matrix": [-3, -1, 1, -3], "digits": [[0, 0], [4, 0], [8, 0]]}))
+    paths = {"d": base10_file, "m": str(m3i), "o": str(tmp_path / "out.pgm")}
+    argv = [paths.get(token[1:-1], token) if token[:1] == "{" else token for token in argv]
+    args = cli.build_parser(argv[0]).parse_args(argv)
+    system = cli.load_descriptor(args.descriptor)
+    payload = cli._json_object(args.payload or "{}", "payload", inline=True)
+    report = getattr(cli, "cmd_" + argv[0].replace("-", "_"))(args, system, payload)
+    assert capsys.readouterr() == ("", "")  # the handler writes nothing
+    assert type(report) is kind
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    if kind is dict:
+        assert json.loads(out) == report
+    elif kind is str:
+        assert out == report.rstrip("\n") + "\n"
+    else:
+        assert (tmp_path / "out.pgm").read_bytes() == report
 
 
 def test_main_builds_one_parser_per_subcommand(capsys, base10_file):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys as _sys
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 import radixtile as rt
 from radixtile import linalg
 from radixtile.errors import (
+    BudgetError,
+    DimensionTooLong,
     EmptyIntersection,
     GridViolation,
     InvalidWitness,
@@ -48,6 +51,110 @@ class TestExactDim:
     def test_str_forms(self):
         assert str(ExactDim.log_ratio(3, 10)) == "log(3)/log(10)"
         assert str(ExactDim.zero()) == "0"
+
+    def test_a_base_too_long_to_print_is_a_budget_error(self):
+        if not hasattr(_sys, "set_int_max_str_digits"):
+            pytest.skip("this Python prints integers of any length")
+        # log 2 + 9,999 log 3 has the primitive base 2 * 3**9999, of 4,772 decimal digits
+        d = ExactDim.from_counts([2] + [3] * 9999, 10000, 10, 1)
+        assert d.value == pytest.approx((math.log(2) + 9999 * math.log(3)) / (10000 * math.log(10)))
+        saved = _sys.get_int_max_str_digits()
+        _sys.set_int_max_str_digits(4300)
+        try:
+            with pytest.raises(DimensionTooLong, match="4300") as info:
+                str(d)
+        finally:
+            _sys.set_int_max_str_digits(saved)
+        assert isinstance(info.value, BudgetError)
+
+
+# ---------------------------------------------------------------------------
+# the root-search construction of ExactDim, as a reference: multiply the
+# counts, then bisect an integer root for every exponent down from the top
+
+
+def _reference_root(a, e):
+    lo, hi = 1, 1 << (a.bit_length() // e + 2)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        lo, hi = (mid, hi) if mid**e <= a else (lo, mid - 1)
+    return lo
+
+
+def _reference_primitive_power(a):
+    if a < 2:
+        return a, 1
+    for e in range(a.bit_length(), 1, -1):
+        r = _reference_root(a, e)
+        if r**e == a and r >= 2:
+            base, inner = _reference_primitive_power(r)
+            return base, inner * e
+    return a, 1
+
+
+def _reference_log_ratio(num, den, coeff=Fraction(1)):
+    if num == 1 or coeff == 0:
+        return ExactDim.zero()
+    a0, s = _reference_primitive_power(num)
+    b0, t = _reference_primitive_power(den)
+    c = Fraction(coeff) * Fraction(s, t)
+    return ExactDim.rational(c) if a0 == b0 else ExactDim(c, a0, b0)
+
+
+def _same_dim(got, want):
+    assert got == want
+    assert str(got) == str(want)
+    assert got.value == want.value
+
+
+_POWERS = [4, 8, 9, 16, 25, 27, 32, 36, 49]
+_counts = st.lists(st.integers(1, 60) | st.sampled_from(_POWERS), min_size=1, max_size=8)
+_dets = st.integers(2, 1000) | st.sampled_from([4, 8, 9, 16, 27, 32, 64, 81, 125, 243, 256, 512, 625, 729, 1000])
+
+
+@st.composite
+def _same_base(draw):
+    """Counts and a determinant that are all powers of one base, such as counts [3, 3] with det 9."""
+    base = draw(st.integers(2, 7))
+    counts = draw(st.lists(st.integers(0, 3).map(lambda e: base**e), min_size=1, max_size=6))
+    return counts, base ** draw(st.integers(1, 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(_counts, _dets) | _same_base(), st.integers(1, 6), st.integers(1, 3), st.booleans())
+def test_from_counts_matches_the_root_search(case, period, dim, negative):
+    counts, det = case
+    det = -det if negative else det
+    want = _reference_log_ratio(math.prod(counts), abs(det), Fraction(dim, period))
+    _same_dim(ExactDim.from_counts(counts, period, det, dim), want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_counts | _same_base().map(lambda case: case[0]), _dets, st.fractions(-3, 3, max_denominator=7))
+def test_log_ratio_matches_the_root_search(counts, den, coeff):
+    num = math.prod(counts)
+    _same_dim(ExactDim.log_ratio(num, den, coeff), _reference_log_ratio(num, den, coeff))
+
+
+_P61, _P31 = 2**61 - 1, 2**31 - 1  # Mersenne primes: trial division would need about 1.5e9 steps
+
+
+@pytest.mark.parametrize(
+    "counts, det",
+    [
+        ([_P61], 10),
+        ([_P61 * _P31], 10),
+        ([_P61 * _P31, _P31 * 4, 2, _P61**2], 6),
+        ([_P61**3, _P31**6 * 8, 27**3], 10),
+        ([_P61, _P61], _P61**2),
+        ([_P61**2 * _P31], (_P61**2 * _P31) ** 3),
+    ],
+)
+def test_counts_with_large_primes(counts, det):
+    want = _reference_log_ratio(math.prod(counts), det, Fraction(1, 2))
+    _same_dim(ExactDim.from_counts(counts, 2, det, 1), want)
+    _same_dim(ExactDim.log_ratio(math.prod(counts), det, Fraction(1, 2)), want)
+    _same_dim(rt.similarity_dimension_counts(counts, 2, det, 1).exact, want)
 
 
 class TestIntersectionSequence:
