@@ -14,12 +14,11 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys as _sys
-from datetime import datetime, timezone
 from fractions import Fraction
-from pathlib import Path
 
-from . import intersect, linalg, multinv, neighbours, numsys, radix, render, sep
+from . import linalg, numsys, radix
 from .errors import BudgetError, PreconditionError, PreconditionViolated, RadixTileError, UsageError
 from .errors import json_int, json_ints, json_list, json_vec
 
@@ -38,7 +37,10 @@ class _JsonObject(dict):
 def _json_object(source: str, what: str, inline: bool = False) -> dict:
     """The JSON object in the file named ``source``, or in ``source`` itself when inline."""
     try:
-        data = json.loads(source if inline else Path(source).read_text(), object_hook=_JsonObject)
+        if not inline:
+            with open(source) as fh:
+                source = fh.read()
+        data = json.loads(source, object_hook=_JsonObject)
     except OSError as exc:
         raise PreconditionViolated(f"cannot read the {what} file: {exc}") from None
     if not isinstance(data, dict):
@@ -85,6 +87,8 @@ def _write(args, report) -> None:
     """Write a handler's report: a dict as sorted JSON, a str as text, bytes to ``--out`` or stdout."""
     if isinstance(report, dict):
         if getattr(args, "timestamp", False):
+            from datetime import datetime, timezone
+
             report["generated_at"] = datetime.now(timezone.utc).isoformat()
         _sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
     elif isinstance(report, str):
@@ -98,8 +102,8 @@ def _write(args, report) -> None:
                 with fh:
                     fh.write(report)
             except OSError:  # the open truncated it: leave no partial file behind
-                if Path(args.out).is_file():
-                    Path(args.out).unlink()
+                if os.path.isfile(args.out):
+                    os.unlink(args.out)
                 raise
         except OSError as exc:
             raise PreconditionViolated(f"cannot write the output file: {exc}") from exc
@@ -151,6 +155,8 @@ def cmd_unique(args, sys, payload):
 
 
 def cmd_neighbours(args, sys, payload):
+    from . import neighbours
+
     result = neighbours.integer_neighbours(sys.matrix, sys.digits)
     if args.dot or args.format == "dot":
         return neighbours.neighbour_graph(sys.matrix, sys.digits).to_dot()
@@ -162,6 +168,8 @@ def cmd_neighbours(args, sys, payload):
 
 
 def cmd_triple_graph(args, sys, payload):
+    from . import neighbours
+
     graph = neighbours.triple_state_graph(sys.matrix, sys.digits)
     if args.dot or args.format == "dot":
         return graph.to_dot()
@@ -172,6 +180,8 @@ def cmd_triple_graph(args, sys, payload):
 
 
 def cmd_sep(args, sys, payload):
+    from . import sep
+
     kind = payload.get("kind", "int")
     if kind == "int":
         seq = _seq_from_json(payload, coerce=json_int)
@@ -184,6 +194,8 @@ def cmd_sep(args, sys, payload):
                 "increments": list(witness.increments),
             }
         return {"sep": witness is not None, "witness": out}
+    from . import intersect
+
     seq = _set_seq_from_json(payload)
     if kind == "sets":
         witness = sep.is_sep_sets(seq)
@@ -201,10 +213,14 @@ def cmd_sep(args, sys, payload):
 
 def _translate_from_payload(sys, payload, alpha) -> intersect.TranslateSpec:
     """The translate with digit-difference representation ``alpha``, strict unless the payload waives it."""
+    from . import intersect
+
     return intersect.translate_spec(sys, _seq_from_json(alpha), strict=_bool_field(payload, "strict", True))
 
 
 def cmd_intersect(args, sys, payload):
+    from . import intersect
+
     if args.multi:
         specs = [_translate_from_payload(sys, payload, a) for a in json_list(payload["alphas"], "alphas")]
         seq = intersect.multi_intersection_sequence(specs)
@@ -218,6 +234,8 @@ def cmd_intersect(args, sys, payload):
 
 
 def cmd_dims(args, sys, payload):
+    from . import intersect, sep
+
     kind = args.kind
     if kind == "bm":
         dim_h, dim_b = intersect.bm_dimensions(
@@ -250,6 +268,8 @@ def cmd_dims(args, sys, payload):
 
 
 def cmd_levelset(args, sys, payload):
+    from . import intersect
+
     lam = _parse_frac(args.lam)
     prefix = [json_vec(a) for a in json_list(payload.get("alpha_prefix", []), "alpha_prefix")]
     if "alpha" in payload and "epsilon" in payload:
@@ -265,6 +285,8 @@ def cmd_levelset(args, sys, payload):
 
 
 def cmd_union_components(args, sys, payload):
+    from . import intersect
+
     t = intersect.TranslateSpec(
         system=sys, alpha=_seq_from_json(payload["alpha"]), uniqueness_checked=False
     )
@@ -283,6 +305,8 @@ def cmd_union_components(args, sys, payload):
 
 
 def _automaton_from_payload(sys, payload) -> multinv.DigitAutomaton:
+    from . import multinv
+
     if "automaton" in payload:
         auto = multinv.DigitAutomaton.from_json(payload["automaton"])
         if auto.n_digits != len(sys.digits):
@@ -294,6 +318,8 @@ def _automaton_from_payload(sys, payload) -> multinv.DigitAutomaton:
 
 
 def cmd_multinv(args, sys, payload):
+    from . import multinv
+
     auto = _automaton_from_payload(sys, payload)
     if args.action == "check":
         phi_ok, psi_ok = multinv.check_invariance(sys, auto)
@@ -346,6 +372,8 @@ def _bool_field(payload, key: str, default: bool) -> bool:
 
 
 def cmd_render(args, sys, payload):
+    from . import render
+
     width = _int_field(payload, "width", 256)
     height = _int_field(payload, "height", 256)
     k = _int_field(payload, "k", 5)

@@ -9,7 +9,7 @@ each round is one whole-array step, so they cost O(rounds * E).
 
 from __future__ import annotations
 
-import numpy as np
+from .linalg import np
 
 
 def live(succ) -> set:

@@ -15,8 +15,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from . import linalg, sep
 from .errors import (
     DigitShapeViolation,
@@ -25,7 +23,7 @@ from .errors import (
     GridViolation,
     UniquenessNotEstablished,
 )
-from .linalg import IntVec, RatMatrix, RatVec
+from .linalg import RatMatrix, RatVec, np
 from .numsys import RadixSystem
 from .radix import EpSeq, Representation, enumerate_equivalents, eval_exact, representations_unique, vector_seq
 from .sep import SepIntWitness, SepSetWitness
@@ -206,19 +204,15 @@ def translate_spec(sys: RadixSystem, alpha: EpSeq, strict: bool = True) -> Trans
     return TranslateSpec(system=sys, alpha=alpha, uniqueness_checked=checked)
 
 
-def _component(digits: tuple[IntVec, ...], shift: IntVec) -> frozenset:
-    dset = set(digits)
-    return frozenset(d for d in digits if linalg.vec_sub(d, shift) in dset)
-
-
 def intersection_sequence(t: TranslateSpec) -> EpSeq:
     """Componentwise digit sets D meet (D + alpha_j), as an EpSeq of sets."""
     digits = t.system.digits
-    seq = t.alpha.map(lambda a: _component(digits, a))
-    for s in list(seq.pre) + list(seq.cycle):
-        if not s:
-            raise EmptyIntersection("a component of the intersection is empty")
-    return seq
+    dset = set(digits)
+    shifts = {*t.alpha.pre, *t.alpha.cycle}  # D meet (D + a) is built once for each distinct shift a
+    components = {a: frozenset(d for d in digits if linalg.vec_sub(d, a) in dset) for a in shifts}
+    if not all(components.values()):
+        raise EmptyIntersection("a component of the intersection is empty")
+    return t.alpha.map(components.__getitem__)
 
 
 def multi_intersection_sequence(specs) -> EpSeq:

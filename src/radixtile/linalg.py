@@ -10,17 +10,25 @@ a*Z^n is one integer in [0, |det a|) read off the Smith form
 (``class_index``).  Floating point only
 proposes a norm bound, which is then checked exactly; the one float result
 is the similarity contraction coefficient.
+
+``np`` here is numpy, loaded on its first attribute access: a job that
+touches no array (``eval``, ``sep``) never pays numpy's start-up.  Every
+other layer takes it as ``from .linalg import np``.  An ``import numpy``
+statement would load numpy at once, because the import system reads the
+module's ``__spec__``.  If numpy is not yet imported, a lazy module is
+registered as ``sys.modules["numpy"]``, so numpy's own submodules, and any
+later ``import numpy``, find that one module and load no second copy.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-
-import numpy as np
 
 from .errors import (
     CandidateBallTooLarge,
@@ -29,6 +37,15 @@ from .errors import (
     SimilarityUnavailable,
     SingularMatrix,
 )
+
+np = sys.modules.get("numpy")
+if np is None:
+    _spec = importlib.util.find_spec("numpy")
+    if _spec is None:
+        raise ModuleNotFoundError("No module named 'numpy'", name="numpy")
+    _spec.loader = importlib.util.LazyLoader(_spec.loader)
+    np = sys.modules["numpy"] = importlib.util.module_from_spec(_spec)
+    _spec.loader.exec_module(np)
 
 IntVec = tuple[int, ...]
 IntMatrix = tuple[IntVec, ...]

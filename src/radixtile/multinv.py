@@ -16,11 +16,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import linalg, render
 from .errors import CloudTooLarge, EmptySet, NotACrs, SingularMatrix, json_int, json_ints, json_list
-from .linalg import IntVec
+from .linalg import IntVec, np
 from .numsys import RadixSystem, discrete_expansion, evaluate_expansion
 
 

@@ -14,11 +14,9 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from . import graph, linalg
 from .errors import PreconditionViolated
-from .linalg import IntMatrix, IntVec
+from .linalg import IntMatrix, IntVec, np
 from .numsys import RadixSystem
 from .radix import PairAutomaton, _dot, _vec_label, pair_automaton
 

@@ -15,11 +15,9 @@ import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from . import linalg
 from .errors import NonTerminating, NotACrs, ZeroNotInDigits
-from .linalg import IntMatrix, IntVec
+from .linalg import IntMatrix, IntVec, np
 
 
 @dataclass(frozen=True)

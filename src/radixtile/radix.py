@@ -17,11 +17,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 
-import numpy as np
-
 from . import graph, linalg
 from .errors import SingularMatrix
-from .linalg import IntMatrix, IntVec, RatVec
+from .linalg import IntMatrix, IntVec, RatVec, np
 from .numsys import RadixSystem
 
 

@@ -16,11 +16,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import linalg
 from .errors import DepthTooLarge, EmptyCloud, PreconditionViolated, RasterTooLarge, SingularMatrix
-from .linalg import IntVec, RatVec
+from .linalg import IntVec, RatVec, np
 from .numsys import RadixSystem
 from .radix import EpSeq
 

@@ -184,6 +184,19 @@ class TestIntersectionSequence:
         t = rt.translate_spec(sys, vector_seq([], [(1, 0)]), strict=False)
         assert not t.uniqueness_checked
 
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_per_entry_reference(self, data):
+        sys = IFS_SYSTEMS[data.draw(st.sampled_from(sorted(IFS_SYSTEMS)))]
+        shifts = st.sampled_from(sorted({linalg.vec_sub(d, e) for d in sys.digits for e in sys.digits}))
+        pre = data.draw(st.lists(shifts, max_size=12))
+        cycle = data.draw(st.lists(shifts, min_size=1, max_size=6))
+        t = rt.TranslateSpec(system=sys, alpha=vector_seq(pre, cycle), uniqueness_checked=False)
+        # reference: D meet (D + a) built afresh for every entry a
+        want = t.alpha.map(lambda a: frozenset(d for d in sys.digits if linalg.vec_sub(d, a) in set(sys.digits)))
+        got = rt.intersection_sequence(t)
+        assert (got.pre, got.cycle) == (want.pre, want.cycle)
+
 
 class TestMultiIntersection:
     def test_base3_pair(self, base3_cantor):
