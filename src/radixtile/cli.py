@@ -24,7 +24,10 @@ from .errors import json_int, json_ints, json_list, json_vec
 
 
 def _parse_frac(text) -> Fraction:
-    return Fraction(str(text))
+    try:
+        return Fraction(str(text))
+    except ZeroDivisionError:
+        raise PreconditionViolated(f"{text!r} has a zero denominator") from None
 
 
 class _JsonObject(dict):

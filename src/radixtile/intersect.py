@@ -416,6 +416,8 @@ def bm_dimensions(m: int, n: int, digits, allow_refined: bool = False) -> tuple[
     digits = [linalg.as_vec(d) for d in digits]
     if not digits:
         raise GridViolation("digit set must be nonempty")
+    if wrong := [d for d in digits if len(d) != 2]:
+        raise GridViolation(f"digit {wrong[0]} is not a (column, row) pair")
     if not allow_refined:
         for d in digits:
             if not (0 <= d[0] < m and 0 <= d[1] < n):
@@ -588,10 +590,10 @@ def union_components(t: TranslateSpec, limit: int = 8) -> UnionReport:
 EMPIRICAL_TOLERANCE = 0.05
 
 
-def box_count_exponent(sys: RadixSystem, seq: EpSeq, depth: int, mesh_scale: float = 0.5) -> float:
+def box_count_exponent(sys: RadixSystem, seq: EpSeq, depth: int) -> float:
     """Empirical box-count exponent of the depth-k point cloud.
 
-    Counts occupied mesh boxes of side mesh_scale * |det|^{-k/n} over the
+    Counts occupied mesh boxes of side 0.5 * |det|^{-k/n} over the
     depth-k partial sums, normalized by k log |det|^{1/n}.  Serves as an
     independent estimate to arbitrate exact formula values.
     """
@@ -599,7 +601,7 @@ def box_count_exponent(sys: RadixSystem, seq: EpSeq, depth: int, mesh_scale: flo
 
     cloud = ktile_points(sys, depth, digit_filter=seq)
     c = abs(sys.determinant) ** (-1.0 / sys.n)
-    delta = mesh_scale * c**depth
+    delta = 0.5 * c**depth
     boxes = np.unique(np.floor(cloud.float_points() / delta), axis=0)
     scale = math.log(abs(sys.determinant)) / sys.n
     return math.log(len(boxes)) / (depth * scale)

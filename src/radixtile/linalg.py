@@ -218,124 +218,51 @@ class SnfResult:
 def smith_normal_form(a: IntMatrix) -> SnfResult:
     """Smith normal form over the integers with transform tracking.
 
-    Works for singular matrices as well; consumers that need det != 0
-    check it themselves.
+    One loop over the pivots t.  Each round moves a least nonzero |entry| of
+    the trailing block s[t:, t:] to (t, t) and clears column t by row
+    operations and row t by column operations, with floor quotients.  A
+    remainder left in row or column t starts another round with a smaller
+    pivot; so does an entry of the trailing block that the pivot does not
+    divide, once its row is added into row t.  Invariant: the pivot divides
+    its whole trailing block before t advances, so s_1 | s_2 | ... holds by
+    construction, and a zero trailing block puts the zeros last.  Works for
+    singular matrices as well; consumers that need det != 0 check it
+    themselves.
     """
     n = len(a)
     s = [list(row) for row in a]
     u = [list(row) for row in identity(n)]
     v = [list(row) for row in identity(n)]
-
-    def swap_rows(i, j):
-        s[i], s[j] = s[j], s[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in s:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, c):
-        # row[dst] += c * row[src]
-        s[dst] = [x + c * y for x, y in zip(s[dst], s[src])]
-        u[dst] = [x + c * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(src, dst, c):
-        for row in s:
-            row[dst] += c * row[src]
-        for row in v:
-            row[dst] += c * row[src]
-
-    def negate_row(i):
-        s[i] = [-x for x in s[i]]
-        u[i] = [-x for x in u[i]]
-
-    def pivot_position(t):
-        best = None
-        for i in range(t, n):
-            for j in range(t, n):
-                if s[i][j] != 0 and (best is None or abs(s[i][j]) < abs(s[best[0]][best[1]])):
-                    best = (i, j)
-        return best
-
-    def clear_block(t):
-        # reduce the submatrix starting at (t, t) until s[t][t] divides
-        # everything in its row and column and the rest of them is zero
-        while True:
-            pos = pivot_position(t)
-            if pos is None:
-                return False
-            if pos != (t, t):
-                if pos[0] != t:
-                    swap_rows(t, pos[0])
-                if pos[1] != t:
-                    swap_cols(t, pos[1])
-            p = s[t][t]
-            dirty = False
-            for i in range(t + 1, n):
-                if s[i][t] != 0:
-                    q = round_div(s[i][t], p)
-                    if q:
-                        add_row(t, i, -q)
-                    if s[i][t] != 0:
-                        dirty = True
-            for j in range(t + 1, n):
-                if s[t][j] != 0:
-                    q = round_div(s[t][j], p)
-                    if q:
-                        add_col(t, j, -q)
-                    if s[t][j] != 0:
-                        dirty = True
-            if not dirty:
-                return True
-
     for t in range(n):
-        if not clear_block(t):
-            break
+        while block := [(abs(x), i, j) for i in range(t, n) for j, x in enumerate(s[i][t:], t) if x]:
+            _, i, j = min(block)
+            s[t], s[i], u[t], u[i] = s[i], s[t], u[i], u[t]
+            # s + v holds the row lists themselves, so column operations change s and v in place
+            for row in s + v:
+                row[t], row[j] = row[j], row[t]
+            p = s[t][t]
+            for i in range(t + 1, n):
+                if q := s[i][t] // p:
+                    s[i] = [x - q * y for x, y in zip(s[i], s[t])]
+                    u[i] = [x - q * y for x, y in zip(u[i], u[t])]
+            for j in range(t + 1, n):
+                if q := s[t][j] // p:
+                    for row in s + v:
+                        row[j] -= q * row[t]
+            if any(s[i][t] or s[t][i] for i in range(t + 1, n)):
+                continue
+            i = next((i for i in range(t + 1, n) if any(x % p for x in s[i][t + 1 :])), None)
+            if i is None:
+                break
+            s[t] = [x + y for x, y in zip(s[t], s[i])]
+            u[t] = [x + y for x, y in zip(u[t], u[i])]
         if s[t][t] < 0:
-            negate_row(t)
-
-    # enforce the divisibility chain: fold offending entries back and redo
-    changed = True
-    while changed:
-        changed = False
-        for t in range(n - 1):
-            a_t, a_next = s[t][t], s[t + 1][t + 1]
-            if a_t != 0 and a_next % a_t != 0:
-                add_col(t + 1, t, 1)
-                clear_block(t)
-                if s[t][t] < 0:
-                    negate_row(t)
-                for k in range(t + 1, n):
-                    clear_block(k)
-                    if s[k][k] < 0:
-                        negate_row(k)
-                changed = True
-                break
-            if a_t == 0 and a_next != 0:
-                swap_rows(t, t + 1)
-                swap_cols(t, t + 1)
-                changed = True
-                break
-
+            s[t], u[t] = [-x for x in s[t]], [-x for x in u[t]]
     return SnfResult(
         s=tuple(tuple(row) for row in s),
         u=tuple(tuple(row) for row in u),
         v=tuple(tuple(row) for row in v),
     )
-
-
-def round_div(a: int, b: int) -> int:
-    """Nearest-integer division; a tie keeps the floor quotient.
-
-    divmod leaves the remainder with the divisor's sign, so stepping the
-    quotient up by one always shrinks the remainder magnitude.
-    """
-    q, r = divmod(a, b)
-    if 2 * abs(r) > abs(b):
-        q += 1
-    return q
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import linalg
-from .errors import NonTerminating, NotACrs, ZeroNotInDigits
+from .errors import NonTerminating, NotACrs, PreconditionViolated, ZeroNotInDigits
 from .linalg import IntMatrix, IntVec, np
 
 
@@ -38,6 +38,8 @@ class RadixSystem:
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "digits", digits)
         n = len(matrix)
+        if n == 0:
+            raise PreconditionViolated("the matrix must be at least 1x1")
         if any(len(row) != n for row in matrix):
             raise ValueError("matrix must be square")
         if any(map(operator.eq, digits, digits[1:])):
@@ -213,6 +215,8 @@ def companion_system(coeffs, digits) -> RadixSystem:
         )
         for i in range(n)
     )
+    if n == 0:
+        raise PreconditionViolated("the polynomial must have degree at least 1")
     linalg.require_expanding(matrix)
     digit_vecs = list(zip(map(int, digits), *[itertools.repeat(0)] * (n - 1)))
     return RadixSystem(matrix, digit_vecs)

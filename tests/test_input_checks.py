@@ -150,6 +150,9 @@ def test_cli_automaton_must_read_the_system_digits(tmp_path, capsys, action, ext
         (["intersect", "--multi"], {"alphas": 5}),
         (["render"], {"k": 1, "seed": [1]}),
         (["render"], {"k": 1, "seed": 1.5}),
+        (["levelset", "--lam", "1/0"], {"strict": False}),
+        (["levelset", "--lam", "1/2"], {"strict": False, "alpha": {"cycle": [[5]]}, "epsilon": "1/0"}),
+        (["render"], {"k": 1, "bbox": [["0", "1/0"], ["0", "1"]]}),
     ],
 )
 def test_cli_payload_types_are_checked(tmp_path, capsys, argv, payload):
@@ -157,6 +160,14 @@ def test_cli_payload_types_are_checked(tmp_path, capsys, argv, payload):
     path.write_text(json.dumps({"matrix": [10], "digits": [[d] for d in range(10)]}))
     assert cli.main([*argv, str(path), "-p", json.dumps(payload)]) == 2
     assert json.loads(capsys.readouterr().out)["error"]["type"] == "PreconditionViolated"
+
+
+@pytest.mark.parametrize("digits", [[[0]], [[0, 0, 0]], [[0, 0], [1]]])
+def test_cli_bm_digits_are_pairs(tmp_path, capsys, digits):
+    path = tmp_path / "base10.json"
+    path.write_text(json.dumps({"matrix": [10], "digits": [[d] for d in range(10)]}))
+    assert cli.main(["dims", "bm", str(path), "-p", json.dumps({"m": 2, "n": 3, "digits": digits})]) == 2
+    assert json.loads(capsys.readouterr().out)["error"]["type"] == "GridViolation"
 
 
 def test_automaton_initial_state_must_exist(tmp_path, capsys):
@@ -185,6 +196,8 @@ def test_automaton_initial_state_must_exist(tmp_path, capsys):
         {"polynomial": {"coeffs": 3, "digits": [0, 1, 2]}},
         {"polynomial": {"coeffs": [3, 3], "digits": [0, 1, [2]]}},
         {"polynomial": {"coeffs": [3, 3], "digits": [0, 1, False]}},
+        {"matrix": [], "digits": []},
+        {"polynomial": {"coeffs": [], "digits": [0]}},
     ],
 )
 def test_cli_descriptor_types_are_checked(tmp_path, capsys, descriptor):

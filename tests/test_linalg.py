@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.matrices.normalforms import invariant_factors
 
 import radixtile as rt
 from radixtile import linalg
@@ -72,6 +74,30 @@ class TestSmithNormalForm:
             assert s2 % s1 == 0
         assert abs(s1 * s2) == abs(linalg.det(a))
         assert mat_eq(linalg.mat_mul(linalg.mat_mul(snf.u, a), snf.v), snf.s)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_sympy(self, data):
+        # a 1-4-D matrix as drawn, with its last row a multiple of its first (singular from 2-D on), zero, or a power A^k
+        n = data.draw(st.integers(1, 4))
+        a = data.draw(st.lists(st.tuples(*[st.integers(-9, 9)] * n), min_size=n, max_size=n).map(linalg.as_matrix))
+        kind = data.draw(st.sampled_from(["drawn", "singular", "zero", "power"]))
+        if kind == "singular":
+            a = a[:-1] + (tuple(data.draw(st.integers(-2, 2)) * x for x in a[0]),)
+        elif kind == "zero":
+            a = linalg.mat_sub(a, a)
+        elif kind == "power":
+            a = linalg.mat_pow(a, data.draw(st.integers(2, 6)))
+        snf = rt.smith_normal_form(a)
+        diag = list(snf.diagonal)
+        factors = [abs(int(x)) for x in invariant_factors(sympy.Matrix(a), domain=sympy.ZZ)]
+        assert diag == factors + [0] * (n - len(factors))
+        assert mat_eq(linalg.mat_mul(linalg.mat_mul(snf.u, a), snf.v), snf.s)
+        assert abs(linalg.det(snf.u)) == abs(linalg.det(snf.v)) == 1
+        assert all(x == 0 for i, row in enumerate(snf.s) for j, x in enumerate(row) if i != j)
+        rank = n - diag.count(0)
+        assert all(x > 0 for x in diag[:rank]) and not any(diag[rank:])
+        assert all(y % x == 0 for x, y in zip(diag[:rank], diag[1:rank]))
 
 
 def _random_unimodular(rng, n):
