@@ -26,8 +26,8 @@ from .errors import json_int, json_ints, json_list, json_vec
 def _parse_frac(text) -> Fraction:
     try:
         return Fraction(str(text))
-    except ZeroDivisionError:
-        raise PreconditionViolated(f"{text!r} has a zero denominator") from None
+    except (ValueError, ZeroDivisionError):
+        raise PreconditionViolated(f"{text!r} is not a rational p/q with q != 0") from None
 
 
 class _JsonObject(dict):
@@ -62,7 +62,7 @@ def load_descriptor(path: str) -> numsys.RadixSystem:
     else:
         n = math.isqrt(len(flat))
         if n * n != len(flat):
-            raise ValueError("row-major matrix list must have square length")
+            raise PreconditionViolated("row-major matrix list must have square length")
         matrix = [json_ints(flat[i * n : (i + 1) * n], "matrix") for i in range(n)]
     return numsys.RadixSystem(tuple(matrix), tuple(map(json_vec, json_list(data["digits"], "digits"))))
 

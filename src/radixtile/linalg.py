@@ -402,9 +402,18 @@ def tail_bound(a: IntMatrix, m: int) -> Fraction:
     With the norms b_1..b_k above and m = q k + r, submultiplicativity gives
     ||A^-(m+i)|| <= b_k^q b_r ||A^-i|| and sum_{i>=1} ||A^-i|| <= (b_1 + ... + b_k) / (1 - b_k).
     """
+    return next(tail_bounds(a, m))
+
+
+def tail_bounds(a: IntMatrix, m: int = 0):
+    """tail_bound(a, m), tail_bound(a, m + 1), ...; b_k^q is carried over and multiplied once per k."""
     b = inverse_power_norms(a)
     q, r = divmod(m, len(b))
-    return b[-1] ** q * ((b[r - 1] if r else 1) * sum(b) / (1 - b[-1]))
+    power, factor = b[-1] ** q, sum(b) / (1 - b[-1])
+    while True:
+        yield power * ((b[r - 1] if r else 1) * factor)
+        r = (r + 1) % len(b)
+        power = power if r else power * b[-1]
 
 
 def _similarity_scale_sq(a: IntMatrix) -> int | None:

@@ -337,22 +337,28 @@ def _directed_sq(p: np.ndarray, q: np.ndarray, a: int) -> float:
     """Max over p of the least squared distance to q; both sorted by coordinate a."""
     at = np.searchsorted(q[:-1, a], p[:, a])  # first q_a >= p_a, else q's last point
     near = ((p - q[[at, at - 1]]) ** 2).sum(axis=-1).min(axis=0)  # index -1 is q's last point: still a bound
-    starts = np.arange(0, len(p), 64)
-    reach = np.sqrt(np.maximum.reduceat(near, starts)) * (1 + 2**-40) + 2**-500
-    lo = np.searchsorted(q[:, a], p[starts, a] - reach, "left").tolist()
-    hi = np.searchsorted(q[:, a], np.maximum.reduceat(p[:, a], starts) + reach, "right").tolist()
-    blocks = zip(starts.tolist(), lo, hi)
-    return max(((p[s : s + 64, None] - q[None, i:j]) ** 2).sum(axis=-1).min(axis=1).max() for s, i, j in blocks)
+    reach = np.sqrt(near) * (1 + 2**-40) + 2**-500
+    lo = np.searchsorted(q[:, a], p[:, a] - reach, "left")
+    width = np.searchsorted(q[:, a], p[:, a] + reach, "right") - lo
+    edges = np.cumsum(np.append(0, width))  # point i's pairs are edges[i]:edges[i+1] of all windows laid flat
+    best, s = 0.0, 0
+    while s < len(p):  # one batch: points s..e-1 with at most 2^14 pairs, or s alone
+        e = max(s + 1, int(np.searchsorted(edges, edges[s] + 2**14, "right")) - 1)
+        w, starts = width[s:e], edges[s:e] - edges[s]
+        pairs = np.arange(edges[e] - edges[s]) + np.repeat(lo[s:e] - starts, w)
+        d = ((np.repeat(p[s:e], w, axis=0) - q[pairs]) ** 2).sum(axis=-1)
+        best, s = max(best, np.minimum.reduceat(d, starts).max()), e
+    return best
 
 
 def hausdorff_distance(p, q) -> float:
     """Max of the two directed sup-min Euclidean distances of two (N, n) point sets of one n.
 
     Up to 2^15 pairs one matrix serves both directions; above, both sets are swept in order of the
-    widest coordinate a, in O(N log N) plus 64 x window: each point's two a-neighbours bound its
-    squared distance, and 64 points at a time meet only points within sqrt(max bound) * (1 + 2^-40)
-    + 2^-500 of their a-range.  Outside it fl((p_a - q_a)^2) > bound, also where squares underflow,
-    and float sums of non-negative squares never drop below a term: each minimum is the all-pairs one.
+    widest coordinate a: each point's two a-neighbours bound its squared distance, and its window holds
+    the points within sqrt(bound) * (1 + 2^-40) + 2^-500 of its a-coordinate.  Outside it fl((p_a - q_a)^2)
+    > bound, also where squares underflow, and float sums of non-negative squares never drop below a term:
+    each minimum is the all-pairs one.  The windows' pairs are reduced per point, at most 2^14 at a time.
     """
     if len(p) == 0 or len(q) == 0:
         raise EmptySet("Hausdorff distance needs nonempty sets")
@@ -408,11 +414,10 @@ def convergence_report(sys: RadixSystem, auto: DigitAutomaton, kmax: int) -> Con
     max_digit = sys.max_digit_norm()
     levels = enumerate(_accepted_rows(sys, auto, kmax + 1))
     clouds = [render.PointCloud(sys, k, rows=rows).float_points() for k, rows in levels]
-    rows = []
-    prev = None
+    rows, prev, tails = [], None, linalg.tail_bounds(sys.matrix, 1)
     for k in range(1, kmax + 1):
         measured = hausdorff_distance(clouds[k], clouds[k + 1])
-        bound = max_digit * float(linalg.tail_bound(sys.matrix, k))
+        bound = max_digit * float(next(tails))
         ratio = (measured / prev) if prev not in (None, 0.0) else None
         rows.append(ConvergenceRow(k=k, measured=measured, bound=bound, ratio_to_prev=ratio))
         prev = measured

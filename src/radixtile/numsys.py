@@ -41,11 +41,11 @@ class RadixSystem:
         if n == 0:
             raise PreconditionViolated("the matrix must be at least 1x1")
         if any(len(row) != n for row in matrix):
-            raise ValueError("matrix must be square")
+            raise PreconditionViolated("matrix must be square")
         if any(map(operator.eq, digits, digits[1:])):
-            raise ValueError("digits must be pairwise distinct")
+            raise PreconditionViolated("digits must be pairwise distinct")
         if set(map(len, digits)) - {n}:
-            raise ValueError("digit dimension must match the matrix")
+            raise PreconditionViolated("digit dimension must match the matrix")
 
     @property
     def n(self) -> int:

@@ -56,8 +56,10 @@ class PointCloud:
     def float_points(self) -> np.ndarray:
         """(N, n) float64 points A^-k w, each entry its exact value correctly rounded."""
         coords, scale = _scaled_coords(self, self.array)
-        # int / int on Python ints rounds the exact quotient once, as float(Fraction) does
-        return (coords.astype(object) / scale).astype(np.float64)
+        # int / int on Python ints rounds the exact quotient once, as float(Fraction) does; up to
+        # 2^53 both operands are exact doubles, and IEEE division rounds that quotient once too
+        exact = scale <= 2**53 and np.abs(coords).max(initial=0) <= 2**53
+        return coords.astype(np.float64) / scale if exact else (coords.astype(object) / scale).astype(np.float64)
 
     def __len__(self) -> int:
         return len(self.array)

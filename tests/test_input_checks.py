@@ -153,6 +153,9 @@ def test_cli_automaton_must_read_the_system_digits(tmp_path, capsys, action, ext
         (["levelset", "--lam", "1/0"], {"strict": False}),
         (["levelset", "--lam", "1/2"], {"strict": False, "alpha": {"cycle": [[5]]}, "epsilon": "1/0"}),
         (["render"], {"k": 1, "bbox": [["0", "1/0"], ["0", "1"]]}),
+        (["levelset", "--lam", "abc"], {"strict": False}),
+        (["levelset", "--lam", "1/2"], {"strict": False, "alpha": {"cycle": [[5]]}, "epsilon": "abc"}),
+        (["render"], {"k": 1, "bbox": [["x", "1"], ["0", "1"]]}),
     ],
 )
 def test_cli_payload_types_are_checked(tmp_path, capsys, argv, payload):
@@ -198,6 +201,11 @@ def test_automaton_initial_state_must_exist(tmp_path, capsys):
         {"polynomial": {"coeffs": [3, 3], "digits": [0, 1, False]}},
         {"matrix": [], "digits": []},
         {"polynomial": {"coeffs": [], "digits": [0]}},
+        {"matrix": [[2, 0], [0]], "digits": [[0, 0]]},
+        {"matrix": [2, 0, 0], "digits": [[0]]},
+        {"matrix": [10], "digits": [[0], [1], [1]]},
+        {"matrix": [10], "digits": [[0], [1, 0]]},
+        {"matrix": [[2, 0], [0, 2]], "digits": [[0], [1]]},
     ],
 )
 def test_cli_descriptor_types_are_checked(tmp_path, capsys, descriptor):
@@ -205,3 +213,12 @@ def test_cli_descriptor_types_are_checked(tmp_path, capsys, descriptor):
     path.write_text(json.dumps(descriptor))
     assert cli.main(["residues", str(path)]) == 2
     assert json.loads(capsys.readouterr().out)["error"]["type"] == "PreconditionViolated"
+
+
+@pytest.mark.parametrize(
+    "matrix, digits",
+    [(((2, 0), (0,)), ((0, 0),)), (((10,),), ((0,), (1,), (0,))), (((10,),), ((0,), (1, 0))), (((2, 0), (0, 2)), ((0,),))],
+)
+def test_bad_system_is_a_precondition(matrix, digits):
+    with pytest.raises(PreconditionError):
+        rt.RadixSystem(matrix, digits)

@@ -288,6 +288,17 @@ def ref_hausdorff(p, q):
     return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
 
 
+def neighbour_hausdorff_1d(p, q):
+    """Hausdorff distance of two 1-D sets from each point's two neighbours in the other, sorted, set."""
+
+    def directed(x, y):
+        y = np.sort(y)
+        i = np.clip(np.searchsorted(y, x), 1, len(y) - 1)
+        return np.minimum(abs(x - y[i - 1]), abs(x - y[i])).max()
+
+    return float(max(directed(p, q), directed(q, p)))
+
+
 def swept(p, q, a):
     """The sorted sweep on axis a alone, without the all-pairs matrix for small inputs."""
     p, q = (x[np.argsort(x[:, a])] for x in (p, q))
@@ -415,3 +426,25 @@ class TestAgainstReferences:
         # (p0 - q0)^2 rounds to 0 here, so a window of width sqrt(bound) alone would be empty
         for p, q in (([(0.0,)], [(tiny,)]), ([(0.0, 1.0), (tiny, 2.0)], [(-tiny, 1.0), (1.0, 3.0)])):
             assert swept(np.array(p), np.array(q), 0) == ref_hausdorff(p, q)
+
+    def test_sweep_in_several_batches(self):
+        # 40,000 points meet at least 40,000 (point, candidate) pairs in each direction, more than
+        # one batch holds; the largest least distance, 0.5, sits near the end of the sweep
+        q = np.arange(40_000.0)
+        p = q + 0.25
+        p[35_000] += 0.25
+        assert len(p) > 2**14  # the pairs in one batch
+        rng = np.random.default_rng(0)
+        for x, y in ((p, q), (q, p)):
+            pts, qts = (rng.permutation(z)[:, None] for z in (x, y))
+            assert rt.hausdorff_distance(pts, qts) == neighbour_hausdorff_1d(x, y) == 0.5
+            plane = [np.hstack((z, np.full_like(z, 3.0))) for z in (pts, qts)]
+            assert rt.hausdorff_distance(*plane) == 0.5
+
+    def test_sweep_window_larger_than_a_batch(self):
+        # q holds 17,500 copies each of four values, so the window of a point of p next to one of
+        # them alone holds more than the 2^14 pairs of a batch
+        p = np.array([0.0, 1.0, 2.0, 3.0])
+        q = np.random.default_rng(1).permutation(np.repeat([0.75, 1.0, 2.0, 3.125], 17_500))
+        for x, y in ((p, q), (q, p)):
+            assert rt.hausdorff_distance(x[:, None], y[:, None]) == neighbour_hausdorff_1d(x, y) == 0.75

@@ -105,6 +105,15 @@ def ref_overlap_count(pixels):
 DIGIT_SCALES = [1, 1, 1, 2**30, 2**55, 2**61, 2**62, 2**70]
 
 
+# 1-D clouds whose largest |row| is just below, at and just above 2^53; odd rows above 2^53 are no doubles
+ROWS_NEAR_2_53 = [
+    [(2**53 - 1,), (-(2**53 - 1),), (3,), (0,)],
+    [(2**53,), (-(2**53),), (2**53 - 1,), (-1,)],
+    [(2**53 + 1,), (2**53,), (2**53 + 3,), (-(2**53 + 5),), (2,)],
+    [(2**53 + 1 + 2 * j,) for j in range(-20, 20)],
+]
+
+
 @st.composite
 def systems(draw):
     n = draw(st.sampled_from([1, 2]))
@@ -236,6 +245,30 @@ class TestAgainstReference:
         # float(2**53 + 1) / 3.0 rounds twice and gives ...330.5; the exact quotient is ...331
         cloud = rt.PointCloud(rt.RadixSystem(((3,),), ((0,), (1,), (2,))), 1, int_points=[(2**53 + 1,)])
         assert cloud.float_points().tolist() == [[float(Fraction(2**53 + 1, 3))]] == [[3002399751580331.0]]
+
+    # |det|^k and the det^k-scaled coordinates just below, at and just above 2^53: 3^33 < 2^53 < 3^34,
+    # and in 1-D the scaled coordinates are the rows themselves, up to sign.  (0, 1; 2, 0) has det -2:
+    # its scale 2^k is 2^53 at k = 53, and its scaled coordinates are 2^26 or 2^27 times a row entry.
+    @pytest.mark.parametrize(
+        "matrix, depths, clouds",
+        [
+            (((3,),), (33, 34), ROWS_NEAR_2_53),
+            (((-3,),), (33, 34), ROWS_NEAR_2_53),
+            (((0, 1), (2, 0)), (52, 53, 54), [
+                [(2**27 - 1, 1), (3, -(2**27 - 1)), (0, 0)],
+                [(2**26, 2**27), (-(2**26), 5), (2**27, -(2**26))],
+                [(2**27 + 1, 2**26 + 1), (7, -(2**27 + 1)), (-(2**27 + 3), 2**27 + 5)],
+            ]),
+        ],
+    )
+    def test_float_points_at_two_to_the_53(self, matrix, depths, clouds):
+        system = rt.RadixSystem(matrix, [(0,) * len(matrix)])
+        for k in depths:
+            inv_k = linalg.mat_inv_pow(matrix, k)
+            for rows in clouds:
+                cloud = rt.PointCloud(system, k, rows=np.array(rows, dtype=np.int64))
+                expected = [[float(x) for x in linalg.frac_mat_vec(inv_k, w)] for w in cloud.int_points]
+                assert cloud.float_points().tolist() == expected
 
     def test_large_entries_use_exact_arrays(self):
         system = gauss_system(3, digits=(0, 1, 2**63))
