@@ -470,7 +470,7 @@ def main(argv=None) -> int:
         text = args.payload or "{}"
         payload = _json_object(text, "payload", inline=text.lstrip().startswith(("{", "[")))
         _write(args, globals()["cmd_" + args.command.replace("-", "_")](args, system, payload))
-    except (UsageError, RadixTileError, ValueError) as exc:
+    except (UsageError, RadixTileError, ValueError, OverflowError) as exc:
         _sys.stdout.write(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}) + "\n")
         return 64 if isinstance(exc, UsageError) else 3 if isinstance(exc, BudgetError) else 2
     return 0

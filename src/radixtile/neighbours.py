@@ -5,7 +5,9 @@ The integer neighbours are exactly the nonzero lattice points of the
 difference tile, and those are computed by pruning: start from every
 lattice point inside a certified radius bound, draw the successor
 relation z -> A z - e over digit differences e for all of them at once,
-and delete points with no successor until the survivors stabilize.
+and delete points with no successor until the survivors stabilize.  The
+successors left among them are the move table that every neighbour walk,
+graph and uniqueness test reads.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import graph, linalg
-from .errors import PreconditionViolated
+from .errors import CandidateBallTooLarge, PreconditionViolated
 from .linalg import IntMatrix, IntVec, np
 from .numsys import RadixSystem
 from .radix import PairAutomaton, _dot, _vec_label, pair_automaton
@@ -38,23 +40,33 @@ class NeighbourSet:
 
 
 @lru_cache(maxsize=None)
-def tile_integer_points(matrix: IntMatrix, digits: tuple[IntVec, ...]) -> frozenset[IntVec]:
-    """All lattice points of the tile generated by (matrix, digits).
+def _tile_moves(matrix: IntMatrix, shifts: tuple[IntVec, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The lattice points of the tile of (matrix, shifts) as rows in lexicographic order, and their moves.
 
-    A lattice point z lies in the tile iff the successor relation
-    z -> A z - d admits an infinite walk from z inside the radius bound,
-    so trimming the points without one computes the set exactly.
+    A lattice point z lies in the tile iff the successor relation z -> A z - e admits an infinite walk
+    from z inside the radius bound, so trimming the points without one computes the set exactly.  The
+    successors left are the moves: moves[z, j] is the row of A z - shifts[j], or -1 where it left the tile.
     """
     n = len(matrix)
-    digits = linalg.int_array(digits, n)
-    radius_sq = linalg.max_norm_sq(digits) * linalg.tail_bound(matrix, 0) ** 2
+    shifts = linalg.int_array(shifts, n)
+    radius_sq = linalg.max_norm_sq(shifts) * linalg.tail_bound(matrix, 0) ** 2
     ball = linalg.lattice_ball(n, radius_sq)
-    image = linalg.mat_rows(matrix, ball, int(np.abs(digits).max()))
-    image = image[:, None, :] - digits.astype(image.dtype)
+    if len(ball) * len(shifts) > 2**24:  # the arrays below for a job at the cap fit in 1 GB
+        raise CandidateBallTooLarge(f"{len(ball)} ball points x {len(shifts)} shifts exceed the cap of 2^24 moves")
+    image = linalg.mat_rows(matrix, ball, int(np.abs(shifts).max()))
+    image = image[:, None, :] - shifts.astype(image.dtype)
     target = linalg.locate(ball, image.reshape(-1, n))
     edges = np.flatnonzero(target >= 0)
-    alive = graph.live_mask(len(ball), edges // len(digits), target[edges])
-    return frozenset(map(tuple, ball[alive].tolist()))
+    alive = graph.live_mask(len(ball), edges // len(shifts), target[edges])
+    rank = np.append(np.where(alive, np.cumsum(alive) - 1, -1), -1)  # -1 if dead; a target of -1 reads the last -1
+    rows, moves = ball[alive], rank[target.reshape(len(ball), -1)[alive]]
+    rows.flags.writeable = moves.flags.writeable = False  # the cache hands them to every caller
+    return rows, moves
+
+
+def tile_integer_points(matrix: IntMatrix, digits: tuple[IntVec, ...]) -> frozenset[IntVec]:
+    """All lattice points of the tile generated by (matrix, digits)."""
+    return frozenset(map(tuple, _tile_moves(matrix, digits)[0].tolist()))
 
 
 @lru_cache(maxsize=None)
@@ -62,11 +74,10 @@ def integer_neighbours(matrix: IntMatrix, digits: tuple[IntVec, ...]) -> Neighbo
     """Nonzero integer points of the difference tile of (matrix, digits)."""
     digits = tuple(sorted({linalg.as_vec(d) for d in digits}))
     diffs = tuple(sorted({linalg.vec_sub(a, b) for a in digits for b in digits}))
+    points = tile_integer_points(matrix, diffs)  # before the norms, so a ball too large to float ends in its cap
     max_norm = max(math.sqrt(linalg.norm_sq(e)) for e in diffs)
-    points = tile_integer_points(matrix, diffs)
-    zero = linalg.zero_vec(len(matrix))
     return NeighbourSet(
-        vectors=frozenset(p for p in points if p != zero),
+        vectors=points - {linalg.zero_vec(len(matrix))},
         ball_radius=max_norm * float(linalg.tail_bound(matrix, 0)),
     )
 
@@ -183,18 +194,17 @@ def _fmt(v: IntVec) -> str:
 def _neighbour_steps(matrix: IntMatrix, digits: tuple[IntVec, ...]) -> tuple[np.ndarray, np.ndarray, int]:
     """The neighbours plus zero as rows of vecs in lexicographic order, the moves between them, and the row of 0.
 
-    steps[v, x, y] is the index in vecs of A vecs[v] + (x - y) for digits x and y, or -1.  This is
-    the one place a neighbour move is computed; every neighbour walk steps through these rows.
+    steps[v, x, y] is the index in vecs of A vecs[v] + (x - y) = A vecs[v] - (y - x) for digits x and y, or -1:
+    the difference tile's move by the shift y - x.  Its trim is the one place a neighbour move is computed.
     """
-    n = len(matrix)
-    vecs = linalg.int_array(sorted(integer_neighbours(matrix, digits).vectors | {linalg.zero_vec(n)}), n)
-    d = linalg.int_array(digits, n)
-    image = linalg.mat_rows(matrix, vecs, 2 * int(np.abs(d).max()))
-    d = d.astype(image.dtype)
-    image = image[:, None, None, :] + (d[:, None] - d[None, :])
-    steps = linalg.locate(vecs, image.reshape(-1, n)).reshape(len(vecs), len(d), len(d))
-    vecs.flags.writeable = steps.flags.writeable = False  # the cache hands them to every caller
-    return vecs, steps, int(linalg.locate(vecs, np.zeros((1, n), dtype=np.int64))[0])
+    integer_neighbours(matrix, digits)  # so the trim runs, and a tracer counts its ball, under tile_integer_points
+    d = linalg.int_array(digits, len(matrix))
+    shift = (d - d[:, None]).reshape(-1, len(matrix))  # y - x in row x |D| + y
+    order, fresh = linalg.lex_groups(shift)  # the distinct shifts in sorted order are integer_neighbours' trim key
+    vecs, moves = _tile_moves(matrix, tuple(map(tuple, shift[order[fresh]].tolist())))
+    steps = moves[:, (np.cumsum(fresh) - 1)[np.argsort(order)].reshape(len(d), len(d))]  # each shift's column
+    steps.flags.writeable = False
+    return vecs, steps, len(vecs) // 2  # the rows are closed under negation, so 0 is the middle one
 
 
 def triple_state_graph(matrix: IntMatrix, digits) -> TripleStateGraph:
@@ -202,6 +212,8 @@ def triple_state_graph(matrix: IntMatrix, digits) -> TripleStateGraph:
     digits = tuple(sorted(linalg.as_vec(d) for d in digits))
     vecs, steps, zero = _neighbour_steps(matrix, digits)
     k = len(vecs)
+    if k * k > 2**22:  # the (k^2, n) arrays below for a job at the cap fit in 1 GB when n <= 3
+        raise CandidateBallTooLarge(f"{k * k} triple-state pairs of {k} neighbours and zero exceed the cap of 2^22")
     # states (zeta, xi) as indices zeta * k + xi, in lexicographic order
     pairs = np.arange(k * k)
     pairs = pairs[linalg.locate(vecs, -(vecs[pairs // k] + vecs[pairs % k])) >= 0]

@@ -201,13 +201,11 @@ def is_neighbour_sequence(x: Representation, y: Representation) -> bool:
 
 
 def representations_unique(sys: RadixSystem) -> bool:
-    """True iff no digit difference is a neighbour of the digit tile."""
-    from .neighbours import integer_neighbours
+    """True iff no digit difference is a neighbour of the tile: from 0, only the moves (x, x) stay in the move table."""
+    from .neighbours import _neighbour_steps
 
-    neighbours = integer_neighbours(sys.matrix, sys.digits).vectors
-    diffs = set(sys.differences())
-    diffs.discard(linalg.zero_vec(sys.n))
-    return not (neighbours & diffs)
+    _, steps, zero = _neighbour_steps(sys.matrix, sys.digits)
+    return int((steps[zero] >= 0).sum()) == len(sys.digits)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Shared systems used across the test modules."""
 
 import os
+import resource
 import subprocess
 import sys
 
@@ -31,6 +32,11 @@ def run_cli_process(argv, limit=None) -> subprocess.CompletedProcess:
         preexec_fn=limit,
         env={**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
     )
+
+
+def address_space(gib: int):
+    """A ``limit`` for run_cli_process: the child may map at most gib GiB."""
+    return lambda: resource.setrlimit(resource.RLIMIT_AS, (gib << 30, gib << 30))
 
 
 @pytest.fixture

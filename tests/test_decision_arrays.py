@@ -77,6 +77,12 @@ def ref_allowed(matrix, digits):
     return set(rt.integer_neighbours(matrix, digits).vectors) | {linalg.zero_vec(len(matrix))}
 
 
+def ref_unique(sys):
+    """The set definition: no nonzero digit difference is a neighbour."""
+    nonzero = set(sys.differences()) - {linalg.zero_vec(sys.n)}
+    return not rt.integer_neighbours(sys.matrix, sys.digits).vectors & nonzero
+
+
 def ref_pair_automaton(sys):
     allowed = ref_allowed(sys.matrix, sys.digits)
     zero = linalg.zero_vec(sys.n)
@@ -172,6 +178,9 @@ class TestAgainstReferences:
         diffs = sys.differences()
         assert tile_integer_points(sys.matrix, sys.digits) == ref_tile_points(sys.matrix, sys.digits)
         assert tile_integer_points(sys.matrix, diffs) == ref_tile_points(sys.matrix, diffs)
+        # the full digit sets are never unique here, every other digit often is
+        systems = (sys, sys.difference_system(), rt.RadixSystem(sys.matrix, sys.digits[::2]))
+        assert [rt.representations_unique(s) for s in systems] == [ref_unique(s) for s in systems]
 
     @settings(max_examples=30, deadline=None)
     @given(dims.flatmap(digit_systems))

@@ -9,7 +9,7 @@ import radixtile as rt
 from radixtile import cli, linalg
 from radixtile.errors import PreconditionError
 
-from conftest import gauss_system
+from conftest import address_space, gauss_system, run_cli_process
 
 
 def test_mat_pow_rejects_negative_exponent():
@@ -222,3 +222,29 @@ def test_cli_descriptor_types_are_checked(tmp_path, capsys, descriptor):
 def test_bad_system_is_a_precondition(matrix, digits):
     with pytest.raises(PreconditionError):
         rt.RadixSystem(matrix, digits)
+
+
+HUGE = 3 * 10**400 + 2  # far above the largest double, about 1.8e308
+
+
+@pytest.mark.parametrize(
+    "argv, digits, payload, code",
+    [
+        # the candidate ball is counted before a norm is taken in floats
+        (["neighbours"], [0, 10**200], None, 3),
+        (["unique"], [0, 10**200], None, 3),
+        (["triple-graph"], [0, 10**200], None, 3),
+        # max_digit_norm squares the 3e200 digit; eval and cloud turn 3e400 into a float
+        (["multinv", "converge"], [0, 1, 3 * 10**200 + 2], {"restrict": [[0], [1]], "kmax": 3}, 2),
+        (["eval"], [0, 1, HUGE], {"pre": [[HUGE]], "cycle": [[0]]}, 2),
+        (["multinv", "cloud"], [0, 1, HUGE], {"restrict": [[0], [HUGE]], "k": 1}, 2),
+    ],
+)
+def test_float_overflow_ends_in_one_error_object(tmp_path, argv, digits, payload, code):
+    path = tmp_path / "base3.json"
+    path.write_text(json.dumps({"matrix": [3], "digits": [[d] for d in digits]}))
+    extra = [] if payload is None else ["-p", json.dumps(payload)]
+    done = run_cli_process([*argv, str(path), *extra], address_space(1))
+    assert done.returncode == code, done.stderr
+    [line] = done.stdout.splitlines()
+    assert set(json.loads(line)["error"]) == {"type", "message"}

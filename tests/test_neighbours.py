@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
@@ -6,7 +8,7 @@ import radixtile as rt
 from radixtile import linalg
 from radixtile.errors import PreconditionViolated
 
-from conftest import gauss_matrix, gauss_system
+from conftest import address_space, gauss_matrix, gauss_system, run_cli_process
 
 
 class TestIntegerNeighbours:
@@ -186,3 +188,29 @@ class TestExpectedSets:
         for n in (2, 3, 5):
             vecs = rt.expected_gauss_neighbours(n).vectors
             assert {linalg.vec_neg(v) for v in vecs} == vecs
+
+
+# 3-D (matrix, digits) whose neighbour moves or triple-state pairs would ask for gigabytes without their caps
+SKEW = [[1, 3, 1], [0, -3, -2], [4, -4, -3]], [[-2, -1, -4], [1, -2, 1], [2, 4, 1], [3, -1, 4], [3, -4, 3], [-3, 4, -3]]
+TILT = [[-3, 2, 1], [-4, 4, 0], [-3, 4, 1]], [[-4, 4, 1], [1, 3, 0], [3, -3, -4], [-2, 0, 0], [2, -3, 3], [-3, 1, -3]]
+DOUBLE = [[2, 0, 0], [0, 2, 0], [0, 0, 2]], [[0, 0, 0], [9, 0, 0], [0, 9, 0], [0, 0, 9]]
+
+
+@pytest.mark.parametrize(
+    "argv, system, payload",
+    [
+        (["neighbours"], SKEW, None),  # 4,501,805 ball points x 31 shifts: 3.12 GiB of moves without the cap
+        (["unique"], SKEW, None),
+        (["intersect"], TILT, {"alpha": {"cycle": [[-1, -3, -4]]}}),  # 2,582,055 x 271: 15.6 GiB
+        (["triple-graph"], DOUBLE, None),  # 2,620 neighbours: 6,869,641 triple-state pairs
+    ],
+)
+def test_neighbour_budgets_under_an_address_space_limit(tmp_path, argv, system, payload):
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(dict(zip(("matrix", "digits"), system))))
+    extra = [] if payload is None else ["-p", json.dumps(payload)]
+    done = run_cli_process([*argv, str(path), *extra], address_space(1))
+    assert done.returncode == 3, done.stderr
+    [line] = done.stdout.splitlines()
+    error = json.loads(line)["error"]
+    assert error["type"] == "CandidateBallTooLarge" and "cap" in error["message"]

@@ -1,6 +1,5 @@
 import collections
 import json
-import resource
 from fractions import Fraction
 
 import pytest
@@ -11,7 +10,7 @@ from radixtile.errors import DepthTooLarge, EmptyCloud, RasterTooLarge
 from radixtile.render import RASTER_CAP
 from radixtile.radix import vector_seq
 
-from conftest import gauss_matrix, gauss_system, run_cli_process
+from conftest import address_space, gauss_matrix, gauss_system, run_cli_process
 
 
 class TestKtilePoints:
@@ -165,11 +164,7 @@ class TestRasterCap:
         path.write_text(json.dumps({"matrix": [[-1, -1], [1, -1]], "digits": [[0, 0], [1, 0]]}))
         payload = json.dumps({"k": 3, "width": 100000, "height": 100000})
         argv = ["render", str(path), "-p", payload, "--out", str(tmp_path / "out.pgm")]
-
-        def limit():  # runs in the child only
-            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
-
-        done = run_cli_process(argv, limit)
+        done = run_cli_process(argv, address_space(2))
         assert done.returncode == 3, done.stderr
         lines = done.stdout.splitlines()
         assert len(lines) == 1
