@@ -37,22 +37,36 @@ class _JsonObject(dict):
         raise PreconditionViolated(f"missing JSON key {key!r}")
 
 
-def _json_object(source: str, what: str, inline: bool = False) -> dict:
-    """The JSON object in the file named ``source``, or in ``source`` itself when inline."""
+def _read(path: str, what: str) -> str:
     try:
-        if not inline:
-            with open(source) as fh:
-                source = fh.read()
-        data = json.loads(source, object_hook=_JsonObject)
+        with open(path) as fh:
+            return fh.read()
     except OSError as exc:
         raise PreconditionViolated(f"cannot read the {what} file: {exc}") from None
+
+
+def _json_object(source: str, what: str, inline: bool = False) -> dict:
+    """The JSON object in the file named ``source``, or in ``source`` itself when inline."""
+    data = json.loads(source if inline else _read(source, what), object_hook=_JsonObject)
     if not isinstance(data, dict):
         raise PreconditionViolated(f"the {what} must be a JSON object")
     return data
 
 
 def load_descriptor(path: str) -> numsys.RadixSystem:
-    data = _json_object(path, "descriptor")
+    """The system in the descriptor file at path, read on every call.
+
+    The text is parsed once per distinct content: in-process ``main`` calls
+    share one ``RadixSystem`` per descriptor text, from an LRU of 32 entries
+    keyed by the full text, so an edited file is parsed again and a bad one
+    fails every time.  ``_system_from_text.cache_clear()`` empties it.
+    """
+    return _system_from_text(_read(path, "descriptor"))
+
+
+@functools.lru_cache(maxsize=32)  # the decide job lists draw up to 30 distinct systems per pass
+def _system_from_text(text: str) -> numsys.RadixSystem:
+    data = _json_object(text, "descriptor", inline=True)
     if "polynomial" in data:
         poly = json_list(data["polynomial"], "polynomial", dict)
         return numsys.companion_system(json_ints(poly["coeffs"], "coeffs"), json_ints(poly["digits"], "digits"))

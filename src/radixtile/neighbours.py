@@ -207,6 +207,12 @@ def _neighbour_steps(matrix: IntMatrix, digits: tuple[IntVec, ...]) -> tuple[np.
     return vecs, steps, len(vecs) // 2  # the rows are closed under negation, so 0 is the middle one
 
 
+def _require_labels(rows: int, what: str, per_row: int, unit: str) -> None:
+    # a job at the cap fits in 1 GiB: about 5 bytes per gathered label, 14 per (live label, digit)
+    if rows * per_row > 2**25:
+        raise CandidateBallTooLarge(f"{rows} {what} x {per_row} {unit} exceed the cap of 2^25")
+
+
 def triple_state_graph(matrix: IntMatrix, digits) -> TripleStateGraph:
     """Graph tracking three representations of one value simultaneously."""
     digits = tuple(sorted(linalg.as_vec(d) for d in digits))
@@ -214,14 +220,16 @@ def triple_state_graph(matrix: IntMatrix, digits) -> TripleStateGraph:
     k = len(vecs)
     if k * k > 2**22:  # the (k^2, n) arrays below for a job at the cap fit in 1 GB when n <= 3
         raise CandidateBallTooLarge(f"{k * k} triple-state pairs of {k} neighbours and zero exceed the cap of 2^22")
-    # states (zeta, xi) as indices zeta * k + xi, in lexicographic order
+    # states (zeta, xi) as indices zeta * k + xi, in lexicographic order; below 2^22, so int32 holds every index
     pairs = np.arange(k * k)
     pairs = pairs[linalg.locate(vecs, -(vecs[pairs // k] + vecs[pairs % k])) >= 0]
-    state_of = np.full(k * k, -1)
+    steps, state_of = steps.astype(np.int32), np.full(k * k, -1, dtype=np.int32)
     state_of[pairs] = np.arange(len(pairs))
+    _require_labels(len(pairs), "triple-state pairs", len(digits) ** 2, "digit labels")
     # label (p, q, r) moves zeta as the pair (p, q), then xi as the pair (q, r);
     # np.nonzero keeps the order (src, p, q, r), which is the sorted edge order
     src, p, q = np.nonzero(steps[pairs // k] >= 0)
+    _require_labels(len(src), "live labels", len(digits), "digits")
     xi2 = steps[pairs[src] % k, q]
     target = np.where(xi2 >= 0, state_of[steps[pairs[src] // k, p, q][:, None] * k + xi2], -1)
     first, r = np.nonzero(target >= 0)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import linalg
 from .errors import NonTerminating, NotACrs, PreconditionViolated, ZeroNotInDigits
@@ -57,10 +57,15 @@ class RadixSystem:
 
     def differences(self) -> tuple[IntVec, ...]:
         """Sorted distinct digit differences (always contains 0)."""
-        return tuple(sorted({linalg.vec_sub(d, e) for d in self.digits for e in self.digits}))
+        return self.difference_system().digits
 
     def difference_system(self) -> "RadixSystem":
-        return RadixSystem(self.matrix, self.differences())
+        """(A, D - D), built on the first call and kept on the instance; equality and hashing ignore it."""
+        return self._difference_system
+
+    @cached_property
+    def _difference_system(self) -> "RadixSystem":
+        return RadixSystem(self.matrix, tuple({linalg.vec_sub(d, e) for d in self.digits for e in self.digits}))
 
     def max_digit_norm(self) -> float:
         return max(linalg.norm_sq(d) for d in self.digits) ** 0.5

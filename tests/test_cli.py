@@ -295,3 +295,59 @@ class TestFormatsAndCodes:
         error = json.loads(lines[0])["error"]
         assert error["type"] == "DimensionTooLong"
         assert "4300" in error["message"]
+
+
+class TestSession:
+    """In-process ``main`` calls share one parsed system per descriptor text."""
+
+    @staticmethod
+    def jobs(base10_file, m3i_file, twin_file):
+        alpha = json.dumps({"alpha": {"pre": [[-4, 0], [-8, 0]], "cycle": [[0, 0], [8, 0]]}})
+        return [
+            ["residues", base10_file],
+            ["intersect", m3i_file, "-p", alpha],
+            ["numsys-check", twin_file],
+            ["dims", "box", m3i_file, "-p", alpha],
+            ["expand", base10_file, "-p", '{"vector": [905]}'],
+            ["unique", "--difference", m3i_file],
+            ["levelset", "--lam", "1/2", m3i_file, "-p", "{}"],
+            ["--format", "dot", "triple-graph", base10_file],
+            ["neighbours", twin_file],
+            ["eval", base10_file, "-p", '{"pre": [[1]], "cycle": [[0]]}'],
+            ["intersect", m3i_file, "-p", alpha],
+            ["unique", twin_file],
+            ["expand", base10_file, "-p", '{"vector": [-7]}'],
+        ]
+
+    def test_a_warm_session_prints_what_fresh_ones_print(self, capsys, base10_file, m3i_file, twin_file):
+        jobs = self.jobs(base10_file, m3i_file, twin_file)
+        warm = [run(capsys, argv) for argv in jobs]
+        fresh = []
+        for argv in jobs:
+            cli._system_from_text.cache_clear()
+            fresh.append(run(capsys, argv))
+        assert warm == fresh
+        assert [code for code, _ in warm] == [0] * (len(jobs) - 1) + [2]  # -7 never ends in base 10
+
+    def test_an_edited_descriptor_is_parsed_again(self, capsys, tmp_path):
+        path = tmp_path / "system.json"
+        for base in (10, 3, 10, 7):
+            path.write_text(json.dumps({"matrix": [base], "digits": [[d] for d in range(base)]}))
+            code, data = run_json(capsys, ["residues", str(path)])
+            assert (code, data["count"]) == (0, base)
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ('{"matrix": [10], "digits": [[0], [1]]', "JSONDecodeError"),
+            ('{"matrix": [1, 2, 3], "digits": [[0]]}', "PreconditionViolated"),
+            ('{"matrix": [10], "digits": [[0], [0]]}', "PreconditionViolated"),
+            ("[]", "PreconditionViolated"),
+        ],
+    )
+    def test_a_malformed_descriptor_fails_on_every_call(self, capsys, tmp_path, text, error):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        outcomes = [run_json(capsys, ["residues", str(path)]) for _ in range(3)]
+        assert outcomes[0][0] == 2 and outcomes[0][1]["error"]["type"] == error
+        assert outcomes == [outcomes[0]] * 3

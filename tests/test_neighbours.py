@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 from hypothesis import assume, given
@@ -196,6 +197,11 @@ TILT = [[-3, 2, 1], [-4, 4, 0], [-3, 4, 1]], [[-4, 4, 1], [1, 3, 0], [3, -3, -4]
 DOUBLE = [[2, 0, 0], [0, 2, 0], [0, 0, 2]], [[0, 0, 0], [9, 0, 0], [0, 9, 0], [0, 0, 9]]
 
 
+def grid(a: int, step: int):
+    """A = aI on Z^2 with the a^2 digits step * (i, j), i, j in 0..a-1."""
+    return [[a, 0], [0, a]], [[step * i, step * j] for i in range(a) for j in range(a)]
+
+
 @pytest.mark.parametrize(
     "argv, system, payload",
     [
@@ -203,14 +209,29 @@ DOUBLE = [[2, 0, 0], [0, 2, 0], [0, 0, 2]], [[0, 0, 0], [9, 0, 0], [0, 9, 0], [0
         (["unique"], SKEW, None),
         (["intersect"], TILT, {"alpha": {"cycle": [[-1, -3, -4]]}}),  # 2,582,055 x 271: 15.6 GiB
         (["triple-graph"], DOUBLE, None),  # 2,620 neighbours: 6,869,641 triple-state pairs
+        (["triple-graph"], grid(5, 12), None),  # 219,961 pairs x 625 labels: 1.02 GiB of int64 labels without the cap
+        (["triple-graph"], grid(3, 14), None),  # 4,380,649 live labels x 9 digits
     ],
 )
 def test_neighbour_budgets_under_an_address_space_limit(tmp_path, argv, system, payload):
     path = tmp_path / "system.json"
     path.write_text(json.dumps(dict(zip(("matrix", "digits"), system))))
     extra = [] if payload is None else ["-p", json.dumps(payload)]
+    start = time.perf_counter()
     done = run_cli_process([*argv, str(path), *extra], address_space(1))
     assert done.returncode == 3, done.stderr
+    assert time.perf_counter() - start < 10
     [line] = done.stdout.splitlines()
     error = json.loads(line)["error"]
     assert error["type"] == "CandidateBallTooLarge" and "cap" in error["message"]
+
+
+@pytest.mark.parametrize("a, step, edges", [(5, 7, 1225), (3, 13, 441)])
+def test_triple_graph_below_the_label_caps_answers_under_an_address_space_limit(tmp_path, a, step, edges):
+    # grid(5, 7) gathers 17,850,625 labels and grid(3, 13) builds 29,818,881 (live label, digit) entries
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(dict(zip(("matrix", "digits"), grid(a, step)))))
+    done = run_cli_process(["triple-graph", str(path)], address_space(1))
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    assert (len(report["states"]), report["edge_count"]) == (49, edges)

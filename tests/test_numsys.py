@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import radixtile as rt
 from radixtile import linalg
@@ -170,3 +172,28 @@ class TestCompanionSystems:
     def test_not_expanding_rejected(self):
         with pytest.raises(NotExpanding):
             rt.companion_system([-1], [0])
+
+
+@st.composite
+def small_systems(draw):
+    """A 1- or 2-D integer matrix with distinct digits of small entries; nothing else is required."""
+    n = draw(st.sampled_from([1, 2]))
+    entry = st.integers(-4, 4)
+    matrix = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    digits = draw(st.lists(st.tuples(*[entry] * n), min_size=1, max_size=6, unique=True))
+    return rt.RadixSystem(matrix, digits)
+
+
+class TestDifferenceSystem:
+    @settings(max_examples=100, deadline=None)
+    @given(small_systems())
+    def test_built_once_and_invisible_to_equality(self, sys):
+        fresh = rt.RadixSystem(sys.matrix, sys.digits)
+        expected = rt.RadixSystem(sys.matrix, sorted({linalg.vec_sub(d, e) for d in sys.digits for e in sys.digits}))
+        built = sys.difference_system()
+        assert built == expected and built.digits == expected.digits == sys.differences()
+        assert sys.difference_system() is built
+        assert sys.differences() is built.digits
+        # the kept difference system does not change equality or the hash, so sys stays a sound lru_cache key
+        assert sys == fresh and hash(sys) == hash(fresh) and repr(sys) == repr(fresh)
+        assert {sys: 1}[fresh] == 1
