@@ -285,7 +285,7 @@ def residue_system(a: IntMatrix) -> tuple[IntVec, ...]:
     while True:
         ball = lattice_ball(len(a), radius_sq)
         # a stable sort by norm keeps ties in lexicographic order, so each class starts with its minimum
-        ball = ball[np.argsort((ball * ball).sum(axis=1), kind="stable")]
+        ball = ball[np.argsort(sq_norms(ball), kind="stable")]
         _, first = np.unique(class_index(a, ball), return_index=True)
         if len(first) == d:
             return tuple(map(tuple, sorted_unique(ball[first]).tolist()))
@@ -396,6 +396,13 @@ def inverse_power_norms(a: IntMatrix) -> tuple[Fraction, ...]:
     return tuple(norms)
 
 
+@lru_cache(maxsize=None)
+def _tail_factor(a: IntMatrix) -> Fraction:
+    """(b_1 + ... + b_k) / (1 - b_k) over the norms above, >= sum_{i>=1} ||A^-i||; every tail bound scales it."""
+    b = inverse_power_norms(a)
+    return sum(b) / (1 - b[-1])
+
+
 def tail_bound(a: IntMatrix, m: int) -> Fraction:
     """Rational upper bound on sum_{j>m} ||A^-j||_2; tail_bound(a, 0) is the ball factor.
 
@@ -409,7 +416,7 @@ def tail_bounds(a: IntMatrix, m: int = 0):
     """tail_bound(a, m), tail_bound(a, m + 1), ...; b_k^q is carried over and multiplied once per k."""
     b = inverse_power_norms(a)
     q, r = divmod(m, len(b))
-    power, factor = b[-1] ** q, sum(b) / (1 - b[-1])
+    power, factor = b[-1] ** q, _tail_factor(a)
     while True:
         yield power * ((b[r - 1] if r else 1) * factor)
         r = (r + 1) % len(b)
@@ -470,6 +477,63 @@ def lattice_ball(n: int, radius_sq, cap: int = 10**7) -> np.ndarray:
     return np.stack(np.nonzero(reduce(np.add.outer, [squares] * n) <= limit), axis=-1) - r
 
 
+@lru_cache(maxsize=None)
+def _inverse_powers(a: IntMatrix, size: int) -> tuple[np.ndarray, tuple[int, ...], np.ndarray]:
+    """The powers B^j, j = 1..size, of B = sign(det a) adj(a), so that A^-j = B^j / |det a|^j.
+
+    Returns them as one (size, n, n) array, the largest row sum of B^1..B^j for each j, and |det a|^0..|det a|^size
+    as exact integers.  size is a power of 2: each size doubles the stack of half its size, B^(h+i) = B^i B^h for
+    i = 1..h in one stacked product, in int64 while the row sums certify it and in exact object entries after.
+    """
+    if size == 1:
+        d = det(a)
+        b = tuple(tuple(x if d > 0 else -x for x in row) for row in adjugate(a))
+        return np.array([b], dtype=dtype_for(inf_norm(b))), (inf_norm(b),), np.array([1, abs(d)], dtype=object)
+    stack, norms, scale = _inverse_powers(a, size // 2)
+    stack = stack.astype(dtype_for(norms[-1] ** 2), copy=False)  # each new row sum is at most a product of two
+    new = stack @ stack[-1]
+    norms += tuple(itertools.accumulate(np.abs(new).sum(axis=2).max(axis=1).tolist(), max, initial=norms[-1]))[1:]
+    return np.concatenate([stack, new]), norms, np.concatenate([scale, scale[1:] * scale[-1]])
+
+
+def tile_box(a: IntMatrix, vectors: np.ndarray, r: int) -> tuple[list[int], list[int]]:
+    """Integer bounds lo <= z <= hi, clipped to [-r, r], on each lattice point z of T = {sum_{j>=1} A^-j s_j}.
+
+    The s_j are rows of vectors.  Coordinate i of T spans exactly sum_j [min_s (A^-j s)_i, max_s (A^-j s)_i].
+    The first J terms are integer numerators over |det a|^J, summed exactly; the rest, of norm at most
+    tail_bound(a, J) * max |s|, pads both ends.  J is the least count that brings the pad below 1/2, proposed
+    in floats: any J gives a valid box.
+    """
+    m = math.isqrt(max_norm_sq(vectors)) + 1  # > max |s|
+    b, factor = inverse_power_norms(a), _tail_factor(a)
+    # tail_bound(a, q k + i) = b_k^q b_i factor with b_0 = 1; for each i, the least q with b_k^q b_i factor m < 1/2
+    logs = [0.0, *(math.log(x.numerator) - math.log(x.denominator) for x in (*b, 2 * m * factor))]  # no float overflows
+    want = -logs.pop()
+    terms = max(1, min(i + len(b) * max(0, math.floor((want - logs[i]) / logs[-1]) + 1) for i in range(len(b))))
+    powers, norms, scale = _inverse_powers(a, 1 << (terms - 1).bit_length())
+    powers, scale = powers[:terms], scale[terms::-1]  # |det a|^J, |det a|^(J - 1), ..., 1
+    dtype = dtype_for(norms[terms - 1] * max(int(np.abs(vectors).max(initial=0)), 1))  # holds the B^j and each B^j s
+    values = vectors.astype(dtype, copy=False) @ powers.astype(dtype, copy=False).transpose(0, 2, 1)  # B^j s
+    ends = np.stack([values.min(axis=1), values.max(axis=1)]).astype(object)
+    low, high = (scale[1:] @ ends).tolist()  # numerators over |det a|^J
+    q, i = divmod(terms, len(b))
+    tail = (b[-1] ** q, b[i - 1] if i else 1, factor)  # tail_bound(a, J) = num / den, left unreduced
+    num, den = math.prod(x.numerator for x in tail), math.prod(x.denominator for x in tail)
+    pad, whole = num * m * scale[0], den * scale[0]  # an end x / |det a|^J -/+ pad is (x den -/+ pad) / whole
+    return (
+        [max(-r, -((pad - x * den) // whole)) for x in low],
+        [min(r, (x * den + pad) // whole) for x in high],
+    )
+
+
+def within(rows: np.ndarray, lo, hi) -> np.ndarray:
+    """Mask of the rows v with lo[i] <= v_i <= hi[i] in every column i, tested column by column."""
+    mask = np.ones(len(rows), dtype=bool)
+    for column, low, high in zip(rows.T, lo, hi):
+        mask &= (column >= low) & (column <= high)
+    return mask
+
+
 # ---------------------------------------------------------------------------
 # integer arrays
 #
@@ -512,16 +576,33 @@ def int_array(rows, n: int) -> np.ndarray:
 
 def max_norm_sq(vectors: np.ndarray) -> int:
     """Largest squared Euclidean norm among the rows."""
-    wide = vectors.astype(dtype_for(vectors.shape[1] * int(np.abs(vectors).max(initial=0)) ** 2))
-    return int((wide * wide).sum(axis=1).max(initial=0))
+    wide = vectors.astype(dtype_for(vectors.shape[1] * int(np.abs(vectors).max(initial=0)) ** 2), copy=False)
+    return int(sq_norms(wide).max(initial=0))
+
+
+def sq_norms(x: np.ndarray) -> np.ndarray:
+    """Squared Euclidean norms along the last axis.
+
+    A last axis shorter than 8 is summed column by column, x_0^2 + x_1^2 + ...: numpy adds that few terms in
+    the same order (from 0, and 0 + x_0^2 is x_0^2), so float sums match (x * x).sum(axis=-1) bit for bit, and
+    an (N, 2) or (N, 3) array sums about 10x faster than a reduction along its short axis.
+    """
+    if not 0 < x.shape[-1] < 8:
+        return (x * x).sum(axis=-1)
+    out = x[..., 0] * x[..., 0]
+    for i in range(1, x.shape[-1]):
+        out += x[..., i] * x[..., i]
+    return out
 
 
 def lex_groups(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row order that sorts arr lexicographically (stable), and which sorted rows are new."""
     order = np.lexsort(arr.T[::-1])
     ranked = arr[order]
-    fresh = np.ones(len(arr), dtype=bool)
-    fresh[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    fresh = np.zeros(len(arr), dtype=bool)
+    fresh[:1] = True
+    for column in ranked.T:
+        fresh[1:] |= column[1:] != column[:-1]
     return order, fresh
 
 
@@ -542,7 +623,7 @@ def locate(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
         return at
     lo, hi = int(table.min()), int(table.max())
     rows = rows.astype(table.dtype) if table.dtype == object else rows
-    inside = np.flatnonzero(((rows >= lo) & (rows <= hi)).all(axis=1))
+    inside = np.flatnonzero(within(rows, [lo] * table.shape[1], [hi] * table.shape[1]))
     base = hi - lo + 1
     dtype = dtype_for(base ** table.shape[1])
     keys, codes = (np.zeros(len(x), dtype=dtype) for x in (table, inside))

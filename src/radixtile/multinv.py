@@ -336,7 +336,7 @@ def _accepted_rows(sys: RadixSystem, auto: DigitAutomaton, kmax: int, cap: int =
 def _directed_sq(p: np.ndarray, q: np.ndarray, a: int) -> float:
     """Max over p of the least squared distance to q; both sorted by coordinate a."""
     at = np.searchsorted(q[:-1, a], p[:, a])  # first q_a >= p_a, else q's last point
-    near = ((p - q[[at, at - 1]]) ** 2).sum(axis=-1).min(axis=0)  # index -1 is q's last point: still a bound
+    near = linalg.sq_norms(p - q[[at, at - 1]]).min(axis=0)  # index -1 is q's last point: still a bound
     reach = np.sqrt(near) * (1 + 2**-40) + 2**-500
     lo = np.searchsorted(q[:, a], p[:, a] - reach, "left")
     width = np.searchsorted(q[:, a], p[:, a] + reach, "right") - lo
@@ -346,7 +346,7 @@ def _directed_sq(p: np.ndarray, q: np.ndarray, a: int) -> float:
         e = max(s + 1, int(np.searchsorted(edges, edges[s] + 2**14, "right")) - 1)
         w, starts = width[s:e], edges[s:e] - edges[s]
         pairs = np.arange(edges[e] - edges[s]) + np.repeat(lo[s:e] - starts, w)
-        d = ((np.repeat(p[s:e], w, axis=0) - q[pairs]) ** 2).sum(axis=-1)
+        d = linalg.sq_norms(np.repeat(p[s:e], w, axis=0) - q[pairs])
         best, s = max(best, np.minimum.reduceat(d, starts).max()), e
     return best
 
@@ -366,7 +366,7 @@ def hausdorff_distance(p, q) -> float:
     if p.ndim != 2 or p.shape[1:] != q.shape[1:] or not p.shape[1]:
         raise ValueError(f"Hausdorff distance needs (N, n) point arrays of one n >= 1, got {p.shape} and {q.shape}")
     if len(p) * len(q) <= 2**15:
-        d = ((p[:, None] - q[None, :]) ** 2).sum(axis=-1)
+        d = linalg.sq_norms(p[:, None] - q[None, :])
         return float(np.sqrt(max(d.min(axis=1).max(), d.min(axis=0).max())))
     a = int(np.ptp(np.concatenate((p, q)), axis=0).argmax())
     p, q = (x[np.argsort(x[:, a])] for x in (p, q))

@@ -3,11 +3,15 @@
 A nonzero vector v is a neighbour of the tile T when T and T + v meet.
 The integer neighbours are exactly the nonzero lattice points of the
 difference tile, and those are computed by pruning: start from every
-lattice point inside a certified radius bound, draw the successor
+lattice point inside a certified radius bound that also lies in the
+tile's exact coordinate box (``linalg.tile_box``), draw the successor
 relation z -> A z - e over digit differences e for all of them at once,
-and delete points with no successor until the survivors stabilize.  The
-successors left among them are the move table that every neighbour walk,
-graph and uniqueness test reads.
+and delete points with no successor until the survivors stabilize.  A
+walk that goes on forever inside any bounded set keeps z in the tile, so
+pruning any bounded superset of the tile's lattice points leaves the same
+set; the box only drops candidates that cannot survive.  The successors
+left among them are the move table that every neighbour walk, graph and
+uniqueness test reads.
 """
 
 from __future__ import annotations
@@ -43,8 +47,10 @@ class NeighbourSet:
 def _tile_moves(matrix: IntMatrix, shifts: tuple[IntVec, ...]) -> tuple[np.ndarray, np.ndarray]:
     """The lattice points of the tile of (matrix, shifts) as rows in lexicographic order, and their moves.
 
-    A lattice point z lies in the tile iff the successor relation z -> A z - e admits an infinite walk
-    from z inside the radius bound, so trimming the points without one computes the set exactly.  The
+    A lattice point z lies in the tile iff the successor relation z -> A z - e admits an infinite walk from z
+    inside some bounded set that holds the tile: the walk's points are z = sum_j A^-j e_j.  The candidates are
+    the points of the radius bound's ball that lie in the tile's coordinate box, and trimming the ones without
+    a successor computes the set exactly.  The ball and its caps come first, so the box changes no answer.  The
     successors left are the moves: moves[z, j] is the row of A z - shifts[j], or -1 where it left the tile.
     """
     n = len(matrix)
@@ -53,6 +59,7 @@ def _tile_moves(matrix: IntMatrix, shifts: tuple[IntVec, ...]) -> tuple[np.ndarr
     ball = linalg.lattice_ball(n, radius_sq)
     if len(ball) * len(shifts) > 2**24:  # the arrays below for a job at the cap fit in 1 GB
         raise CandidateBallTooLarge(f"{len(ball)} ball points x {len(shifts)} shifts exceed the cap of 2^24 moves")
+    ball = ball[linalg.within(ball, *linalg.tile_box(matrix, shifts, math.isqrt(math.floor(radius_sq))))]
     image = linalg.mat_rows(matrix, ball, int(np.abs(shifts).max()))
     image = image[:, None, :] - shifts.astype(image.dtype)
     target = linalg.locate(ball, image.reshape(-1, n))
@@ -191,47 +198,49 @@ def _fmt(v: IntVec) -> str:
 
 
 @lru_cache(maxsize=None)
-def _neighbour_steps(matrix: IntMatrix, digits: tuple[IntVec, ...]) -> tuple[np.ndarray, np.ndarray, int]:
-    """The neighbours plus zero as rows of vecs in lexicographic order, the moves between them, and the row of 0.
+def _neighbour_steps(matrix: IntMatrix, digits: tuple[IntVec, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """The neighbours plus zero as rows of vecs in lexicographic order, their moves, the digit pairs' columns, and 0's row.
 
-    steps[v, x, y] is the index in vecs of A vecs[v] + (x - y) = A vecs[v] - (y - x) for digits x and y, or -1:
-    the difference tile's move by the shift y - x.  Its trim is the one place a neighbour move is computed.
+    moves[v, column[x, y]] is the index in vecs of A vecs[v] + (x - y) = A vecs[v] - (y - x) for digits x and y,
+    or -1: the difference tile's move by the shift y - x, one column per distinct shift.  Its trim is the one
+    place a neighbour move is computed.  Nothing here spreads the moves over all |D|^2 digit pairs: a walk reads
+    one entry per step, and a graph that gathers whole rows charges them to a label cap first.
     """
     integer_neighbours(matrix, digits)  # so the trim runs, and a tracer counts its ball, under tile_integer_points
     d = linalg.int_array(digits, len(matrix))
     shift = (d - d[:, None]).reshape(-1, len(matrix))  # y - x in row x |D| + y
     order, fresh = linalg.lex_groups(shift)  # the distinct shifts in sorted order are integer_neighbours' trim key
     vecs, moves = _tile_moves(matrix, tuple(map(tuple, shift[order[fresh]].tolist())))
-    steps = moves[:, (np.cumsum(fresh) - 1)[np.argsort(order)].reshape(len(d), len(d))]  # each shift's column
-    steps.flags.writeable = False
-    return vecs, steps, len(vecs) // 2  # the rows are closed under negation, so 0 is the middle one
+    column = (np.cumsum(fresh) - 1)[np.argsort(order)].reshape(len(d), len(d))
+    column.flags.writeable = False
+    return vecs, moves, column, len(vecs) // 2  # the rows are closed under negation, so 0 is the middle one
 
 
-def _require_labels(rows: int, what: str, per_row: int, unit: str) -> None:
-    # a job at the cap fits in 1 GiB: about 5 bytes per gathered label, 14 per (live label, digit)
-    if rows * per_row > 2**25:
-        raise CandidateBallTooLarge(f"{rows} {what} x {per_row} {unit} exceed the cap of 2^25")
+def _require_labels(rows: int, what: str, per_row: int, unit: str, cap: int = 25) -> None:
+    # a job at the default cap fits in 1 GiB: about 1 byte per gathered label, 14 per (live label, digit)
+    if rows * per_row > 2**cap:
+        raise CandidateBallTooLarge(f"{rows} {what} x {per_row} {unit} exceed the cap of 2^{cap}")
 
 
 def triple_state_graph(matrix: IntMatrix, digits) -> TripleStateGraph:
     """Graph tracking three representations of one value simultaneously."""
     digits = tuple(sorted(linalg.as_vec(d) for d in digits))
-    vecs, steps, zero = _neighbour_steps(matrix, digits)
+    vecs, moves, column, zero = _neighbour_steps(matrix, digits)
     k = len(vecs)
     if k * k > 2**22:  # the (k^2, n) arrays below for a job at the cap fit in 1 GB when n <= 3
         raise CandidateBallTooLarge(f"{k * k} triple-state pairs of {k} neighbours and zero exceed the cap of 2^22")
     # states (zeta, xi) as indices zeta * k + xi, in lexicographic order; below 2^22, so int32 holds every index
     pairs = np.arange(k * k)
     pairs = pairs[linalg.locate(vecs, -(vecs[pairs // k] + vecs[pairs % k])) >= 0]
-    steps, state_of = steps.astype(np.int32), np.full(k * k, -1, dtype=np.int32)
+    moves, state_of = moves.astype(np.int32), np.full(k * k, -1, dtype=np.int32)
     state_of[pairs] = np.arange(len(pairs))
     _require_labels(len(pairs), "triple-state pairs", len(digits) ** 2, "digit labels")
     # label (p, q, r) moves zeta as the pair (p, q), then xi as the pair (q, r);
     # np.nonzero keeps the order (src, p, q, r), which is the sorted edge order
-    src, p, q = np.nonzero(steps[pairs // k] >= 0)
+    src, p, q = np.nonzero((moves >= 0)[(pairs // k)[:, None, None], column])
     _require_labels(len(src), "live labels", len(digits), "digits")
-    xi2 = steps[pairs[src] % k, q]
-    target = np.where(xi2 >= 0, state_of[steps[pairs[src] // k, p, q][:, None] * k + xi2], -1)
+    xi2 = moves[(pairs[src] % k)[:, None], column[q]]
+    target = np.where(xi2 >= 0, state_of[moves[pairs[src] // k, column[p, q]][:, None] * k + xi2], -1)
     first, r = np.nonzero(target >= 0)
     src, p, q, dst = src[first], p[first], q[first], target[first, r]
     keep = graph.reach_mask(len(pairs), [state_of[zero * (k + 1)]], src, dst, graph.live_mask(len(pairs), src, dst))

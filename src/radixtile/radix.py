@@ -185,7 +185,7 @@ def is_neighbour_sequence(x: Representation, y: Representation) -> bool:
     from .neighbours import _neighbour_steps
 
     sys = x.system
-    _, steps, state = _neighbour_steps(sys.matrix, sys.digits)
+    _, moves, column, state = _neighbour_steps(sys.matrix, sys.digits)
     index = {d: i for i, d in enumerate(sys.digits)}
     pre = max(x.seq.preperiod, y.seq.preperiod)
     cyc = math.lcm(x.seq.period, y.seq.period)
@@ -193,7 +193,7 @@ def is_neighbour_sequence(x: Representation, y: Representation) -> bool:
     j = 0
     while (key := (j if j < pre else pre + (j - pre) % cyc, state)) not in seen:
         seen.add(key)
-        state = steps[state, index[x.seq.entry(j)], index[y.seq.entry(j)]]
+        state = moves[state, column[index[x.seq.entry(j)], index[y.seq.entry(j)]]]
         if state < 0:
             return False
         j += 1
@@ -201,11 +201,11 @@ def is_neighbour_sequence(x: Representation, y: Representation) -> bool:
 
 
 def representations_unique(sys: RadixSystem) -> bool:
-    """True iff no digit difference is a neighbour of the tile: from 0, only the moves (x, x) stay in the move table."""
+    """True iff no digit difference is a neighbour of the tile: from 0, only the zero shift stays in the move table."""
     from .neighbours import _neighbour_steps
 
-    _, steps, zero = _neighbour_steps(sys.matrix, sys.digits)
-    return int((steps[zero] >= 0).sum()) == len(sys.digits)
+    _, moves, _, zero = _neighbour_steps(sys.matrix, sys.digits)
+    return int((moves[zero] >= 0).sum()) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -248,11 +248,13 @@ def _dot(name: str, states, edges, state_label, edge_label) -> str:
 
 def pair_automaton(sys: RadixSystem) -> PairAutomaton:
     """Neighbour graph with digit-pair labels, pruned to live states."""
-    from .neighbours import _neighbour_steps
+    from .neighbours import _neighbour_steps, _require_labels
 
-    vecs, steps, zero = _neighbour_steps(sys.matrix, sys.digits)
-    src, x, y = np.nonzero(steps >= 0)  # in (src, x, y) order, the sorted edge order
-    dst = steps[src, x, y]
+    vecs, moves, column, zero = _neighbour_steps(sys.matrix, sys.digits)
+    # every live label becomes an edge of Python tuples: A = 2 with digits 0..127, 4.18M labels, peaks at 450 MB
+    _require_labels(len(vecs), "neighbours and zero", column.size, "digit pairs", cap=22)
+    src, x, y = np.nonzero((moves >= 0)[:, column])  # in (src, x, y) order, the sorted edge order
+    dst = moves[src, column[x, y]]
     keep = graph.reach_mask(len(vecs), [zero], src, dst, graph.live_mask(len(vecs), src, dst))
     rows, d = [tuple(v) for v in vecs.tolist()], sys.digits
     edges = keep[src] & keep[dst]
@@ -298,19 +300,19 @@ def enumerate_equivalents(
 
     if x.system != sys:
         raise ValueError("representation does not belong to the system")
-    _, steps, zero = _neighbour_steps(sys.matrix, sys.digits)
-    k, index = len(steps), {d: i for i, d in enumerate(sys.digits)}
+    _, moves, column, zero = _neighbour_steps(sys.matrix, sys.digits)
+    k, index = len(moves), {d: i for i, d in enumerate(sys.digits)}
     entries, m = x.seq.pre + x.seq.cycle, x.seq.preperiod
 
     # the product state ph * k + v stands at phase ph of x on row v of the
-    # move table; reading the digit d steps v along row steps[v, x_ph]
+    # move table; reading the digit d steps v by the shift d - x_ph
     succ: dict[int, list[tuple[IntVec, int]]] = {}
     stack = [zero]
     while stack:
         ph, v = divmod(state := stack.pop(), k)
         if state not in succ:
             nxt = (ph + 1 if ph + 1 < len(entries) else m) * k
-            row = steps[v, index[entries[ph]]].tolist()
+            row = moves[v, column[index[entries[ph]]]].tolist()
             succ[state] = [(d, nxt + t) for d, t in zip(sys.digits, row) if t >= 0]
             stack.extend(t for _, t in succ[state])
 

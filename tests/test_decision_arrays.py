@@ -11,6 +11,7 @@ entries on both sides of the 2**62 int64 bound must give the same answers.
 
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,7 +22,9 @@ from hypothesis import strategies as st
 import radixtile as rt
 from radixtile import graph, linalg, numsys
 from radixtile.errors import NotACrs
-from radixtile.neighbours import tile_integer_points
+from radixtile.neighbours import _tile_moves, tile_integer_points
+
+from conftest import gauss_system
 
 # ---------------------------------------------------------------------------
 # per-point references
@@ -200,19 +203,20 @@ class TestAgainstReferences:
 
 
 def test_each_state_is_stepped_once(monkeypatch):
-    # x^2 + 3x + 3 with digits {0, 1, 2}: 5,001 single steps from the 613
-    # ball points visit only 678 distinct states
+    # x^2 + 3x + 3 with digits {0, 1, 2}: of the 613 candidate ball points, the
+    # walks start from the 15 in the box of -T(A, D), and each state they reach is stepped once
     stepped = []
     step = numsys._walk_step
 
     def counted(lookup, frontier):
-        stepped.append(len(frontier))
+        stepped.append(frontier)
         return step(lookup, frontier)
 
     monkeypatch.setattr(numsys, "_walk_step", counted)
     sys = rt.companion_system([3, 3], [0, 1, 2])
     assert rt.is_number_system(sys) == (True, ())
-    assert stepped[0] == 613 and sum(stepped) == 678
+    states = np.concatenate(stepped)
+    assert len(stepped[0]) == 15 and len(np.unique(states, axis=0)) == len(states)
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +315,110 @@ class TestAcrossTheInt64Bound:
         assert linalg.int_array([(0, -(2**62))], 2).dtype == object
         ball = linalg.lattice_ball(2, 8)
         assert ball.dtype == np.int64 and len(ball) == 25
+
+
+# ---------------------------------------------------------------------------
+# the attractor box
+
+
+def ref_tile_moves(matrix, shifts):
+    """The trim of the whole candidate ball, with no box: the rows and moves of the tile, array at a time."""
+    n = len(matrix)
+    shifts = linalg.int_array(shifts, n)
+    ball = linalg.lattice_ball(n, ref_radius_sq(matrix, shifts.tolist()))
+    image = linalg.mat_rows(matrix, ball, int(np.abs(shifts).max()))
+    target = linalg.locate(ball, (image[:, None, :] - shifts.astype(image.dtype)).reshape(-1, n))
+    edges = np.flatnonzero(target >= 0)
+    alive = graph.live_mask(len(ball), edges // len(shifts), target[edges])
+    rank = np.append(np.where(alive, np.cumsum(alive) - 1, -1), -1)
+    return ball[alive], rank[target.reshape(len(ball), -1)[alive]]
+
+
+def exact_point(matrix, pre, cycle):
+    """sum_{j>=1} A^-j s_j for the digits pre, then cycle repeated, as sympy rationals."""
+    inv = sympy.Matrix(matrix).inv()
+    # the periodic part y solves y = A^-1 (c_1 + A^-1 (c_2 + ... A^-1 (c_p + y)))
+    head = sympy.zeros(len(matrix), 1)
+    for c in reversed(cycle):
+        head = inv * (sympy.Matrix(c) + head)
+    point = (sympy.eye(len(matrix)) - inv ** len(cycle)).LUsolve(head)
+    for s in reversed(pre):
+        point = inv * (sympy.Matrix(s) + point)
+    return list(point)
+
+
+@st.composite
+def attractors(draw):
+    """An expanding 1-3-D matrix with det of either sign, small or with large entries, and 1-5 vectors.
+
+    Entries of 2**20..2**45 with vectors near 2**62 need a few terms, whose powers cross 2**62.
+    """
+    n = draw(dims)
+    if draw(st.booleans()):
+        matrix = draw(expanding_matrices(n))
+        entry = st.integers(-6, 6)
+    else:  # b I plus ones above the diagonal: det (+-b)^n
+        b = draw(st.one_of(BIG, st.integers(2**20, 2**45))) * draw(st.sampled_from([1, -1]))
+        matrix = tuple(tuple(b if i == j else int(j == i + 1) for j in range(n)) for i in range(n))
+        entry = st.one_of(st.integers(-6, 6), BIG, BIG.map(lambda x: -x))
+    vectors = draw(st.lists(st.tuples(*[entry] * n), min_size=1, max_size=5, unique=True))
+    return matrix, vectors
+
+
+class TestTileBox:
+    @settings(max_examples=60, deadline=None)
+    @given(attractors(), st.data())
+    def test_points_of_the_attractor_lie_in_the_box(self, case, data):
+        matrix, vectors = case
+        lo, hi = linalg.tile_box(matrix, linalg.int_array(vectors, len(matrix)), 2**300)
+        # the box's own term count: the least J whose tail, times a bound on max |s|, is below 1/2
+        m = math.isqrt(max(map(linalg.norm_sq, vectors))) + 1
+        terms = next(j for j in itertools.count() if linalg.tail_bound(matrix, j) * m < sympy.Rational(1, 2))
+        digit = st.sampled_from(vectors)
+        pre = data.draw(st.lists(digit, min_size=terms + 10, max_size=terms + 10))
+        cycle = data.draw(st.lists(digit, min_size=1, max_size=3))
+        # a point of T within 1 of the box's integer ends: every lattice point of T lies inside it
+        for x, low, high in zip(exact_point(matrix, pre, cycle), lo, hi):
+            assert low - 1 < x < high + 1
+        if _ball_estimate(matrix, vectors) <= 3000:
+            points = ref_tile_points(matrix, tuple(vectors))
+            assert all(low <= x <= high for z in points for x, low, high in zip(z, lo, hi))
+
+    @settings(max_examples=40, deadline=None)
+    @given(dims.flatmap(digit_systems))
+    def test_tile_moves_match_the_whole_ball(self, sys):
+        for shifts in (sys.digits, sys.differences(), sys.difference_system().differences()):
+            rows, moves = _tile_moves.__wrapped__(sys.matrix, shifts)
+            ref_rows, ref_moves = ref_tile_moves(sys.matrix, shifts)
+            assert np.array_equal(rows, ref_rows) and np.array_equal(moves, ref_moves)
+
+    @settings(max_examples=40, deadline=None)
+    @given(dims.flatmap(digit_systems))
+    def test_number_systems_match_walks_from_the_whole_ball(self, sys):
+        verdict = rt.is_number_system(sys)
+        # a box as wide as the ball: the walks start from every ball point
+        with mock.patch.object(linalg, "tile_box", lambda a, vectors, r: ([-r] * len(a), [r] * len(a))):
+            assert verdict == rt.is_number_system(sys)
+
+    def test_entries_beyond_the_double_range(self):
+        # ||A^-1|| = 10^-400 is 0.0 as a float: the term count is proposed from logs of numerators and denominators
+        huge = 10**400
+        assert linalg.tile_box(((huge,),), linalg.int_array([(0,), (1,)], 1), 2**2000) == ([0], [0])
+        matrix, digits = ((-huge, 1), (0, -huge)), ((0, 0), (1, 0), (3, huge))
+        lo, hi = linalg.tile_box(matrix, linalg.int_array(digits, 2), 2**2000)
+        assert lo[1] <= 0 <= hi[1] and hi[0] - lo[0] <= 2 and tile_integer_points(matrix, digits) == {(0, 0)}
+
+    def test_the_box_cuts_the_ball(self):
+        # x^2 + 3x + 3 with digits 0, 1, 2: 15 of the 613 ball points of -T(A, D) lie in its box;
+        # -3+i with digits 0..9: 21 of the 57 ball points of its difference tile
+        quad, gauss = rt.companion_system([3, 3], [0, 1, 2]), gauss_system(3)
+        cases = [(quad.matrix, list(map(linalg.vec_neg, quad.digits)), 613, 15), (gauss.matrix, gauss.differences(), 57, 21)]
+        for matrix, vectors, ball_points, box_points in cases:
+            vectors = linalg.int_array(vectors, 2)
+            radius_sq = linalg.max_norm_sq(vectors) * linalg.tail_bound(matrix, 0) ** 2
+            ball = linalg.lattice_ball(2, radius_sq)
+            box = linalg.tile_box(matrix, vectors, math.isqrt(math.floor(radius_sq)))
+            assert (len(ball), int(linalg.within(ball, *box).sum())) == (ball_points, box_points)
 
 
 def test_congruent_digits_are_named_in_scan_order():

@@ -256,3 +256,13 @@ class TestSpectralInfo:
         comp = ((0, -21), (1, -9))
         assert linalg._similarity_scale_sq(comp) is None
         assert linalg.similarity_contraction(comp) == pytest.approx(21 ** -0.5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 10), st.integers(0, 40), st.integers(0, 2**32 - 1))
+def test_sq_norms_match_numpy_bit_for_bit(n, rows, seed):
+    # column by column below 8 columns, numpy's own reduction from 8 on: the same float bits either way
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((rows, n)) * 10.0 ** rng.integers(-150, 150, (rows, n))
+    assert np.array_equal(linalg.sq_norms(x).view(np.uint64), (x**2).sum(axis=-1).view(np.uint64))
+    assert np.array_equal(linalg.sq_norms(x[None]).view(np.uint64), (x[None] ** 2).sum(axis=-1).view(np.uint64))

@@ -235,3 +235,39 @@ def test_triple_graph_below_the_label_caps_answers_under_an_address_space_limit(
     assert done.returncode == 0, done.stderr
     report = json.loads(done.stdout)
     assert (len(report["states"]), report["edge_count"]) == (49, edges)
+
+
+def line(count: int):
+    """A = 2 on Z with the digits 0..count-1: their moves spread over all |D|^2 digit pairs would not fit in 1 GiB."""
+    return [[2]], [[d] for d in range(count)]
+
+
+X = {"pre": [[1]], "cycle": [[0]]}
+
+
+@pytest.mark.parametrize(
+    "count, argv, payload",
+    [
+        (400, ["unique"], None),  # 799 neighbours and zero x 160,000 digit pairs: 975 MiB spread out
+        (400, ["equiv"], {"x": X, "y": {"pre": [[0], [1]], "cycle": [[0]]}}),
+        (400, ["neighbours", "--dot"], None),
+        (400, ["triple-graph"], None),
+        (300, ["neighbours", "--dot"], None),  # 26,955,000 labels
+        (300, ["unique"], None),
+        (300, ["equiv"], {"x": X, "y": {"pre": [[0], [1]], "cycle": [[0]]}}),
+        (300, ["enumerate-equiv"], {"x": X}),
+    ],
+)
+def test_many_digit_move_tables_under_an_address_space_limit(tmp_path, count, argv, payload):
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(dict(zip(("matrix", "digits"), line(count)))))
+    extra = [] if payload is None else ["-p", json.dumps(payload)]
+    start = time.perf_counter()
+    done = run_cli_process([*argv, str(path), *extra], address_space(1))
+    assert done.returncode in (0, 3), done.stderr
+    assert time.perf_counter() - start < 10
+    if done.returncode == 3:
+        [error] = done.stdout.splitlines()
+        assert json.loads(error)["error"]["type"] == "CandidateBallTooLarge"
+    if (count, argv) == (300, ["unique"]):
+        assert json.loads(done.stdout) == {"unique": False}
