@@ -339,18 +339,24 @@ def cmd_multinv(args, sys, payload):
 
     auto = _automaton_from_payload(sys, payload)
     if args.action == "check":
-        phi_ok, psi_ok = multinv.check_invariance(sys, auto)
+        padded = multinv.padded_automaton(sys, auto)
+        phi_ok, psi_ok = multinv.check_invariance(sys, auto, padded)
         out = {"phi_closed": phi_ok, "psi_closed": psi_ok}
         k = _int_field(payload, "torus_k", 0)
         if k:
-            out["torus_invariance"] = multinv.torus_invariance_check(sys, auto, k)
+            out["torus_invariance"] = multinv.torus_invariance_check(sys, auto, k, padded)
         return out
     if args.action == "cloud":
-        points = sorted(multinv.xk_cloud(sys, auto, _int_field(payload, "k")).points)
+        from . import render
+
+        cloud = multinv.xk_cloud(sys, auto, _int_field(payload, "k"))
+        # the distinct points in their own order: one positive denominator, so the numerators' order
+        coords, scale = render._scaled_coords(cloud, cloud.rows)
+        coords = linalg.sorted_unique(coords)
         return {
             "points": [
-                {"exact": [linalg.frac_str(x) for x in p], "float": [float(x) for x in p]}
-                for p in points
+                {"exact": [linalg.frac_str(Fraction(x, scale)) for x in p], "float": f}
+                for p, f in zip(coords.tolist(), render.exact_floats(coords, scale).tolist())
             ]
         }
     report = multinv.convergence_report(sys, auto, _int_field(payload, "kmax"))

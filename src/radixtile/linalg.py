@@ -175,6 +175,12 @@ def adjugate(a: IntMatrix) -> IntMatrix:
     )
 
 
+def signed_adjugate(a: IntMatrix) -> tuple[IntMatrix, int]:
+    """B = sign(det a) adj(a) and |det a|, so that A^-k = B^k / |det a|^k with a positive denominator."""
+    d = det(a)
+    return tuple(tuple(x if d > 0 else -x for x in row) for row in adjugate(a)), abs(d)
+
+
 def frac_mat_vec(a: RatMatrix, v) -> RatVec:
     return tuple(sum((Fraction(a[i][j]) * v[j] for j in range(len(v))), Fraction(0))
                  for i in range(len(a)))
@@ -409,18 +415,24 @@ def tail_bound(a: IntMatrix, m: int) -> Fraction:
     With the norms b_1..b_k above and m = q k + r, submultiplicativity gives
     ||A^-(m+i)|| <= b_k^q b_r ||A^-i|| and sum_{i>=1} ||A^-i|| <= (b_1 + ... + b_k) / (1 - b_k).
     """
-    return next(tail_bounds(a, m))
+    return Fraction(*next(tail_bounds(a, m)))
 
 
 def tail_bounds(a: IntMatrix, m: int = 0):
-    """tail_bound(a, m), tail_bound(a, m + 1), ...; b_k^q is carried over and multiplied once per k."""
+    """tail_bound(a, m), tail_bound(a, m + 1), ... as unreduced (numerator, denominator) pairs.
+
+    b_k^q times the factor is carried over and multiplied once per k, and nothing calls gcd: num / den is already the
+    correctly rounded float of the bound, and Fraction(num, den) its exact value.
+    """
     b = inverse_power_norms(a)
     q, r = divmod(m, len(b))
-    power, factor = b[-1] ** q, _tail_factor(a)
+    factor = _tail_factor(a)
+    num, den = b[-1].numerator ** q * factor.numerator, b[-1].denominator ** q * factor.denominator
     while True:
-        yield power * ((b[r - 1] if r else 1) * factor)
+        yield (num * b[r - 1].numerator, den * b[r - 1].denominator) if r else (num, den)
         r = (r + 1) % len(b)
-        power = power if r else power * b[-1]
+        if not r:
+            num, den = num * b[-1].numerator, den * b[-1].denominator
 
 
 def _similarity_scale_sq(a: IntMatrix) -> int | None:
@@ -486,9 +498,8 @@ def _inverse_powers(a: IntMatrix, size: int) -> tuple[np.ndarray, tuple[int, ...
     i = 1..h in one stacked product, in int64 while the row sums certify it and in exact object entries after.
     """
     if size == 1:
-        d = det(a)
-        b = tuple(tuple(x if d > 0 else -x for x in row) for row in adjugate(a))
-        return np.array([b], dtype=dtype_for(inf_norm(b))), (inf_norm(b),), np.array([1, abs(d)], dtype=object)
+        b, d = signed_adjugate(a)
+        return np.array([b], dtype=dtype_for(inf_norm(b))), (inf_norm(b),), np.array([1, d], dtype=object)
     stack, norms, scale = _inverse_powers(a, size // 2)
     stack = stack.astype(dtype_for(norms[-1] ** 2), copy=False)  # each new row sum is at most a product of two
     new = stack @ stack[-1]
@@ -604,6 +615,23 @@ def lex_groups(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     for column in ranked.T:
         fresh[1:] |= column[1:] != column[:-1]
     return order, fresh
+
+
+@lru_cache(maxsize=None)
+def differences(n: int, vectors: tuple[IntVec, ...]) -> tuple[tuple[IntVec, ...], np.ndarray]:
+    """The distinct differences y - x of the vectors in lexicographic order, and the index of each y - x among them.
+
+    The index is a |V| x |V| array, read at [x, y].  All |V|^2 differences are one array grouped by lex_groups;
+    only the distinct ones become tuples.  Past 2^24 entries (|V|^2 n) the arrays would not fit in 1 GiB.
+    """
+    if len(vectors) ** 2 * n > 2**24:
+        raise CandidateBallTooLarge(f"{len(vectors)}^2 differences x {n} coordinates exceed the cap of 2^24 entries")
+    v = int_array(vectors, n)
+    shift = (v - v[:, None]).reshape(-1, n)  # y - x in row x |V| + y
+    order, fresh = lex_groups(shift)
+    index = (np.cumsum(fresh) - 1)[np.argsort(order)].reshape(len(v), len(v))
+    index.flags.writeable = False  # the cache hands it to every caller
+    return tuple(map(tuple, shift[order[fresh]].tolist())), index
 
 
 def sorted_unique(arr: np.ndarray) -> np.ndarray:

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg, render
-from .errors import CloudTooLarge, EmptySet, NotACrs, SingularMatrix, json_int, json_ints, json_list
+from .errors import CloudTooLarge, DepthTooLarge, EmptySet, NotACrs, SingularMatrix, ZeroNotInDigits
+from .errors import json_int, json_ints, json_list
 from .linalg import IntVec, np
 from .numsys import RadixSystem, discrete_expansion, evaluate_expansion
 
@@ -251,15 +252,25 @@ def _require_expansion_domain(sys: RadixSystem) -> None:
     linalg.require_expanding(sys.matrix)
 
 
-def check_invariance(sys: RadixSystem, auto: DigitAutomaton) -> tuple[bool, bool]:
+def padded_automaton(sys: RadixSystem, auto: DigitAutomaton) -> DigitAutomaton:
+    """The automaton of L . 0* that every invariance check and cloud walk reads; a job builds it once."""
+    zero = linalg.zero_vec(sys.n)
+    if zero not in sys.digits:
+        raise ZeroNotInDigits("digit strings pad with the zero digit, which the system lacks")
+    return _pad_dfa(auto, sys.digits.index(zero))
+
+
+def check_invariance(
+    sys: RadixSystem, auto: DigitAutomaton, padded: DigitAutomaton | None = None
+) -> tuple[bool, bool]:
     """(phi closed, psi closed) for the set described by the automaton.
 
     Works on the zero-padded language so deletions that expose trailing
-    zeros still compare by value.
+    zeros still compare by value; padded is padded_automaton(sys, auto)
+    when the caller has built it already.
     """
     _require_expansion_domain(sys)
-    zero_idx = sys.digits.index(linalg.zero_vec(sys.n))
-    padded = _pad_dfa(auto, zero_idx)
+    padded = padded_automaton(sys, auto) if padded is None else padded
     phi_closed = _contains(padded, _delete_first_dfa(padded))
     psi_closed = _contains(padded, _delete_last_dfa(padded))
     return phi_closed, psi_closed
@@ -293,25 +304,48 @@ def xk_cloud(sys: RadixSystem, auto: DigitAutomaton, k: int, cap: int = 200_000)
     expansions of length at most k.  The cap counts those strings, which
     are distinct points whenever no two digits are congruent mod A.
     """
-    rows = next(rows for depth, rows in enumerate(_accepted_rows(sys, auto, k, cap)) if depth == k)
+    levels = enumerate(_accepted_rows(sys, padded_automaton(sys, auto), k, cap))
+    rows = next(rows for depth, rows in levels if depth == k)
     return render.PointCloud(sys, k, rows=rows)
 
 
-def _accepted_rows(sys: RadixSystem, auto: DigitAutomaton, kmax: int, cap: int = 200_000):
-    """The rows of xk_cloud at depths 0, ..., kmax, unsorted, from one walk.
+DEPTH_CAP = 28  # log2 of the bits of scaled coordinates one walk may charge
 
-    A padded-accepted string stays accepted when a 0 is appended, so one cap
-    check and one pruning at kmax serve every level.
+
+def _require_depth(sys: RadixSystem, kmax: int, rows: int) -> None:
+    """The depth budget: kmax + 1 levels x rows per level x the bits of a scaled coordinate at kmax.
+
+    A coordinate at depth k has about k log2(row sum of A) bits past the digits' own, and every level
+    adds to them, so a deep walk costs about the square of its depth in bit operations.
+    """
+    digit_bits = max(abs(x) for d in sys.digits for x in d).bit_length()
+    bits = kmax * linalg.inf_norm(sys.matrix).bit_length() + digit_bits
+    if (kmax + 1) * rows * bits > 2**DEPTH_CAP:
+        raise DepthTooLarge(
+            f"{kmax + 1} levels x {rows} rows per level x {bits} coordinate bits"
+            f" exceed the depth cap of 2^{DEPTH_CAP} bits"
+        )
+
+
+def _accepted_rows(sys: RadixSystem, padded: DigitAutomaton, kmax: int, cap: int = 200_000):
+    """The rows of xk_cloud at depths 0, ..., kmax, as walked, from one walk of the padded automaton.
+
+    A padded-accepted string stays accepted when a 0 is appended, so one cap check and one pruning at kmax
+    serve every level, and the rows at any level are at most the accepted strings at kmax.  The rows come
+    unsorted; they are distinct whenever no two digits are congruent mod A.  The depth budget is charged
+    before the counts and bounds below, whose integers grow with the depth: once with one row per level,
+    then with the accepted strings at kmax.
     """
     if kmax < 0:
         raise ValueError(f"depth must be >= 0, got {kmax}")
-    padded = _pad_dfa(auto, sys.digits.index(linalg.zero_vec(sys.n)))
+    _require_depth(sys, kmax, 1)
     # ways[t][s]: accepted strings of length t read from state s
     ways = [[int(s in padded.accepting) for s in range(padded.n_states)]]
     for _ in range(kmax):
         ways.append([sum(ways[-1][t] for t in row) for row in padded.transitions])
     if ways[kmax][padded.initial] > cap:
         raise CloudTooLarge(f"cloud exceeds cap {cap}")
+    _require_depth(sys, kmax, ways[kmax][padded.initial])
 
     # one array of partial sums per state; a state is kept at step j only
     # when it has an accepted completion of length kmax - j
@@ -407,35 +441,52 @@ class ConvergenceReport:
 
 
 def convergence_report(sys: RadixSystem, auto: DigitAutomaton, kmax: int) -> ConvergenceReport:
-    """Measured d_H(X_k, X_{k+1}) against the certified decay bound."""
+    """Measured d_H(X_k, X_{k+1}) against the certified decay bound.
+
+    One padded automaton serves the closure check and one walk, which gives every level's rows w as walked:
+    a Hausdorff distance reads neither their order nor repeats.  X_k is B^k w / |det A|^k with
+    B = sign(det A) adj(A), and B^k and |det A|^k are carried from level to level, one product each, into
+    the exact division of ``render.exact_floats``, so each point is the double that ``float_points`` gives.
+    The walk charges the depth budget first (exit 3).  The bound column divides tail_bounds' unreduced
+    numerator and denominator once per row.
+    """
     if kmax < 0:
         raise ValueError(f"kmax must be >= 0, got {kmax}")
-    phi_closed, _ = check_invariance(sys, auto)
+    padded = padded_automaton(sys, auto)
+    phi_closed, _ = check_invariance(sys, auto, padded)
     max_digit = sys.max_digit_norm()
-    levels = enumerate(_accepted_rows(sys, auto, kmax + 1))
-    clouds = [render.PointCloud(sys, k, rows=rows).float_points() for k, rows in levels]
+    b, d = linalg.signed_adjugate(sys.matrix)
+    power, scale, clouds = linalg.identity(sys.n), 1, []
+    for rows in _accepted_rows(sys, padded, kmax + 1):
+        clouds.append(render.exact_floats(linalg.mat_rows(power, rows), scale))
+        power, scale = linalg.mat_mul(b, power), scale * d
     rows, prev, tails = [], None, linalg.tail_bounds(sys.matrix, 1)
     for k in range(1, kmax + 1):
         measured = hausdorff_distance(clouds[k], clouds[k + 1])
-        bound = max_digit * float(next(tails))
+        num, den = next(tails)
+        bound = max_digit * (num / den)
         ratio = (measured / prev) if prev not in (None, 0.0) else None
         rows.append(ConvergenceRow(k=k, measured=measured, bound=bound, ratio_to_prev=ratio))
         prev = measured
     return ConvergenceReport(rows=tuple(rows), phi_closed=phi_closed)
 
 
-def torus_invariance_check(sys: RadixSystem, auto: DigitAutomaton, k: int) -> bool:
+def torus_invariance_check(
+    sys: RadixSystem, auto: DigitAutomaton, k: int, padded: DigitAutomaton | None = None
+) -> bool:
     """Exact check that A maps the k-cloud into the (k-1)-cloud on the torus.
 
     A A^-k w - A^-(k-1) w' is integral iff w = w' mod A^(k-1) Z^n, so the
     residue classes of the k-cloud's rows must all occur in the (k-1)-cloud.
+    padded is padded_automaton(sys, auto) when the caller has built it already.
     """
     if k < 2:
         raise ValueError("needs k >= 2")
     if sys.determinant == 0:
         raise SingularMatrix("torus check needs det != 0")
     power = linalg.mat_pow(sys.matrix, k - 1)
-    levels = itertools.islice(_accepted_rows(sys, auto, k), k - 1, None)
+    padded = padded_automaton(sys, auto) if padded is None else padded
+    levels = itertools.islice(_accepted_rows(sys, padded, k), k - 1, None)
     prev, last = (linalg.class_index(power, rows) for rows in levels)
     # last adds no class to prev's; unlike np.isin, this stays O(N log N) on object indices
     classes = [len(np.unique(x, return_index=True)[0]) for x in (prev, np.concatenate([prev, last]))]

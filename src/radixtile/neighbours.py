@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 from . import graph, linalg
@@ -29,10 +30,20 @@ from .radix import PairAutomaton, _dot, _vec_label, pair_automaton
 
 @dataclass(frozen=True)
 class NeighbourSet:
-    """Nonzero integer neighbours, closed under negation."""
+    """Nonzero integer neighbours, closed under negation.
+
+    ball holds the candidate ball's radius as max |e|^2 over the digit differences e and tail_bound(A, 0), or is
+    None for a closed form; ball_radius turns it into a float only when read, so huge digits overflow nothing else.
+    """
 
     vectors: frozenset[IntVec]
-    ball_radius: float
+    ball: tuple[int, Fraction] | None = None
+
+    @property
+    def ball_radius(self) -> float:
+        if self.ball is None:
+            return math.nan
+        return math.sqrt(self.ball[0]) * float(self.ball[1])
 
     def sorted(self) -> tuple[IntVec, ...]:
         return tuple(sorted(self.vectors))
@@ -79,13 +90,11 @@ def tile_integer_points(matrix: IntMatrix, digits: tuple[IntVec, ...]) -> frozen
 @lru_cache(maxsize=None)
 def integer_neighbours(matrix: IntMatrix, digits: tuple[IntVec, ...]) -> NeighbourSet:
     """Nonzero integer points of the difference tile of (matrix, digits)."""
-    digits = tuple(sorted({linalg.as_vec(d) for d in digits}))
-    diffs = tuple(sorted({linalg.vec_sub(a, b) for a in digits for b in digits}))
-    points = tile_integer_points(matrix, diffs)  # before the norms, so a ball too large to float ends in its cap
-    max_norm = max(math.sqrt(linalg.norm_sq(e)) for e in diffs)
+    diffs, _ = linalg.differences(len(matrix), tuple(map(linalg.as_vec, digits)))
+    points = tile_integer_points(matrix, diffs)
     return NeighbourSet(
         vectors=points - {linalg.zero_vec(len(matrix))},
-        ball_radius=max_norm * float(linalg.tail_bound(matrix, 0)),
+        ball=(max(map(linalg.norm_sq, diffs)), linalg.tail_bound(matrix, 0)),
     )
 
 
@@ -114,7 +123,7 @@ def expected_gauss_neighbours(n: int) -> NeighbourSet:
     for v in half:
         vecs.add(v)
         vecs.add(linalg.vec_neg(v))
-    return NeighbourSet(vectors=frozenset(vecs), ball_radius=float("nan"))
+    return NeighbourSet(vectors=frozenset(vecs))
 
 
 def expected_real_neighbours(n: int, symmetric_digits: bool) -> tuple[int, ...]:
@@ -207,12 +216,8 @@ def _neighbour_steps(matrix: IntMatrix, digits: tuple[IntVec, ...]) -> tuple[np.
     one entry per step, and a graph that gathers whole rows charges them to a label cap first.
     """
     integer_neighbours(matrix, digits)  # so the trim runs, and a tracer counts its ball, under tile_integer_points
-    d = linalg.int_array(digits, len(matrix))
-    shift = (d - d[:, None]).reshape(-1, len(matrix))  # y - x in row x |D| + y
-    order, fresh = linalg.lex_groups(shift)  # the distinct shifts in sorted order are integer_neighbours' trim key
-    vecs, moves = _tile_moves(matrix, tuple(map(tuple, shift[order[fresh]].tolist())))
-    column = (np.cumsum(fresh) - 1)[np.argsort(order)].reshape(len(d), len(d))
-    column.flags.writeable = False
+    shifts, column = linalg.differences(len(matrix), digits)  # the distinct shifts are integer_neighbours' trim key
+    vecs, moves = _tile_moves(matrix, shifts)
     return vecs, moves, column, len(vecs) // 2  # the rows are closed under negation, so 0 is the middle one
 
 

@@ -66,7 +66,7 @@ class RadixSystem:
 
     @cached_property
     def _difference_system(self) -> "RadixSystem":
-        return RadixSystem(self.matrix, tuple({linalg.vec_sub(d, e) for d in self.digits for e in self.digits}))
+        return RadixSystem(self.matrix, linalg.differences(self.n, self.digits)[0])
 
     def max_digit_norm(self) -> float:
         return max(linalg.norm_sq(d) for d in self.digits) ** 0.5

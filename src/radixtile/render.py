@@ -54,12 +54,12 @@ class PointCloud:
         return tuple(tuple(Fraction(c, scale) for c in row) for row in coords.tolist())
 
     def float_points(self) -> np.ndarray:
-        """(N, n) float64 points A^-k w, each entry its exact value correctly rounded."""
-        coords, scale = _scaled_coords(self, self.array)
-        # int / int on Python ints rounds the exact quotient once, as float(Fraction) does; up to
-        # 2^53 both operands are exact doubles, and IEEE division rounds that quotient once too
-        exact = scale <= 2**53 and np.abs(coords).max(initial=0) <= 2**53
-        return coords.astype(np.float64) / scale if exact else (coords.astype(object) / scale).astype(np.float64)
+        """(N, n) float64 points A^-k w of ``array``, each entry its exact value correctly rounded.
+
+        ``multinv.convergence_report`` takes its clouds through the same ``exact_floats``, from the rows as
+        walked and a power of adj(A) carried from level to level, so its points are these doubles.
+        """
+        return exact_floats(*_scaled_coords(self, self.array))
 
     def __len__(self) -> int:
         return len(self.array)
@@ -141,18 +141,21 @@ class RasterImage:
         return header + self.pixels
 
 
+def exact_floats(coords: np.ndarray, scale: int) -> np.ndarray:
+    """The float64 values coords / scale for integer coords and scale > 0, each the exact quotient correctly rounded."""
+    # int / int on Python ints rounds the exact quotient once, as float(Fraction) does; up to
+    # 2^53 both operands are exact doubles, and IEEE division rounds that quotient once too
+    exact = scale <= 2**53 and np.abs(coords).max(initial=0) <= 2**53
+    return coords.astype(np.float64) / scale if exact else (coords.astype(object) / scale).astype(np.float64)
+
+
 def _scaled_coords(cloud: PointCloud, rows: np.ndarray) -> tuple[np.ndarray, int]:
     """(N, n) integer coordinates det^k-scaled: exact values of A^-k w times |det|^k for the rows w."""
-    a = cloud.system.matrix
-    scale = linalg.det(a) ** cloud.depth
+    b, d = linalg.signed_adjugate(cloud.system.matrix)
+    scale = d**cloud.depth
     if scale == 0:
         raise SingularMatrix("matrix is singular")
-    # m / scale == A^-k exactly
-    m = linalg.mat_pow(linalg.adjugate(a), cloud.depth)
-    if scale < 0:
-        m = tuple(tuple(-x for x in row) for row in m)
-        scale = -scale
-    return linalg.mat_rows(m, rows), scale
+    return linalg.mat_rows(linalg.mat_pow(b, cloud.depth), rows), scale  # B^k / scale == A^-k exactly
 
 
 def rasterize(

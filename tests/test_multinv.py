@@ -1,7 +1,9 @@
 import itertools
+import json
 import math
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,8 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import radixtile as rt
-from radixtile import graph, linalg, multinv
-from radixtile.errors import CloudTooLarge, EmptySet, NonTerminating, NotACrs
+from radixtile import cli, graph, linalg, multinv
+from radixtile.errors import CloudTooLarge, DepthTooLarge, EmptySet, NonTerminating, NotACrs
 from radixtile.multinv import (
     DigitAutomaton,
     all_strings_automaton,
@@ -19,7 +21,7 @@ from radixtile.multinv import (
     zero_only_automaton,
 )
 
-from conftest import gauss_system
+from conftest import address_space, gauss_system, run_cli_process
 
 
 class TestDigitDropMaps:
@@ -205,10 +207,15 @@ class TestConvergence:
         for kmax in (0, 1, 6):
             pads.clear()
             rt.convergence_report(base3_full, auto, kmax)
-            assert len(pads) == 2  # one for the invariance check, one for every cloud
+            assert len(pads) == 1  # one for the invariance check and every cloud
         pads.clear()
         assert rt.torus_invariance_check(base3_full, auto, 5)
         assert len(pads) == 1  # depths k - 1 and k come from one walk
+        pads.clear()
+        args = SimpleNamespace(action="check", format="json")
+        out = cli.cmd_multinv(args, base3_full, {"restrict": [[0], [2]], "torus_k": 5})
+        assert out == {"phi_closed": True, "psi_closed": True, "torus_invariance": True}
+        assert len(pads) == 1  # the closure check and the torus walk share one
 
     def test_long_report_on_one_point_clouds(self, base3_full):
         # 3^301 needs exact object arrays for the partial sums
@@ -361,7 +368,7 @@ class TestAgainstReferences:
         sys = data.draw(st.sampled_from(REF_SYSTEMS))
         auto = data.draw(automata(sys))
         kmax = data.draw(st.integers(0, 4 if sys.n == 1 else 3))
-        levels = list(multinv._accepted_rows(sys, auto, kmax))
+        levels = list(multinv._accepted_rows(sys, multinv.padded_automaton(sys, auto), kmax))
         assert len(levels) == kmax + 1
         for k, rows in enumerate(levels):
             cloud = rt.PointCloud(sys, k, rows=rows)
@@ -448,3 +455,133 @@ class TestAgainstReferences:
         q = np.random.default_rng(1).permutation(np.repeat([0.75, 1.0, 2.0, 3.125], 17_500))
         for x, y in ((p, q), (q, p)):
             assert rt.hausdorff_distance(x[:, None], y[:, None]) == neighbour_hausdorff_1d(x, y) == 0.75
+
+
+# ---------------------------------------------------------------------------
+# the carried walk against the construction it replaced: one PointCloud per level
+# through float_points, Fraction tail bounds, and the cloud's Fraction points sorted
+
+
+def ref_report_rows(sys, auto, kmax):
+    clouds = [rt.xk_cloud(sys, auto, k).float_points() for k in range(kmax + 2)]
+    rows, prev = [], None
+    for k in range(1, kmax + 1):
+        measured = rt.hausdorff_distance(clouds[k], clouds[k + 1])
+        bound = sys.max_digit_norm() * float(rt.tail_bound(sys.matrix, k))
+        ratio = (measured / prev) if prev not in (None, 0.0) else None
+        rows.append(multinv.ConvergenceRow(k=k, measured=measured, bound=bound, ratio_to_prev=ratio))
+        prev = measured
+    return rows
+
+
+def ref_cloud_report(sys, auto, k):
+    points = sorted(rt.xk_cloud(sys, auto, k).points)
+    return {"points": [{"exact": [linalg.frac_str(x) for x in p], "float": [float(x) for x in p]} for p in points]}
+
+
+# det A < 0 as well: B = sign(det A) adj(A), and the cloud's order must not flip with the sign
+CARRY_SYSTEMS = REF_SYSTEMS + [
+    rt.RadixSystem(((-3,),), ((0,), (1,), (2,))),
+    rt.RadixSystem(((0, 2), (1, 0)), ((0, 0), (1, 0))),
+]
+
+
+def bits(rows):
+    """The rows with every float as its repr, so that == compares them bit for bit."""
+    return [(r.k, repr(r.measured), repr(r.bound), repr(r.ratio_to_prev)) for r in rows]
+
+
+class TestCarriedWalk:
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_report_rows_equal_the_per_level_clouds(self, data):
+        sys = data.draw(st.sampled_from(CARRY_SYSTEMS))
+        auto = data.draw(automata(sys))
+        kmax = data.draw(st.integers(0, 4 if sys.n == 1 else 3))
+        try:
+            expected = bits(ref_report_rows(sys, auto, kmax))
+        except EmptySet:
+            with pytest.raises(EmptySet):
+                rt.convergence_report(sys, auto, kmax)
+            return
+        assert bits(rt.convergence_report(sys, auto, kmax).rows) == expected
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_cloud_output_equals_the_sorted_fraction_points(self, data):
+        # 0 and 3 are congruent mod 3, so two digit strings can give one point
+        sys = data.draw(st.sampled_from(CARRY_SYSTEMS + [rt.RadixSystem(((3,),), ((0,), (1,), (3,)))]))
+        auto = data.draw(automata(sys))
+        k = data.draw(st.integers(0, 4 if sys.n == 1 else 3))
+        args = SimpleNamespace(action="cloud", format="json")
+        out = cli.cmd_multinv(args, sys, {"automaton": auto.to_json(), "k": k})
+        assert json.dumps(out) == json.dumps(ref_cloud_report(sys, auto, k))
+
+    def test_deep_report_equals_the_per_level_clouds(self, base3_full):
+        # 3^60 needs exact object coordinates and a division of integers past 2^53
+        for allowed in ([(0,)], [(0,), (2,)]):
+            auto = rt.digit_restriction_automaton(base3_full, allowed)
+            kmax = 60 if len(allowed) == 1 else 9
+            assert bits(rt.convergence_report(base3_full, auto, kmax).rows) == bits(ref_report_rows(base3_full, auto, kmax))
+
+    def test_unreduced_tail_bounds(self):
+        for a in (((3,),), ((-2, -1), (1, -2)), ((2, 0), (0, 2)), ((1, 1, 0), (0, 1, 1), (2, 0, 1))):
+            pairs = itertools.islice(linalg.tail_bounds(a, 1), 60)
+            for m, (num, den) in enumerate(pairs, start=1):
+                exact = linalg.tail_bound(a, m)
+                assert Fraction(num, den) == exact
+                assert num / den == float(exact)
+
+
+def one_nonzero_automaton(sys):
+    """Canonical strings with exactly one nonzero digit, plus the empty string: 2k + 1 rows at depth k in base 3."""
+    zero = sys.digits.index((0,))
+    rows = [tuple(3 if i == zero else 1 for i in range(len(sys.digits))), (2,) * 3, (2,) * 3]
+    rows.append(rows[0])
+    return DigitAutomaton(n_digits=len(sys.digits), transitions=tuple(rows), accepting=frozenset({0, 1}))
+
+
+class TestDepthBudget:
+    def test_rows_per_level_are_charged(self, base3_full):
+        auto = one_nonzero_automaton(base3_full)
+        assert len(rt.xk_cloud(base3_full, auto, 100)) == 201
+        # 1,001 levels x 1 row pass the first charge; 2,001 rows per level do not
+        start = time.perf_counter()
+        with pytest.raises(DepthTooLarge, match="1001 levels x 2001 rows per level"):
+            rt.xk_cloud(base3_full, auto, 1000)
+        assert time.perf_counter() - start < 2.0
+
+    def test_charged_before_the_counts(self, base3_full):
+        # the first charge needs no count of accepted strings: the 10^6-level ways table alone takes seconds
+        auto = rt.digit_restriction_automaton(base3_full, [(0,)])
+        start = time.perf_counter()
+        with pytest.raises(DepthTooLarge, match="1000001 levels x 1 rows per level"):
+            rt.xk_cloud(base3_full, auto, 10**6)
+        assert time.perf_counter() - start < 0.2
+
+    def test_one_point_per_level_within_the_cap(self, base3_full):
+        auto = rt.digit_restriction_automaton(base3_full, [(0,)])
+        assert len(rt.xk_cloud(base3_full, auto, 11_000)) == 1
+        with pytest.raises(DepthTooLarge, match=r"12001 levels x 1 rows per level x 24002 coordinate bits .* 2\^28"):
+            rt.xk_cloud(base3_full, auto, 12_000)
+
+    @pytest.mark.parametrize(
+        "argv, payload",
+        [
+            (["multinv", "cloud"], {"restrict": [[0]], "k": 10**6}),
+            (["--format", "csv", "multinv", "converge"], {"restrict": [[0]], "kmax": 10**5}),
+            (["multinv", "converge"], {"restrict": [[0]], "kmax": 10**5}),
+            (["multinv", "check"], {"restrict": [[0]], "torus_k": 10**6}),
+        ],
+    )
+    def test_deep_jobs_exit_3_under_an_address_space_limit(self, tmp_path, argv, payload):
+        path = tmp_path / "base3.json"
+        path.write_text(json.dumps({"matrix": [3], "digits": [0, 1, 2]}))
+        start = time.perf_counter()
+        done = run_cli_process([*argv, str(path), "-p", json.dumps(payload)], address_space(1))
+        assert time.perf_counter() - start < 10
+        assert done.returncode == 3, done.stderr
+        [line] = done.stdout.splitlines()
+        error = json.loads(line)["error"]
+        assert error["type"] == "DepthTooLarge"
+        assert "levels" in error["message"] and "cap of 2^28 bits" in error["message"]

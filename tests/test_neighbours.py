@@ -1,3 +1,4 @@
+import itertools
 import json
 import time
 
@@ -256,6 +257,8 @@ X = {"pre": [[1]], "cycle": [[0]]}
         (300, ["unique"], None),
         (300, ["equiv"], {"x": X, "y": {"pre": [[0], [1]], "cycle": [[0]]}}),
         (300, ["enumerate-equiv"], {"x": X}),
+        (5000, ["neighbours"], None),  # 25,000,000 digit differences in one array: past their 2^24 cap
+        (5000, ["unique"], None),
     ],
 )
 def test_many_digit_move_tables_under_an_address_space_limit(tmp_path, count, argv, payload):
@@ -269,5 +272,49 @@ def test_many_digit_move_tables_under_an_address_space_limit(tmp_path, count, ar
     if done.returncode == 3:
         [error] = done.stdout.splitlines()
         assert json.loads(error)["error"]["type"] == "CandidateBallTooLarge"
+        assert count < 5000 or "differences" in json.loads(error)["error"]["message"]
     if (count, argv) == (300, ["unique"]):
         assert json.loads(done.stdout) == {"unique": False}
+
+
+@given(
+    n=st.integers(1, 2),
+    digits=st.lists(st.lists(st.integers(-6, 6), min_size=2, max_size=2), min_size=1, max_size=12),
+)
+def test_digit_differences_from_one_array(n, digits):
+    # the distinct differences and their |D| x |D| index, against the tuples the array replaced
+    digits = tuple(dict.fromkeys(tuple(d[:n]) for d in digits))
+    shifts, column = linalg.differences(n, digits)
+    assert shifts == tuple(sorted({linalg.vec_sub(a, b) for a in digits for b in digits}))
+    for (x, dx), (y, dy) in itertools.product(enumerate(digits), repeat=2):
+        assert shifts[column[x, y]] == linalg.vec_sub(dy, dx)
+
+
+HUGE = 10**400
+
+
+def test_huge_digits_overflow_only_the_printed_radius():
+    matrix, digits = ((HUGE, 1), (0, HUGE)), ((0, 0), (1, 0), (0, 1), (HUGE, 7))
+    ns = rt.integer_neighbours(matrix, digits)
+    assert ns.vectors == frozenset()
+    with pytest.raises(OverflowError):
+        ns.ball_radius
+
+
+@pytest.mark.parametrize(
+    "argv, code, expected",
+    [
+        (["unique"], 0, {"unique": True}),
+        (["triple-graph"], 0, {"edge_count": 4, "states": [[[0, 0], [0, 0]]]}),
+        (["neighbours"], 2, {"error": {"type": "OverflowError", "message": "int too large to convert to float"}}),
+    ],
+)
+def test_huge_digits_under_an_address_space_limit(tmp_path, argv, code, expected):
+    # neither unique nor triple-graph prints a float; neighbours prints the ball radius, past the double range
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps({"matrix": [HUGE, 1, 0, HUGE], "digits": [[0, 0], [1, 0], [0, 1], [HUGE, 7]]}))
+    start = time.perf_counter()
+    done = run_cli_process([*argv, str(path)], address_space(1))
+    assert time.perf_counter() - start < 10
+    assert done.returncode == code, done.stderr
+    assert json.loads(done.stdout) == expected

@@ -4,7 +4,7 @@ Each digest was recorded with the code before a refactor of the path that
 prints it: the JSON, fraction and label helpers, then the integer multinv
 clouds, chunked distances and integer torus check, then the sorted-sweep
 distances, then the first-block SEP search and the Minkowski-sum IFS
-offsets.  Equal digests show the refactored code prints the same bytes,
+offsets, then the carried powers of the converge clouds.  Equal digests show the refactored code prints the same bytes,
 floats included.
 """
 
@@ -155,6 +155,19 @@ PINNED = {
         ["--format", "csv", "multinv", "converge"],
         {"restrict": [[0], [2]], "kmax": 8},
         "fb30a5f9f11491b88d4981449a66a74f8d7b78c7b1bbe232d261db7eac55f736",
+    ),
+    # recorded before the converge clouds came from one carried power and the bound column from unreduced pairs
+    "converge_csv_base3_zero_k2000": (
+        "base3_full",
+        ["--format", "csv", "multinv", "converge"],
+        {"restrict": [[0]], "kmax": 2000},
+        "9b7a650c41cd04ca543e20ab2c8dc78c44686cff9b038dc4c295a53e62651563",
+    ),
+    "converge_csv_base3_k14": (
+        "base3_full",
+        ["--format", "csv", "multinv", "converge"],
+        {"restrict": [[0], [2]], "kmax": 14},
+        "4d2838f4161793cd36e4dbb3a814f5c81ee9f30789de1b517bf66868d2d86790",
     ),
     "converge_base3_k12": (
         "base3_full",
