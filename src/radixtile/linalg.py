@@ -621,7 +621,7 @@ def lex_groups(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def differences(n: int, vectors: tuple[IntVec, ...]) -> tuple[tuple[IntVec, ...], np.ndarray]:
     """The distinct differences y - x of the vectors in lexicographic order, and the index of each y - x among them.
 
-    The index is a |V| x |V| array, read at [x, y].  All |V|^2 differences are one array grouped by lex_groups;
+    The index is a |V| x |V| int32 array, read at [x, y].  All |V|^2 differences are one array grouped by lex_groups;
     only the distinct ones become tuples.  Past 2^24 entries (|V|^2 n) the arrays would not fit in 1 GiB.
     """
     if len(vectors) ** 2 * n > 2**24:
@@ -629,7 +629,7 @@ def differences(n: int, vectors: tuple[IntVec, ...]) -> tuple[tuple[IntVec, ...]
     v = int_array(vectors, n)
     shift = (v - v[:, None]).reshape(-1, n)  # y - x in row x |V| + y
     order, fresh = lex_groups(shift)
-    index = (np.cumsum(fresh) - 1)[np.argsort(order)].reshape(len(v), len(v))
+    index = (np.cumsum(fresh, dtype=np.int32) - 1)[np.argsort(order)].reshape(len(v), len(v))
     index.flags.writeable = False  # the cache hands it to every caller
     return tuple(map(tuple, shift[order[fresh]].tolist())), index
 

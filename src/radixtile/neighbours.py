@@ -62,7 +62,7 @@ def _tile_moves(matrix: IntMatrix, shifts: tuple[IntVec, ...]) -> tuple[np.ndarr
     inside some bounded set that holds the tile: the walk's points are z = sum_j A^-j e_j.  The candidates are
     the points of the radius bound's ball that lie in the tile's coordinate box, and trimming the ones without
     a successor computes the set exactly.  The ball and its caps come first, so the box changes no answer.  The
-    successors left are the moves: moves[z, j] is the row of A z - shifts[j], or -1 where it left the tile.
+    successors left are the int32 moves: moves[z, j] is the row of A z - shifts[j], or -1 where it left the tile.
     """
     n = len(matrix)
     shifts = linalg.int_array(shifts, n)
@@ -76,7 +76,7 @@ def _tile_moves(matrix: IntMatrix, shifts: tuple[IntVec, ...]) -> tuple[np.ndarr
     target = linalg.locate(ball, image.reshape(-1, n))
     edges = np.flatnonzero(target >= 0)
     alive = graph.live_mask(len(ball), edges // len(shifts), target[edges])
-    rank = np.append(np.where(alive, np.cumsum(alive) - 1, -1), -1)  # -1 if dead; a target of -1 reads the last -1
+    rank = np.append(np.where(alive, np.cumsum(alive) - 1, -1), -1).astype(np.int32)  # dead and out (-1) read -1
     rows, moves = ball[alive], rank[target.reshape(len(ball), -1)[alive]]
     rows.flags.writeable = moves.flags.writeable = False  # the cache hands them to every caller
     return rows, moves
@@ -179,11 +179,11 @@ def quad_bound_filter(a_coef: int, b_coef: int, s) -> bool:
 
 @dataclass(frozen=True)
 class TripleStateGraph:
-    """States (zeta, xi) with zeta, xi and -(zeta+xi) all neighbours or zero.
+    """States (zeta, xi) with zeta, xi and eta = -(zeta + xi) all neighbours or zero.
 
-    An edge labelled (p, q, r) in digits^3 moves componentwise:
-    zeta' = A zeta + (p - q) and xi' = A xi + (q - r).  Only states on
-    infinite paths reachable from (0, 0) are kept.
+    An edge labelled (p, q, r) in digits^3 moves zeta' = A zeta + (p - q), xi' = A xi + (q - r) and so
+    eta' = A eta + (r - p).  Only states on infinite paths reachable from (0, 0) are kept, and a search from
+    (0, 0) finds them all: a state on a path from (0, 0) to a live state is itself live.
     """
 
     states: tuple[tuple[IntVec, IntVec], ...]
@@ -222,40 +222,39 @@ def _neighbour_steps(matrix: IntMatrix, digits: tuple[IntVec, ...]) -> tuple[np.
 
 
 def _require_labels(rows: int, what: str, per_row: int, unit: str, cap: int = 25) -> None:
-    # a job at the default cap fits in 1 GiB: about 1 byte per gathered label, 14 per (live label, digit)
+    # a triple search holds about 5 bytes per gathered label, 21 per (live label, digit) and 48 per edge
     if rows * per_row > 2**cap:
         raise CandidateBallTooLarge(f"{rows} {what} x {per_row} {unit} exceed the cap of 2^{cap}")
 
 
 def triple_state_graph(matrix: IntMatrix, digits) -> TripleStateGraph:
-    """Graph tracking three representations of one value simultaneously."""
+    """Graph tracking three representations of one value simultaneously, searched frontier by frontier from (0, 0)."""
     digits = tuple(sorted(linalg.as_vec(d) for d in digits))
     vecs, moves, column, zero = _neighbour_steps(matrix, digits)
-    k = len(vecs)
-    if k * k > 2**22:  # the (k^2, n) arrays below for a job at the cap fit in 1 GB when n <= 3
-        raise CandidateBallTooLarge(f"{k * k} triple-state pairs of {k} neighbours and zero exceed the cap of 2^22")
-    # states (zeta, xi) as indices zeta * k + xi, in lexicographic order; below 2^22, so int32 holds every index
-    pairs = np.arange(k * k)
-    pairs = pairs[linalg.locate(vecs, -(vecs[pairs // k] + vecs[pairs % k])) >= 0]
-    moves, state_of = moves.astype(np.int32), np.full(k * k, -1, dtype=np.int32)
-    state_of[pairs] = np.arange(len(pairs))
-    _require_labels(len(pairs), "triple-state pairs", len(digits) ** 2, "digit labels")
-    # label (p, q, r) moves zeta as the pair (p, q), then xi as the pair (q, r);
-    # np.nonzero keeps the order (src, p, q, r), which is the sorted edge order
-    src, p, q = np.nonzero((moves >= 0)[(pairs // k)[:, None, None], column])
-    _require_labels(len(src), "live labels", len(digits), "digits")
-    xi2 = moves[(pairs[src] % k)[:, None], column[q]]
-    target = np.where(xi2 >= 0, state_of[moves[pairs[src] // k, column[p, q]][:, None] * k + xi2], -1)
-    first, r = np.nonzero(target >= 0)
-    src, p, q, dst = src[first], p[first], q[first], target[first, r]
-    keep = graph.reach_mask(len(pairs), [state_of[zero * (k + 1)]], src, dst, graph.live_mask(len(pairs), src, dst))
+    k, d, labels, batches, reached = np.int64(len(vecs)), len(digits), 0, [], {zero * (len(vecs) + 1)}
+    z = x = e = np.array([zero])  # the frontier's rows of zeta, xi and eta; int64 codes zeta * k + xi sort as states do
+    while len(z):  # the charges count running totals, which also bound the edges kept across frontiers
+        _require_labels(len(reached), "reached triple states", d * d, "digit pairs")
+        src, p, q = np.nonzero((zeta := moves[z[:, None, None], column]) >= 0)  # zeta's reads at (p, q)
+        _require_labels(labels := labels + len(src), "live labels", d, "digits")
+        zeta, xi, eta = zeta[src, p, q], moves[x[src][:, None], column[q]], moves[e[src][:, None], column.T[p]]
+        first, r = np.nonzero(np.minimum(xi, eta) >= 0)  # xi read at (q, r), eta at (r, p); (src, p, q, r) order
+        batches.append(((z * k + x)[src[first]], p[first], q[first], r, dst := zeta[first] * k + xi[first, r]))
+        fresh = {c: i for i, c in enumerate(dst.tolist()) if c not in reached}  # an edge to each new state
+        reached.update(fresh)
+        at, r = first[list(fresh.values())], r[list(fresh.values())]
+        z, x, e = zeta[at], xi[at, r], eta[at, r]
+    src, p, q, r, dst = map(np.concatenate, zip(*batches))
+    del batches, zeta, xi, eta  # hold no second copy of the edges, nor the last frontier's labels
+    codes = np.array(sorted(reached))
+    src, dst = np.searchsorted(codes, src), np.searchsorted(codes, dst)
+    keep = graph.live_mask(len(codes), src, dst)
     rows = [tuple(v) for v in vecs.tolist()]
-    state = {s: (rows[pairs[s] // k], rows[pairs[s] % k]) for s in np.flatnonzero(keep).tolist()}
-    edges = keep[src] & keep[dst]
+    state = {s: (rows[c // len(rows)], rows[c % len(rows)]) for s, c in enumerate(codes.tolist()) if keep[s]}
+    edges = np.flatnonzero(keep[src] & keep[dst])
+    edges = edges[np.argsort(src[edges], kind="stable")]  # each state's edges come from one frontier, in order
+    edges = zip(*(v[edges].tolist() for v in (src, p, q, r, dst)))
     return TripleStateGraph(
         states=tuple(state.values()),
-        edges=tuple(
-            (state[s], (digits[a], digits[b], digits[c]), state[t])
-            for s, a, b, c, t in zip(*(x[edges].tolist() for x in (src, p, q, r, dst)))
-        ),
+        edges=tuple((state[s], (digits[a], digits[b], digits[c]), state[t]) for s, a, b, c, t in edges),
     )

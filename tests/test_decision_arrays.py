@@ -4,9 +4,11 @@ The references below are the tuple-at-a-time loops the array passes
 replaced: a lattice ball from itertools.product, the tile trim over a dict
 of successors, one remainder walk per ball point (each digit found by search
 over the digits with an exact divisibility test), and the triple-state and
-pair graphs built label by label.  Random 1-, 2- and 3-dimensional systems
-must give the same verdicts, witness cycles, tile points and graphs, and
-entries on both sides of the 2**62 int64 bound must give the same answers.
+pair graphs built label by label; the triple-state graph is also checked
+against the k^2-pair arrays its search replaced.  Random 1-, 2- and
+3-dimensional systems must give the same verdicts, witness cycles, tile
+points and graphs, and entries on both sides of the 2**62 int64 bound must
+give the same answers.
 """
 
 import itertools
@@ -20,9 +22,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import radixtile as rt
-from radixtile import graph, linalg, numsys
+from radixtile import graph, linalg, neighbours, numsys
 from radixtile.errors import NotACrs
-from radixtile.neighbours import _tile_moves, tile_integer_points
+from radixtile.neighbours import _neighbour_steps, _tile_moves, tile_integer_points
 
 from conftest import gauss_system
 
@@ -121,6 +123,36 @@ def ref_triple_state_graph(matrix, digits):
     return tuple(sorted(keep)), tuple(sorted(e for e in edges if e[0] in keep and e[2] in keep))
 
 
+def pairs_triple_state_graph(matrix, digits):
+    """The k^2-pair construction the search from (0, 0) replaced, array at a time.
+
+    Every pair (zeta, xi) of the k neighbours and zero with -(zeta + xi) among them is a state; all labels of
+    all states are gathered at once, and then the live states reachable from (0, 0) are kept.
+    """
+    digits = tuple(sorted(linalg.as_vec(d) for d in digits))
+    vecs, moves, column, zero = _neighbour_steps(matrix, digits)
+    k = len(vecs)
+    pairs = np.arange(k * k)
+    pairs = pairs[linalg.locate(vecs, -(vecs[pairs // k] + vecs[pairs % k])) >= 0]
+    state_of = np.full(k * k, -1)
+    state_of[pairs] = np.arange(len(pairs))
+    # label (p, q, r) moves zeta as the pair (p, q), then xi as the pair (q, r), in the sorted edge order
+    src, p, q = np.nonzero((moves >= 0)[(pairs // k)[:, None, None], column])
+    xi = moves[(pairs[src] % k)[:, None], column[q]]
+    zeta = moves[pairs[src] // k, column[p, q]].astype(np.int64)
+    target = np.where(xi >= 0, state_of[zeta[:, None] * k + xi], -1)
+    first, r = np.nonzero(target >= 0)
+    src, p, q, dst = src[first], p[first], q[first], target[first, r]
+    keep = graph.reach_mask(len(pairs), [state_of[zero * (k + 1)]], src, dst, graph.live_mask(len(pairs), src, dst))
+    rows = [tuple(v) for v in vecs.tolist()]
+    state = {s: (rows[pairs[s] // k], rows[pairs[s] % k]) for s in np.flatnonzero(keep).tolist()}
+    edges = keep[src] & keep[dst]
+    return tuple(state.values()), tuple(
+        (state[s], (digits[a], digits[b], digits[c]), state[t])
+        for s, a, b, c, t in zip(*(x[edges].tolist() for x in (src, p, q, r, dst)))
+    )
+
+
 # ---------------------------------------------------------------------------
 # random systems
 
@@ -168,6 +200,18 @@ def digit_systems(draw, n):
 
 dims = st.sampled_from([1, 2, 3])
 
+# systems with more pairs and labels than the per-label reference can afford: A = aI on Z^2 with the digits
+# step * (i, j), i, j < a; A = 2 with the digits 0..count-1; A = 2I on Z^3 with the digits 0 and step * e_i
+scaled_systems = st.one_of(
+    st.builds(lambda step: (((2, 0), (0, 2)), tuple((step * i, step * j) for i in range(2) for j in range(2))),
+              st.integers(1, 12)),
+    st.builds(lambda step: (((3, 0), (0, 3)), tuple((step * i, step * j) for i in range(3) for j in range(3))),
+              st.integers(1, 8)),
+    st.builds(lambda count: (((2,),), tuple((d,) for d in range(count))), st.integers(1, 12)),
+    st.builds(lambda step: (((2, 0, 0), (0, 2, 0), (0, 0, 2)), ((0, 0, 0), (step, 0, 0), (0, step, 0), (0, 0, step))),
+              st.integers(1, 4)),
+)
+
 
 class TestAgainstReferences:
     @settings(max_examples=40, deadline=None)
@@ -195,11 +239,39 @@ class TestAgainstReferences:
         pair = rt.pair_automaton(sys)
         assert (pair.states, pair.edges) == ref_pair_automaton(sys)
 
+    @settings(max_examples=30, deadline=None)
+    @given(scaled_systems)
+    def test_triple_state_graph_against_all_pairs(self, system):
+        triple = rt.triple_state_graph(*system)
+        assert (triple.states, triple.edges) == pairs_triple_state_graph(*system)
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 3), st.integers(0, 40))
     def test_lattice_ball_order(self, n, radius_sq):
         ball = linalg.lattice_ball(n, radius_sq)
         assert list(map(tuple, ball.tolist())) == ref_ball(n, radius_sq)
+
+
+@settings(max_examples=20, deadline=None)
+@given(dims.flatmap(digit_systems))
+def test_the_triple_search_reaches_only_states_of_three_rows(sys):
+    # the search from (0, 0) charges each state it reaches: those with zeta, xi and -(zeta + xi) all neighbours
+    # or zero, as in the per-label walk below.  Without its eta read it also reaches states with eta outside,
+    # which no graph shows, since an infinite path keeps eta in the tile; only the count does
+    allowed, digits, zero = ref_allowed(sys.matrix, sys.digits), sorted(sys.digits), linalg.zero_vec(sys.n)
+    assume(len(allowed) ** 2 * len(digits) ** 3 <= 200_000)
+    seen, stack = {(zero, zero)}, [(zero, zero)]
+    while stack:
+        zeta, xi = (linalg.mat_vec(sys.matrix, v) for v in stack.pop())
+        for p, q, r in itertools.product(digits, repeat=3):
+            dst = (linalg.vec_add(zeta, linalg.vec_sub(p, q)), linalg.vec_add(xi, linalg.vec_sub(q, r)))
+            if {*dst, linalg.vec_neg(linalg.vec_add(*dst))} <= allowed and dst not in seen:
+                seen.add(dst)
+                stack.append(dst)
+    charged = []
+    with mock.patch.object(neighbours, "_require_labels", lambda rows, what, *rest: charged.append((what, rows))):
+        rt.triple_state_graph(sys.matrix, sys.digits)
+    assert max(rows for what, rows in charged if what == "reached triple states") == len(seen)
 
 
 def test_each_state_is_stepped_once(monkeypatch):

@@ -178,6 +178,17 @@ class TestTripleStateGraph:
         assert text.startswith("digraph")
         assert text == rt.triple_state_graph(base10.matrix, base10.digits).to_dot()
 
+    def test_states_past_the_int32_codes_scale_with_the_digits(self):
+        # A = 2 with digits 0, n: the states reached from (0, 0) are n times those of digits 0, 1, while the
+        # 2n + 1 rows of the move table give state codes zeta * (2n + 1) + xi well past 2^31
+        n, scale = 40000, lambda v: (n * v[0],)
+        small, big = (rt.triple_state_graph(((2,),), ((0,), (d,))) for d in (1, n))
+        assert big.states == tuple((scale(z), scale(x)) for z, x in small.states)
+        assert big.edges == tuple(
+            ((scale(s[0]), scale(s[1])), tuple(map(scale, label)), (scale(t[0]), scale(t[1])))
+            for s, label, t in small.edges
+        )
+
 
 class TestExpectedSets:
     def test_real_oracles(self):
@@ -192,15 +203,14 @@ class TestExpectedSets:
             assert {linalg.vec_neg(v) for v in vecs} == vecs
 
 
-# 3-D (matrix, digits) whose neighbour moves or triple-state pairs would ask for gigabytes without their caps
+# 3-D (matrix, digits) whose neighbour moves would ask for gigabytes without their caps
 SKEW = [[1, 3, 1], [0, -3, -2], [4, -4, -3]], [[-2, -1, -4], [1, -2, 1], [2, 4, 1], [3, -1, 4], [3, -4, 3], [-3, 4, -3]]
 TILT = [[-3, 2, 1], [-4, 4, 0], [-3, 4, 1]], [[-4, 4, 1], [1, 3, 0], [3, -3, -4], [-2, 0, 0], [2, -3, 3], [-3, 1, -3]]
-DOUBLE = [[2, 0, 0], [0, 2, 0], [0, 0, 2]], [[0, 0, 0], [9, 0, 0], [0, 9, 0], [0, 0, 9]]
 
 
-def grid(a: int, step: int):
-    """A = aI on Z^2 with the a^2 digits step * (i, j), i, j in 0..a-1."""
-    return [[a, 0], [0, a]], [[step * i, step * j] for i in range(a) for j in range(a)]
+def line(count: int):
+    """A = 2 on Z with the digits 0..count-1: their moves spread over all |D|^2 digit pairs would not fit in 1 GiB."""
+    return [[2]], [[d] for d in range(count)]
 
 
 @pytest.mark.parametrize(
@@ -209,9 +219,9 @@ def grid(a: int, step: int):
         (["neighbours"], SKEW, None),  # 4,501,805 ball points x 31 shifts: 3.12 GiB of moves without the cap
         (["unique"], SKEW, None),
         (["intersect"], TILT, {"alpha": {"cycle": [[-1, -3, -4]]}}),  # 2,582,055 x 271: 15.6 GiB
-        (["triple-graph"], DOUBLE, None),  # 2,620 neighbours: 6,869,641 triple-state pairs
-        (["triple-graph"], grid(5, 12), None),  # 219,961 pairs x 625 labels: 1.02 GiB of int64 labels without the cap
-        (["triple-graph"], grid(3, 14), None),  # 4,380,649 live labels x 9 digits
+        (["triple-graph"], line(100), None),  # 29,701 reached triple states x 10,000 digit pairs
+        (["triple-graph"], line(40), None),  # 4,262,400 live labels x 40 digits
+        (["triple-graph"], line(200), None),  # 8M edges from (0, 0): a charge per frontier ran out of memory
     ],
 )
 def test_neighbour_budgets_under_an_address_space_limit(tmp_path, argv, system, payload):
@@ -227,20 +237,42 @@ def test_neighbour_budgets_under_an_address_space_limit(tmp_path, argv, system, 
     assert error["type"] == "CandidateBallTooLarge" and "cap" in error["message"]
 
 
-@pytest.mark.parametrize("a, step, edges", [(5, 7, 1225), (3, 13, 441)])
+def grid(a: int, step: int):
+    """A = aI on Z^2 with the a^2 digits step * (i, j), i, j in 0..a-1."""
+    return [[a, 0], [0, a]], [[step * i, step * j] for i in range(a) for j in range(a)]
+
+
+def cube(step: int):
+    """A = 2I on Z^3 with the digits 0 and step * e_i."""
+    return [[2, 0, 0], [0, 2, 0], [0, 0, 2]], [[0, 0, 0], [step, 0, 0], [0, step, 0], [0, 0, step]]
+
+
+@pytest.mark.parametrize("a, step, edges", [(5, 7, 1225), (3, 13, 441), (5, 12, 1225), (3, 14, 441), (20, 1, 19600)])
 def test_triple_graph_below_the_label_caps_answers_under_an_address_space_limit(tmp_path, a, step, edges):
-    # grid(5, 7) gathers 17,850,625 labels and grid(3, 13) builds 29,818,881 (live label, digit) entries
+    # each search from (0, 0) reaches 49 states.  With the labels of all pairs of neighbours and zero gathered
+    # (up to 707,281 pairs), grid(5, 12) asked for 1.02 GiB and grid(3, 14) passed the live-label cap; grid(20, 1)
+    # has 400 digits, so a charge of 49 states x |D|^3 labels would refuse it
     path = tmp_path / "system.json"
     path.write_text(json.dumps(dict(zip(("matrix", "digits"), grid(a, step)))))
+    start = time.perf_counter()
     done = run_cli_process(["triple-graph", str(path)], address_space(1))
     assert done.returncode == 0, done.stderr
+    assert time.perf_counter() - start < 10
     report = json.loads(done.stdout)
     assert (len(report["states"]), report["edge_count"]) == (49, edges)
 
 
-def line(count: int):
-    """A = 2 on Z with the digits 0..count-1: their moves spread over all |D|^2 digit pairs would not fit in 1 GiB."""
-    return [[2]], [[d] for d in range(count)]
+@pytest.mark.parametrize("step", [9, 45])
+def test_triple_graph_in_three_dimensions_answers_under_an_address_space_limit(tmp_path, step):
+    # 2,621 and 297,329 neighbours and zero, so 6.9e6 and 8.8e10 pairs of them; the search reaches 37 states
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(dict(zip(("matrix", "digits"), cube(step)))))
+    start = time.perf_counter()
+    done = run_cli_process(["triple-graph", str(path)], address_space(1))
+    assert done.returncode == 0, done.stderr
+    assert time.perf_counter() - start < 10
+    report = json.loads(done.stdout)
+    assert (len(report["states"]), report["edge_count"]) == (37, 76)
 
 
 X = {"pre": [[1]], "cycle": [[0]]}
