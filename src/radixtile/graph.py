@@ -2,9 +2,9 @@
 
 A graph is a dict from each state to an iterable of its successors.  A
 successor that is not a key is a state with no successors.  Each pass
-runs in O(V + E).  The ``*_mask`` passes take states 0..count-1 with
-edges src[i] -> dst[i] as index arrays and answer with a boolean mask;
-each round is one whole-array step, so they cost O(rounds * E).
+runs in O(V + E).  ``live_mask`` takes states 0..count-1 with edges
+src[i] -> dst[i] as index arrays and answers with a boolean mask; each
+round is one whole-array step, so it costs O(rounds * E).
 """
 
 from __future__ import annotations
@@ -31,22 +31,6 @@ def live(succ) -> set:
             if outdeg[p] == 0:
                 dead.append(p)
     return alive
-
-
-def reach(starts, succ, within=None) -> set:
-    """States reachable from starts in zero or more steps.
-
-    With ``within`` given, the walk never enters a state outside it, and
-    starts outside it are dropped.
-    """
-    seen = {v for v in starts if within is None or v in within}
-    stack = list(seen)
-    while stack:
-        for w in succ.get(stack.pop(), ()):
-            if w not in seen and (within is None or w in within):
-                seen.add(w)
-                stack.append(w)
-    return seen
 
 
 def components(succ) -> list[list]:
@@ -106,17 +90,3 @@ def live_mask(count: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
         if kept.sum() == alive.sum():
             return alive
         alive = kept
-
-
-def reach_mask(count: int, starts, src: np.ndarray, dst: np.ndarray, within: np.ndarray) -> np.ndarray:
-    """States reachable from starts without leaving within (starts outside it are dropped)."""
-    seen = np.zeros(count, dtype=bool)
-    seen[starts] = True
-    seen &= within
-    frontier, edges = seen.copy(), within[dst]
-    while frontier.any():
-        step = np.zeros(count, dtype=bool)
-        step[dst[edges & frontier[src]]] = True
-        frontier = step & ~seen
-        seen |= frontier
-    return seen

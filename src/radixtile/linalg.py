@@ -629,7 +629,8 @@ def differences(n: int, vectors: tuple[IntVec, ...]) -> tuple[tuple[IntVec, ...]
     v = int_array(vectors, n)
     shift = (v - v[:, None]).reshape(-1, n)  # y - x in row x |V| + y
     order, fresh = lex_groups(shift)
-    index = (np.cumsum(fresh, dtype=np.int32) - 1)[np.argsort(order)].reshape(len(v), len(v))
+    index = np.empty((len(v), len(v)), dtype=np.int32)
+    index.reshape(-1)[order] = np.cumsum(fresh, dtype=np.int32) - 1  # each difference's rank, scattered to its row
     index.flags.writeable = False  # the cache hands it to every caller
     return tuple(map(tuple, shift[order[fresh]].tolist())), index
 

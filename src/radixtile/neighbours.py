@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from . import graph, linalg
 from .errors import CandidateBallTooLarge, PreconditionViolated
@@ -182,8 +182,8 @@ class TripleStateGraph:
     """States (zeta, xi) with zeta, xi and eta = -(zeta + xi) all neighbours or zero.
 
     An edge labelled (p, q, r) in digits^3 moves zeta' = A zeta + (p - q), xi' = A xi + (q - r) and so
-    eta' = A eta + (r - p).  Only states on infinite paths reachable from (0, 0) are kept, and a search from
-    (0, 0) finds them all: a state on a path from (0, 0) to a live state is itself live.
+    eta' = A eta + (r - p): it follows three representations of one value.  Only states on infinite paths
+    reachable from (0, 0) are kept, found by the same search from zero as the pair automaton's.
     """
 
     states: tuple[tuple[IntVec, IntVec], ...]
@@ -213,7 +213,7 @@ def _neighbour_steps(matrix: IntMatrix, digits: tuple[IntVec, ...]) -> tuple[np.
     moves[v, column[x, y]] is the index in vecs of A vecs[v] + (x - y) = A vecs[v] - (y - x) for digits x and y,
     or -1: the difference tile's move by the shift y - x, one column per distinct shift.  Its trim is the one
     place a neighbour move is computed.  Nothing here spreads the moves over all |D|^2 digit pairs: a walk reads
-    one entry per step, and a graph that gathers whole rows charges them to a label cap first.
+    one entry per step, and the graph search gathers only the rows it reaches, charging them to a label cap first.
     """
     integer_neighbours(matrix, digits)  # so the trim runs, and a tracer counts its ball, under tile_integer_points
     shifts, column = linalg.differences(len(matrix), digits)  # the distinct shifts are integer_neighbours' trim key
@@ -222,39 +222,61 @@ def _neighbour_steps(matrix: IntMatrix, digits: tuple[IntVec, ...]) -> tuple[np.
 
 
 def _require_labels(rows: int, what: str, per_row: int, unit: str, cap: int = 25) -> None:
-    # a triple search holds about 5 bytes per gathered label, 21 per (live label, digit) and 48 per edge
+    # a search holds about 5 bytes per gathered label, 21 per (live label, digit) and 48 per kept edge, which
+    # become about 290 bytes of Python tuples and lists when the graph is built (200 for the pair automaton)
     if rows * per_row > 2**cap:
         raise CandidateBallTooLarge(f"{rows} {what} x {per_row} {unit} exceed the cap of 2^{cap}")
 
 
-def triple_state_graph(matrix: IntMatrix, digits) -> TripleStateGraph:
-    """Graph tracking three representations of one value simultaneously, searched frontier by frontier from (0, 0)."""
-    digits = tuple(sorted(linalg.as_vec(d) for d in digits))
+def _equivalents_graph(matrix: IntMatrix, digits: tuple[IntVec, ...], m: int) -> tuple[tuple, tuple]:
+    """The graph of m equivalent representations of one value, searched frontier by frontier from the zero state.
+
+    A state is m move-table rows whose vectors sum to zero, coded by its first m - 1 rows in base k.  An edge
+    labelled (p_0, ..., p_{m-1}) steps row i by the move read at the digit pair (p_i, p_{i+1 mod m}); it exists iff
+    every read is a row.  Of the reached states graph.live_mask keeps those on infinite paths: a state on a path
+    from zero to a live state is itself live.  Three running totals are charged across frontiers: reached states
+    x |D|^2 before a frontier is gathered, live labels x |D| before each gains a further digit, and kept edges
+    before a frontier's arrays are kept.  Returns the states (their first m - 1 row vectors, one row standing
+    alone) in code order, and the edges in (src, label) order.
+    """
     vecs, moves, column, zero = _neighbour_steps(matrix, digits)
-    k, d, labels, batches, reached = np.int64(len(vecs)), len(digits), 0, [], {zero * (len(vecs) + 1)}
-    z = x = e = np.array([zero])  # the frontier's rows of zeta, xi and eta; int64 codes zeta * k + xi sort as states do
-    while len(z):  # the charges count running totals, which also bound the edges kept across frontiers
-        _require_labels(len(reached), "reached triple states", d * d, "digit pairs")
-        src, p, q = np.nonzero((zeta := moves[z[:, None, None], column]) >= 0)  # zeta's reads at (p, q)
-        _require_labels(labels := labels + len(src), "live labels", d, "digits")
-        zeta, xi, eta = zeta[src, p, q], moves[x[src][:, None], column[q]], moves[e[src][:, None], column.T[p]]
-        first, r = np.nonzero(np.minimum(xi, eta) >= 0)  # xi read at (q, r), eta at (r, p); (src, p, q, r) order
-        batches.append(((z * k + x)[src[first]], p[first], q[first], r, dst := zeta[first] * k + xi[first, r]))
+    k, d, what = np.int64(len(vecs)), len(digits), f"reached {('pair', 'triple')[m - 2]} states"
+    code = lambda rows: reduce(lambda c, row: c * k + row, rows[: m - 1])  # int64 codes sort as states
+    front = [np.array([zero])] * m  # the frontier's m rows
+    reached, labels, kept, batches = {int(code(front)[0])}, 0, 0, []
+    while len(front[0]):
+        _require_labels(len(reached), what, d * d, "digit pairs")
+        src, p = np.divmod(np.arange(len(front[0]) * d), d)  # each (state, p_0)
+        label, rows = [p], []
+        for i in range(m - 1):  # each label gains p_{i+1}: row i reads (p_i, p_{i+1}), the last row (p_{m-1}, p_0)
+            if i:
+                _require_labels(labels := labels + len(src), "live labels", d, "digits")
+            live = (step := moves[front[i][src][:, None], column[label[-1]]]) >= 0
+            if i == m - 2:
+                live &= (close := moves[front[-1][src][:, None], column.T[label[0]]]) >= 0
+                _require_labels(kept := kept + int(live.sum()), "kept edges", 48, "bytes", 27)
+            at, p = np.nonzero(live)
+            src, label, rows = src[at], [q[at] for q in label] + [p], [row[at] for row in rows] + [step[at, p]]
+        rows.append(close[at, p])
+        batches.append((code(front)[src], *label, dst := code(rows)))
         fresh = {c: i for i, c in enumerate(dst.tolist()) if c not in reached}  # an edge to each new state
         reached.update(fresh)
-        at, r = first[list(fresh.values())], r[list(fresh.values())]
-        z, x, e = zeta[at], xi[at, r], eta[at, r]
-    src, p, q, r, dst = map(np.concatenate, zip(*batches))
-    del batches, zeta, xi, eta  # hold no second copy of the edges, nor the last frontier's labels
+        front = [row[list(fresh.values())] for row in rows]
+    src, *label, dst = map(np.concatenate, zip(*batches))
+    del batches, step, close, live, rows  # hold no second copy of the edges, nor the last frontier's labels
     codes = np.array(sorted(reached))
     src, dst = np.searchsorted(codes, src), np.searchsorted(codes, dst)
     keep = graph.live_mask(len(codes), src, dst)
-    rows = [tuple(v) for v in vecs.tolist()]
-    state = {s: (rows[c // len(rows)], rows[c % len(rows)]) for s, c in enumerate(codes.tolist()) if keep[s]}
+    table, place = [tuple(v) for v in vecs.tolist()], [len(vecs) ** i for i in range(m - 2, -1, -1)]
+    cells = [tuple(table[c // b % len(table)] for b in place) for c in codes[keep].tolist()]
+    state = dict(zip(np.flatnonzero(keep).tolist(), cells if m > 2 else [v for v, in cells]))
     edges = np.flatnonzero(keep[src] & keep[dst])
     edges = edges[np.argsort(src[edges], kind="stable")]  # each state's edges come from one frontier, in order
-    edges = zip(*(v[edges].tolist() for v in (src, p, q, r, dst)))
-    return TripleStateGraph(
-        states=tuple(state.values()),
-        edges=tuple((state[s], (digits[a], digits[b], digits[c]), state[t]) for s, a, b, c, t in edges),
-    )
+    src, *label, dst = (v[edges].tolist() for v in (src, *label, dst))
+    digit_labels = zip(*(map(digits.__getitem__, p) for p in label))
+    return tuple(state.values()), tuple(zip(map(state.__getitem__, src), digit_labels, map(state.__getitem__, dst)))
+
+
+def triple_state_graph(matrix: IntMatrix, digits) -> TripleStateGraph:
+    """Graph tracking three representations of one value simultaneously: the search's m = 3 case."""
+    return TripleStateGraph(*_equivalents_graph(matrix, tuple(sorted(linalg.as_vec(d) for d in digits)), 3))

@@ -19,7 +19,7 @@ from functools import lru_cache, reduce
 
 from . import graph, linalg
 from .errors import SingularMatrix
-from .linalg import IntMatrix, IntVec, RatVec, np
+from .linalg import IntMatrix, IntVec, RatVec
 from .numsys import RadixSystem
 
 
@@ -216,8 +216,9 @@ def representations_unique(sys: RadixSystem) -> bool:
 class PairAutomaton:
     """States are neighbours plus zero; edges carry digit pairs (x, y).
 
-    An edge v1 --(x, y)--> v2 means v2 = A v1 + (x - y).  Only states and
-    edges that lie on an infinite path reachable from zero are kept.
+    An edge v1 --(x, y)--> v2 means v2 = A v1 + (x - y): it follows two
+    representations of one value.  Only states and edges that lie on an
+    infinite path reachable from zero are kept, found by a search from zero.
     """
 
     states: tuple[IntVec, ...]
@@ -247,24 +248,10 @@ def _dot(name: str, states, edges, state_label, edge_label) -> str:
 
 
 def pair_automaton(sys: RadixSystem) -> PairAutomaton:
-    """Neighbour graph with digit-pair labels, pruned to live states."""
-    from .neighbours import _neighbour_steps, _require_labels
+    """Neighbour graph with digit-pair labels: the m = 2 case of the search for equivalent representations."""
+    from .neighbours import _equivalents_graph
 
-    vecs, moves, column, zero = _neighbour_steps(sys.matrix, sys.digits)
-    # every live label becomes an edge of Python tuples: A = 2 with digits 0..127, 4.18M labels, peaks at 450 MB
-    _require_labels(len(vecs), "neighbours and zero", column.size, "digit pairs", cap=22)
-    src, x, y = np.nonzero((moves >= 0)[:, column])  # in (src, x, y) order, the sorted edge order
-    dst = moves[src, column[x, y]]
-    keep = graph.reach_mask(len(vecs), [zero], src, dst, graph.live_mask(len(vecs), src, dst))
-    rows, d = [tuple(v) for v in vecs.tolist()], sys.digits
-    edges = keep[src] & keep[dst]
-    return PairAutomaton(
-        states=tuple(rows[s] for s in np.flatnonzero(keep).tolist()),
-        edges=tuple(
-            (rows[s], (d[a], d[b]), rows[t])
-            for s, a, b, t in zip(*(z[edges].tolist() for z in (src, x, y, dst)))
-        ),
-    )
+    return PairAutomaton(*_equivalents_graph(sys.matrix, sys.digits, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -316,9 +303,8 @@ def enumerate_equivalents(
             succ[state] = [(d, nxt + t) for d, t in zip(sys.digits, row) if t >= 0]
             stack.extend(t for _, t in succ[state])
 
-    # keep the states on infinite walks from the start
-    targets = {s: [t for _, t in out] for s, out in succ.items()}
-    keep = graph.reach([zero], targets, graph.live(targets))
+    # keep the states on infinite walks: each state was reached from the start
+    keep = graph.live({s: [t for _, t in out] for s, out in succ.items()})
     walks = {s: [(d, t) for d, t in succ[s] if t in keep] for s in keep}
 
     if all(s % k == zero for s in walks):

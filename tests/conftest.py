@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import radixtile as rt
+from radixtile.linalg import np
 
 
 def gauss_matrix(n: int):
@@ -37,6 +38,36 @@ def run_cli_process(argv, limit=None) -> subprocess.CompletedProcess:
 def address_space(gib: int):
     """A ``limit`` for run_cli_process: the child may map at most gib GiB."""
     return lambda: resource.setrlimit(resource.RLIMIT_AS, (gib << 30, gib << 30))
+
+
+def reach(starts, succ, within=None) -> set:
+    """States reachable from starts in zero or more steps, in a graph given as a dict of successors.
+
+    With ``within`` given, the walk never enters a state outside it, and
+    starts outside it are dropped.
+    """
+    seen = {v for v in starts if within is None or v in within}
+    stack = list(seen)
+    while stack:
+        for w in succ.get(stack.pop(), ()):
+            if w not in seen and (within is None or w in within):
+                seen.add(w)
+                stack.append(w)
+    return seen
+
+
+def reach_mask(count: int, starts, src, dst, within):
+    """States 0..count-1 reachable from starts along the edges src[i] -> dst[i] without leaving the mask within."""
+    seen = np.zeros(count, dtype=bool)
+    seen[starts] = True
+    seen &= within
+    frontier, edges = seen.copy(), within[dst]
+    while frontier.any():
+        step = np.zeros(count, dtype=bool)
+        step[dst[edges & frontier[src]]] = True
+        frontier = step & ~seen
+        seen |= frontier
+    return seen
 
 
 @pytest.fixture

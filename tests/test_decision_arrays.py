@@ -4,8 +4,9 @@ The references below are the tuple-at-a-time loops the array passes
 replaced: a lattice ball from itertools.product, the tile trim over a dict
 of successors, one remainder walk per ball point (each digit found by search
 over the digits with an exact divisibility test), and the triple-state and
-pair graphs built label by label; the triple-state graph is also checked
-against the k^2-pair arrays its search replaced.  Random 1-, 2- and
+pair graphs built label by label; both graphs are also checked against
+the arrays their search replaced, the k^2 pairs of the triple-state graph
+and the whole move table of the pair automaton.  Random 1-, 2- and
 3-dimensional systems must give the same verdicts, witness cycles, tile
 points and graphs, and entries on both sides of the 2**62 int64 bound must
 give the same answers.
@@ -26,7 +27,7 @@ from radixtile import graph, linalg, neighbours, numsys
 from radixtile.errors import NotACrs
 from radixtile.neighbours import _neighbour_steps, _tile_moves, tile_integer_points
 
-from conftest import gauss_system
+from conftest import gauss_system, reach, reach_mask
 
 # ---------------------------------------------------------------------------
 # per-point references
@@ -100,7 +101,7 @@ def ref_pair_automaton(sys):
                 if dst in allowed:
                     edges.append((v, (x, y), dst))
                     succ[v].add(dst)
-    keep = graph.reach([zero], succ, graph.live(succ))
+    keep = reach([zero], succ, graph.live(succ))
     return tuple(sorted(keep)), tuple(sorted(e for e in edges if e[0] in keep and e[2] in keep))
 
 
@@ -119,7 +120,7 @@ def ref_triple_state_graph(matrix, digits):
             if dst in succ:
                 edges.append(((zeta, xi), (p, q, r), dst))
                 succ[(zeta, xi)].add(dst)
-    keep = graph.reach([(zero, zero)], succ, graph.live(succ))
+    keep = reach([(zero, zero)], succ, graph.live(succ))
     return tuple(sorted(keep)), tuple(sorted(e for e in edges if e[0] in keep and e[2] in keep))
 
 
@@ -143,13 +144,30 @@ def pairs_triple_state_graph(matrix, digits):
     target = np.where(xi >= 0, state_of[zeta[:, None] * k + xi], -1)
     first, r = np.nonzero(target >= 0)
     src, p, q, dst = src[first], p[first], q[first], target[first, r]
-    keep = graph.reach_mask(len(pairs), [state_of[zero * (k + 1)]], src, dst, graph.live_mask(len(pairs), src, dst))
+    keep = reach_mask(len(pairs), [state_of[zero * (k + 1)]], src, dst, graph.live_mask(len(pairs), src, dst))
     rows = [tuple(v) for v in vecs.tolist()]
     state = {s: (rows[pairs[s] // k], rows[pairs[s] % k]) for s in np.flatnonzero(keep).tolist()}
     edges = keep[src] & keep[dst]
     return tuple(state.values()), tuple(
         (state[s], (digits[a], digits[b], digits[c]), state[t])
         for s, a, b, c, t in zip(*(x[edges].tolist() for x in (src, p, q, r, dst)))
+    )
+
+
+def table_pair_automaton(sys):
+    """The whole-table construction the search from zero replaced, array at a time.
+
+    Every label of every row of the move table is gathered at once, and then the live rows reachable from zero are
+    kept; the edges come out in (src, x, y) order.
+    """
+    vecs, moves, column, zero = _neighbour_steps(sys.matrix, sys.digits)
+    src, x, y = np.nonzero((moves >= 0)[:, column])
+    dst = moves[src, column[x, y]]
+    keep = reach_mask(len(vecs), [zero], src, dst, graph.live_mask(len(vecs), src, dst))
+    rows, d = [tuple(v) for v in vecs.tolist()], sys.digits
+    edges = keep[src] & keep[dst]
+    return tuple(rows[s] for s in np.flatnonzero(keep).tolist()), tuple(
+        (rows[s], (d[a], d[b]), rows[t]) for s, a, b, t in zip(*(z[edges].tolist() for z in (src, x, y, dst)))
     )
 
 
@@ -242,8 +260,16 @@ class TestAgainstReferences:
     @settings(max_examples=30, deadline=None)
     @given(scaled_systems)
     def test_triple_state_graph_against_all_pairs(self, system):
-        triple = rt.triple_state_graph(*system)
-        assert (triple.states, triple.edges) == pairs_triple_state_graph(*system)
+        triple, pairs = rt.triple_state_graph(*system), pairs_triple_state_graph(*system)
+        assert (triple.states, triple.edges) == pairs
+        assert triple.to_dot() == rt.TripleStateGraph(*pairs).to_dot()
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(scaled_systems.map(lambda system: rt.RadixSystem(*system)), dims.flatmap(digit_systems)))
+    def test_pair_automaton_against_the_whole_table(self, sys):
+        pair, table = rt.pair_automaton(sys), table_pair_automaton(sys)
+        assert (pair.states, pair.edges) == table
+        assert pair.to_dot() == rt.PairAutomaton(*table).to_dot()
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 3), st.integers(0, 40))

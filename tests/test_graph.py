@@ -1,9 +1,11 @@
-"""Property tests of the linear-time graph passes against fixpoint references."""
+"""Property tests of the linear-time graph passes, and of the tests' reach helper, against fixpoint references."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from radixtile import graph
+
+from conftest import reach
 
 
 def _prune_live(states, succ) -> set:
@@ -65,7 +67,7 @@ def test_reach_matches_search(succ, starts, bounded):
     expected = set()
     for s in starts:
         expected |= _reachable(s, _sets(succ), everything if within is None else within)
-    assert graph.reach(starts, succ, within) == expected
+    assert reach(starts, succ, within) == expected
 
 
 @settings(max_examples=200, deadline=None)
@@ -87,7 +89,7 @@ def test_components_are_mutual_reachability(succ):
 
 def test_empty_graph():
     assert graph.live({}) == set()
-    assert graph.reach([], {}) == set()
+    assert reach([], {}) == set()
     assert graph.components({}) == []
 
 
@@ -97,4 +99,4 @@ def test_long_chain_needs_no_recursion():
     succ[n] = [0]
     assert graph.live(succ) == set(range(n + 1))
     assert len(graph.components(succ)) == 1
-    assert graph.reach([0], succ) == set(range(n + 1))
+    assert reach([0], succ) == set(range(n + 1))

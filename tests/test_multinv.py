@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import radixtile as rt
-from radixtile import cli, graph, linalg, multinv
+from radixtile import cli, linalg, multinv
 from radixtile.errors import CloudTooLarge, DepthTooLarge, EmptySet, NonTerminating, NotACrs
 from radixtile.multinv import (
     DigitAutomaton,
@@ -21,7 +21,7 @@ from radixtile.multinv import (
     zero_only_automaton,
 )
 
-from conftest import address_space, gauss_system, run_cli_process
+from conftest import address_space, gauss_system, reach, run_cli_process
 
 
 class TestDigitDropMaps:
@@ -272,7 +272,7 @@ def ref_xk_cloud(sys, auto, k):
     for s, row in enumerate(padded.transitions):
         for t in row:
             pred[t].append(s)
-    alive = graph.reach(padded.accepting, pred)
+    alive = reach(padded.accepting, pred)
     points = set()
     stack = [(padded.initial, 0, ())]
     while stack:

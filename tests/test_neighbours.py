@@ -222,6 +222,9 @@ def line(count: int):
         (["triple-graph"], line(100), None),  # 29,701 reached triple states x 10,000 digit pairs
         (["triple-graph"], line(40), None),  # 4,262,400 live labels x 40 digits
         (["triple-graph"], line(200), None),  # 8M edges from (0, 0): a charge per frontier ran out of memory
+        (["triple-graph"], line(21), None),  # 2,919,861 kept edges, whose tuples ran out of memory
+        (["triple-graph"], line(28), None),  # 12,452,272 kept edges, all but 21,952 from the second frontier
+        (["neighbours", "--dot"], line(142), None),  # 2,853,206 kept edges of the pair automaton
     ],
 )
 def test_neighbour_budgets_under_an_address_space_limit(tmp_path, argv, system, payload):
@@ -235,6 +238,27 @@ def test_neighbour_budgets_under_an_address_space_limit(tmp_path, argv, system, 
     [line] = done.stdout.splitlines()
     error = json.loads(line)["error"]
     assert error["type"] == "CandidateBallTooLarge" and "cap" in error["message"]
+
+
+@pytest.mark.parametrize(
+    "argv, count, states, edges",
+    [
+        (["triple-graph"], 20, 1141, 2_282_000),  # 2,282,000 kept edges, as at the parent
+        (["neighbours", "--dot"], 141, 281, 39_481),  # 2,793,281 kept edges, 2,921 below the cap, in 39,481 DOT lines
+    ],
+)
+def test_edges_just_below_the_cap_answer_under_an_address_space_limit(tmp_path, argv, count, states, edges):
+    # the kept edges are charged at 48 bytes each against 2^27, 2,796,202 edges: about 290 bytes each once their
+    # tuples are built, so 0..19 (m = 3) and 0..140 (m = 2) peak at 780 and 730 MB of address space
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(dict(zip(("matrix", "digits"), line(count)))))
+    done = run_cli_process([*argv, str(path)], address_space(1))
+    assert done.returncode == 0, done.stderr
+    if argv == ["triple-graph"]:
+        report = json.loads(done.stdout)
+        assert (len(report["states"]), report["edge_count"]) == (states, edges)
+    else:
+        assert (done.stdout.count("[label="), done.stdout.count(" -> ")) == (states + edges, edges)
 
 
 def grid(a: int, step: int):
