@@ -192,7 +192,7 @@ def cmd_triple_graph(args, sys, payload):
         return graph.to_dot()
     return {
         "states": [[list(z), list(x)] for z, x in graph.states],
-        "edge_count": len(graph.edges),
+        "edge_count": len(graph.src),
     }
 
 

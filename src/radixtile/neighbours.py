@@ -25,7 +25,7 @@ from . import graph, linalg
 from .errors import CandidateBallTooLarge, PreconditionViolated
 from .linalg import IntMatrix, IntVec, np
 from .numsys import RadixSystem
-from .radix import PairAutomaton, _dot, _vec_label, pair_automaton
+from .radix import LabelledGraph, PairAutomaton, _vec_label, pair_automaton
 
 
 @dataclass(frozen=True)
@@ -177,8 +177,7 @@ def quad_bound_filter(a_coef: int, b_coef: int, s) -> bool:
 # triple-state graphs
 
 
-@dataclass(frozen=True)
-class TripleStateGraph:
+class TripleStateGraph(LabelledGraph):
     """States (zeta, xi) with zeta, xi and eta = -(zeta + xi) all neighbours or zero.
 
     An edge labelled (p, q, r) in digits^3 moves zeta' = A zeta + (p - q), xi' = A xi + (q - r) and so
@@ -186,24 +185,13 @@ class TripleStateGraph:
     reachable from (0, 0) are kept, found by the same search from zero as the pair automaton's.
     """
 
-    states: tuple[tuple[IntVec, IntVec], ...]
-    edges: tuple[tuple[tuple[IntVec, IntVec], tuple[IntVec, IntVec, IntVec], tuple[IntVec, IntVec]], ...]
-
     def has_edge(self, src, dst) -> bool:
         return any(s == src and t == dst for s, _, t in self.edges)
 
     def to_dot(self) -> str:
-        return _dot(
-            "triple_state",
-            self.states,
-            self.edges,
-            lambda s: f"{_fmt(s[0])}|{_fmt(s[1])}|{_fmt(linalg.vec_neg(linalg.vec_add(*s)))}",
-            lambda label: ",".join(map(_fmt, label)),
-        )
-
-
-def _fmt(v: IntVec) -> str:
-    return f"({_vec_label(v)})"
+        vec = lambda v: f"({_vec_label(v)})"
+        state = lambda s: "|".join(map(vec, (*s, linalg.vec_neg(linalg.vec_add(*s)))))
+        return self._dot("triple_state", state, vec, ",")
 
 
 @lru_cache(maxsize=None)
@@ -222,13 +210,13 @@ def _neighbour_steps(matrix: IntMatrix, digits: tuple[IntVec, ...]) -> tuple[np.
 
 
 def _require_labels(rows: int, what: str, per_row: int, unit: str, cap: int = 25) -> None:
-    # a search holds about 5 bytes per gathered label, 21 per (live label, digit) and 48 per kept edge, which
-    # become about 290 bytes of Python tuples and lists when the graph is built (200 for the pair automaton)
+    # a search holds about 5 bytes per gathered label and 21 per (live label, digit).  A kept edge holds at most about
+    # 205 bytes at a job's peak, DOT text included; charging 320 against 2^30 also covers the 165 MB held before it
     if rows * per_row > 2**cap:
         raise CandidateBallTooLarge(f"{rows} {what} x {per_row} {unit} exceed the cap of 2^{cap}")
 
 
-def _equivalents_graph(matrix: IntMatrix, digits: tuple[IntVec, ...], m: int) -> tuple[tuple, tuple]:
+def _equivalents_graph(matrix: IntMatrix, digits: tuple[IntVec, ...], m: int) -> tuple:
     """The graph of m equivalent representations of one value, searched frontier by frontier from the zero state.
 
     A state is m move-table rows whose vectors sum to zero, coded by its first m - 1 rows in base k.  An edge
@@ -236,14 +224,14 @@ def _equivalents_graph(matrix: IntMatrix, digits: tuple[IntVec, ...], m: int) ->
     every read is a row.  Of the reached states graph.live_mask keeps those on infinite paths: a state on a path
     from zero to a live state is itself live.  Three running totals are charged across frontiers: reached states
     x |D|^2 before a frontier is gathered, live labels x |D| before each gains a further digit, and kept edges
-    before a frontier's arrays are kept.  Returns the states (their first m - 1 row vectors, one row standing
-    alone) in code order, and the edges in (src, label) order.
+    before a frontier's arrays are kept.  Returns a LabelledGraph's fields: the states (their first m - 1 row vectors,
+    one row standing alone) in code order, the digits, and the edges' arrays in (src, label) order.
     """
     vecs, moves, column, zero = _neighbour_steps(matrix, digits)
     k, d, what = np.int64(len(vecs)), len(digits), f"reached {('pair', 'triple')[m - 2]} states"
     code = lambda rows: reduce(lambda c, row: c * k + row, rows[: m - 1])  # int64 codes sort as states
     front = [np.array([zero])] * m  # the frontier's m rows
-    reached, labels, kept, batches = {int(code(front)[0])}, 0, 0, []
+    reached, labels, kept, batches = code(front), 0, 0, []  # reached: the sorted codes of the states reached
     while len(front[0]):
         _require_labels(len(reached), what, d * d, "digit pairs")
         src, p = np.divmod(np.arange(len(front[0]) * d), d)  # each (state, p_0)
@@ -254,27 +242,24 @@ def _equivalents_graph(matrix: IntMatrix, digits: tuple[IntVec, ...], m: int) ->
             live = (step := moves[front[i][src][:, None], column[label[-1]]]) >= 0
             if i == m - 2:
                 live &= (close := moves[front[-1][src][:, None], column.T[label[0]]]) >= 0
-                _require_labels(kept := kept + int(live.sum()), "kept edges", 48, "bytes", 27)
+                _require_labels(kept := kept + int(live.sum()), "kept edges", 320, "bytes", 30)
             at, p = np.nonzero(live)
             src, label, rows = src[at], [q[at] for q in label] + [p], [row[at] for row in rows] + [step[at, p]]
         rows.append(close[at, p])
         batches.append((code(front)[src], *label, dst := code(rows)))
-        fresh = {c: i for i, c in enumerate(dst.tolist()) if c not in reached}  # an edge to each new state
-        reached.update(fresh)
-        front = [row[list(fresh.values())] for row in rows]
+        new, at = np.unique(dst, return_index=True)  # the first edge to each state
+        at = at[np.take(reached, np.searchsorted(reached, new), mode="clip") != new]  # to a state not reached before
+        reached, front = np.sort(np.concatenate([reached, dst[at]])), [row[at] for row in rows]
     src, *label, dst = map(np.concatenate, zip(*batches))
     del batches, step, close, live, rows  # hold no second copy of the edges, nor the last frontier's labels
-    codes = np.array(sorted(reached))
-    src, dst = np.searchsorted(codes, src), np.searchsorted(codes, dst)
-    keep = graph.live_mask(len(codes), src, dst)
-    table, place = [tuple(v) for v in vecs.tolist()], [len(vecs) ** i for i in range(m - 2, -1, -1)]
-    cells = [tuple(table[c // b % len(table)] for b in place) for c in codes[keep].tolist()]
-    state = dict(zip(np.flatnonzero(keep).tolist(), cells if m > 2 else [v for v, in cells]))
-    edges = np.flatnonzero(keep[src] & keep[dst])
+    src, dst = np.searchsorted(reached, src), np.searchsorted(reached, dst)
+    keep = graph.live_mask(len(reached), src, dst)
+    cells = [map(tuple, vecs[reached[keep] // k**i % k].tolist()) for i in range(m - 2, -1, -1)]  # each state's rows
+    states = tuple(zip(*cells)) if m > 2 else tuple(*cells)
+    edges = np.flatnonzero(keep[dst])  # an edge into a live state leaves a live one
     edges = edges[np.argsort(src[edges], kind="stable")]  # each state's edges come from one frontier, in order
-    src, *label, dst = (v[edges].tolist() for v in (src, *label, dst))
-    digit_labels = zip(*(map(digits.__getitem__, p) for p in label))
-    return tuple(state.values()), tuple(zip(map(state.__getitem__, src), digit_labels, map(state.__getitem__, dst)))
+    rank = np.cumsum(keep) - 1  # a kept state's place among the kept states
+    return states, digits, rank[src[edges]], rank[dst[edges]], np.stack([p[edges] for p in label], axis=1)
 
 
 def triple_state_graph(matrix: IntMatrix, digits) -> TripleStateGraph:

@@ -15,11 +15,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 
 from . import graph, linalg
 from .errors import SingularMatrix
-from .linalg import IntMatrix, IntVec, RatVec
+from .linalg import IntMatrix, IntVec, RatVec, np
 from .numsys import RadixSystem
 
 
@@ -212,8 +212,45 @@ def representations_unique(sys: RadixSystem) -> bool:
 # the pair automaton
 
 
-@dataclass(frozen=True)
-class PairAutomaton:
+@dataclass(frozen=True, eq=False)
+class LabelledGraph:
+    """States, digits, and per edge the ranks of its ends among the states and its label's m indices into the digits.
+
+    The edges come in (src, label) order, and edges is their tuple view, built when first read.  States rank in their
+    tuples' order and digits are sorted, so to_dot's one sort by (src, dst, label) starts each run at its least label.
+    """
+
+    states: tuple
+    digits: tuple[IntVec, ...]
+    src: np.ndarray
+    dst: np.ndarray
+    labels: np.ndarray
+
+    @cached_property
+    def edges(self) -> tuple:
+        state, digit = self.states.__getitem__, self.digits.__getitem__
+        labels = (tuple(map(digit, row)) for row in self.labels.tolist())
+        return tuple(zip(map(state, self.src.tolist()), labels, map(state, self.dst.tolist())))
+
+    def _dot(self, name: str, state_label, digit_label, sep: str) -> str:
+        """Deterministic DOT text; parallel edges merge into their least label, its digits joined by sep, and a '+'."""
+        ends = self.src * len(self.states) + self.dst  # (src, dst) as one code
+        order = np.lexsort((*self.labels.T[::-1], ends))
+        ends, first, count = np.unique(ends[order], return_index=True, return_counts=True)  # one per run
+        runs = *np.divmod(ends, len(self.states)), self.labels[order[first]], count > 1
+        text = list(map(digit_label, self.digits))
+        arc = lambda s, t, p, more: f'  n{s} -> n{t} [label="{sep.join(map(text.__getitem__, p))}{"+" * more}"];'
+        # the runs become Python objects 2^16 at a time, so the text is all that grows with the edges
+        blocks = (zip(*(v[at : at + 2**16].tolist() for v in runs)) for at in range(0, len(ends), 2**16))
+        nodes = [f'  n{i} [label="{state_label(s)}"];' for i, s in enumerate(self.states)]
+        return "\n".join([f"digraph {name} {{", *nodes, *("\n".join(arc(*r) for r in block) for block in blocks), "}"])
+
+
+def _vec_label(v: IntVec) -> str:
+    return ",".join(str(x) for x in v)
+
+
+class PairAutomaton(LabelledGraph):
     """States are neighbours plus zero; edges carry digit pairs (x, y).
 
     An edge v1 --(x, y)--> v2 means v2 = A v1 + (x - y): it follows two
@@ -221,30 +258,8 @@ class PairAutomaton:
     infinite path reachable from zero are kept, found by a search from zero.
     """
 
-    states: tuple[IntVec, ...]
-    edges: tuple[tuple[IntVec, tuple[IntVec, IntVec], IntVec], ...]
-
     def to_dot(self) -> str:
-        """Deterministic DOT text; parallel edges merge with a '+' mark."""
-        return _dot("pair_automaton", self.states, self.edges, _vec_label, lambda xy: "/".join(map(_vec_label, xy)))
-
-
-def _vec_label(v: IntVec) -> str:
-    return ",".join(str(x) for x in v)
-
-
-def _dot(name: str, states, edges, state_label, edge_label) -> str:
-    """Deterministic DOT text; parallel edges merge into their least label with a '+' mark."""
-    index = {s: i for i, s in enumerate(states)}
-    grouped: dict = {}
-    for src, label, dst in edges:
-        grouped.setdefault((src, dst), []).append(label)
-    lines = [f"digraph {name} {{"] + [f'  n{i} [label="{state_label(s)}"];' for s, i in index.items()]
-    for src, dst in sorted(grouped):
-        labels = grouped[src, dst]
-        text = edge_label(min(labels)) + ("+" if len(labels) > 1 else "")
-        lines.append(f'  n{index[src]} -> n{index[dst]} [label="{text}"];')
-    return "\n".join(lines + ["}"])
+        return self._dot("pair_automaton", _vec_label, _vec_label, "/")
 
 
 def pair_automaton(sys: RadixSystem) -> PairAutomaton:

@@ -70,6 +70,32 @@ def reach_mask(count: int, starts, src, dst, within):
     return seen
 
 
+def ref_dot(name: str, states, edges, state_label, edge_label) -> str:
+    """DOT text of a graph given as state and (src, label, dst) edge tuples; parallel edges merge into their least
+    label with a '+' mark.  The reference for the array DOT writer of the neighbour graphs."""
+    index = {s: i for i, s in enumerate(states)}
+    grouped: dict = {}
+    for src, label, dst in edges:
+        grouped.setdefault((src, dst), []).append(label)
+    lines = [f"digraph {name} {{"] + [f'  n{i} [label="{state_label(s)}"];' for s, i in index.items()]
+    for src, dst in sorted(grouped):
+        labels = grouped[src, dst]
+        text = edge_label(min(labels)) + ("+" if len(labels) > 1 else "")
+        lines.append(f'  n{index[src]} -> n{index[dst]} [label="{text}"];')
+    return "\n".join(lines + ["}"])
+
+
+def ref_pair_dot(states, edges) -> str:
+    vec = lambda v: ",".join(map(str, v))
+    return ref_dot("pair_automaton", states, edges, vec, lambda xy: "/".join(map(vec, xy)))
+
+
+def ref_triple_dot(states, edges) -> str:
+    vec = lambda v: f"({','.join(map(str, v))})"
+    state_label = lambda s: f"{vec(s[0])}|{vec(s[1])}|{vec(tuple(-a - b for a, b in zip(*s)))}"
+    return ref_dot("triple_state", states, edges, state_label, lambda label: ",".join(map(vec, label)))
+
+
 @pytest.fixture
 def base10() -> rt.RadixSystem:
     return rt.RadixSystem(((10,),), tuple((d,) for d in range(10)))

@@ -12,6 +12,7 @@ points and graphs, and entries on both sides of the 2**62 int64 bound must
 give the same answers.
 """
 
+import argparse
 import itertools
 import math
 from unittest import mock
@@ -23,11 +24,11 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import radixtile as rt
-from radixtile import graph, linalg, neighbours, numsys
+from radixtile import cli, graph, linalg, neighbours, numsys
 from radixtile.errors import NotACrs
 from radixtile.neighbours import _neighbour_steps, _tile_moves, tile_integer_points
 
-from conftest import gauss_system, reach, reach_mask
+from conftest import gauss_system, reach, reach_mask, ref_pair_dot, ref_triple_dot
 
 # ---------------------------------------------------------------------------
 # per-point references
@@ -254,6 +255,8 @@ class TestAgainstReferences:
         assume(len(ref_allowed(sys.matrix, sys.digits)) ** 2 * len(sys.digits) ** 3 <= 200_000)
         triple = rt.triple_state_graph(sys.matrix, sys.digits)
         assert (triple.states, triple.edges) == ref_triple_state_graph(sys.matrix, sys.digits)
+        report = cli.cmd_triple_graph(argparse.Namespace(dot=False, format="json"), sys, None)
+        assert len(triple.edges) == report["edge_count"]
         pair = rt.pair_automaton(sys)
         assert (pair.states, pair.edges) == ref_pair_automaton(sys)
 
@@ -262,14 +265,14 @@ class TestAgainstReferences:
     def test_triple_state_graph_against_all_pairs(self, system):
         triple, pairs = rt.triple_state_graph(*system), pairs_triple_state_graph(*system)
         assert (triple.states, triple.edges) == pairs
-        assert triple.to_dot() == rt.TripleStateGraph(*pairs).to_dot()
+        assert triple.to_dot() == ref_triple_dot(*pairs)
 
     @settings(max_examples=40, deadline=None)
     @given(st.one_of(scaled_systems.map(lambda system: rt.RadixSystem(*system)), dims.flatmap(digit_systems)))
     def test_pair_automaton_against_the_whole_table(self, sys):
         pair, table = rt.pair_automaton(sys), table_pair_automaton(sys)
         assert (pair.states, pair.edges) == table
-        assert pair.to_dot() == rt.PairAutomaton(*table).to_dot()
+        assert pair.to_dot() == ref_pair_dot(*table)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 3), st.integers(0, 40))

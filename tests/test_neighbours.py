@@ -1,3 +1,4 @@
+import argparse
 import itertools
 import json
 import time
@@ -7,7 +8,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import radixtile as rt
-from radixtile import linalg
+from radixtile import cli, linalg, neighbours
 from radixtile.errors import PreconditionViolated
 
 from conftest import address_space, gauss_matrix, gauss_system, run_cli_process
@@ -190,6 +191,18 @@ class TestTripleStateGraph:
         )
 
 
+def test_the_cli_paths_never_build_the_edge_tuples(base10, monkeypatch):
+    # the JSON report counts the edge arrays and to_dot sorts them: neither reads the tuple view
+    graphs = []
+    for name in ("triple_state_graph", "neighbour_graph"):
+        build = getattr(neighbours, name)
+        monkeypatch.setattr(neighbours, name, lambda *args, build=build: graphs.append(build(*args)) or graphs[-1])
+    for command, dot in ((cli.cmd_triple_graph, False), (cli.cmd_triple_graph, True), (cli.cmd_neighbours, True)):
+        command(argparse.Namespace(dot=dot, format="json"), base10, None)
+    assert [type(g) for g in graphs] == [rt.TripleStateGraph, rt.TripleStateGraph, rt.PairAutomaton]
+    assert not any("edges" in vars(g) for g in graphs)
+
+
 class TestExpectedSets:
     def test_real_oracles(self):
         assert rt.expected_real_neighbours(3, False) == (-1, 1)
@@ -222,9 +235,9 @@ def line(count: int):
         (["triple-graph"], line(100), None),  # 29,701 reached triple states x 10,000 digit pairs
         (["triple-graph"], line(40), None),  # 4,262,400 live labels x 40 digits
         (["triple-graph"], line(200), None),  # 8M edges from (0, 0): a charge per frontier ran out of memory
-        (["triple-graph"], line(21), None),  # 2,919,861 kept edges, whose tuples ran out of memory
+        (["triple-graph"], line(22), None),  # 3,692,194 kept edges, the first line past the edge cap
         (["triple-graph"], line(28), None),  # 12,452,272 kept edges, all but 21,952 from the second frontier
-        (["neighbours", "--dot"], line(142), None),  # 2,853,206 kept edges of the pair automaton
+        (["neighbours", "--dot"], line(150), None),  # 3,363,750 kept edges of the pair automaton
     ],
 )
 def test_neighbour_budgets_under_an_address_space_limit(tmp_path, argv, system, payload):
@@ -243,13 +256,15 @@ def test_neighbour_budgets_under_an_address_space_limit(tmp_path, argv, system, 
 @pytest.mark.parametrize(
     "argv, count, states, edges",
     [
-        (["triple-graph"], 20, 1141, 2_282_000),  # 2,282,000 kept edges, as at the parent
-        (["neighbours", "--dot"], 141, 281, 39_481),  # 2,793,281 kept edges, 2,921 below the cap, in 39,481 DOT lines
+        (["triple-graph"], 20, 1141, 2_282_000),  # 2,282,000 kept edges
+        (["neighbours", "--dot"], 141, 281, 39_481),  # 2,793,281 kept edges in 39,481 DOT lines
+        (["triple-graph"], 21, 1261, 2_919_861),  # 2,919,861 kept edges, the last line below the cap
+        (["neighbours", "--dot"], 149, 297, 44_105),  # 3,296,849 kept edges, 58,594 below the cap
     ],
 )
 def test_edges_just_below_the_cap_answer_under_an_address_space_limit(tmp_path, argv, count, states, edges):
-    # the kept edges are charged at 48 bytes each against 2^27, 2,796,202 edges: about 290 bytes each once their
-    # tuples are built, so 0..19 (m = 3) and 0..140 (m = 2) peak at 780 and 730 MB of address space
+    # the kept edges are charged at 320 bytes each against 2^30, 3,355,443 edges; they hold about 105 (m = 2) and
+    # 130 (m = 3) bytes each at these jobs' peaks, which stay below 600 MB of address space
     path = tmp_path / "system.json"
     path.write_text(json.dumps(dict(zip(("matrix", "digits"), line(count)))))
     done = run_cli_process([*argv, str(path)], address_space(1))
@@ -259,6 +274,17 @@ def test_edges_just_below_the_cap_answer_under_an_address_space_limit(tmp_path, 
         assert (len(report["states"]), report["edge_count"]) == (states, edges)
     else:
         assert (done.stdout.count("[label="), done.stdout.count(" -> ")) == (states + edges, edges)
+
+
+def test_dot_with_about_a_line_per_edge_answers_under_an_address_space_limit(tmp_path):
+    # A = 2 with nine digits whose differences are all distinct: 2,345,301 kept edges, below the cap, give 2,319,949
+    # DOT lines, and one Python string per line with its pieces ran out of 1 GiB
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps({"matrix": [[2]], "digits": [[d] for d in (0, 1, 3, 7, 12, 20, 30, 44, 65)]}))
+    done = run_cli_process(["triple-graph", "--dot", str(path)], address_space(1))
+    assert done.returncode == 0, done.stderr
+    counts = done.stdout.count("[label="), done.stdout.count(" -> "), done.stdout.count('+"];')
+    assert counts == (12_871 + 2_319_949, 2_319_949, 3_169)
 
 
 def grid(a: int, step: int):
