@@ -1,36 +1,17 @@
 """Passes over finite directed graphs.
 
-A graph is a dict from each state to an iterable of its successors.  A
-successor that is not a key is a state with no successors.  Each pass
-runs in O(V + E).  ``live_mask`` takes states 0..count-1 with edges
-src[i] -> dst[i] as index arrays and answers with a boolean mask; each
-round is one whole-array step, so it costs O(rounds * E).
+``components`` takes a dict from each state to an iterable of its
+successors; a successor that is not a key is a state with no successors.
+It runs in O(V + E), and since it lists the components sinks first, one
+pass over its output finds the states on infinite paths.  ``live_mask``
+takes states 0..count-1 with edges src[i] -> dst[i] as index arrays and
+answers with a boolean mask; each round is one whole-array step, so it
+costs O(rounds * E).
 """
 
 from __future__ import annotations
 
 from .linalg import np
-
-
-def live(succ) -> set:
-    """Keys with an infinite forward path (reverse out-degree worklist)."""
-    pred: dict = {v: [] for v in succ}
-    outdeg = dict.fromkeys(succ, 0)
-    for v, outs in succ.items():
-        for w in outs:
-            if w in pred:
-                pred[w].append(v)
-                outdeg[v] += 1
-    alive = set(succ)
-    dead = [v for v, d in outdeg.items() if d == 0]
-    while dead:
-        v = dead.pop()
-        alive.discard(v)
-        for p in pred[v]:
-            outdeg[p] -= 1
-            if outdeg[p] == 0:
-                dead.append(p)
-    return alive
 
 
 def components(succ) -> list[list]:

@@ -318,20 +318,23 @@ def enumerate_equivalents(
             succ[state] = [(d, nxt + t) for d, t in zip(sys.digits, row) if t >= 0]
             stack.extend(t for _, t in succ[state])
 
-    # keep the states on infinite walks: each state was reached from the start
-    keep = graph.live({s: [t for _, t in out] for s, out in succ.items()})
-    walks = {s: [(d, t) for d, t in succ[s] if t in keep] for s in keep}
+    # every state was reached from the start; the components come sinks first, so one pass finds the live ones
+    # (on an infinite walk): two or more states, a self-loop, or an edge into a component already live
+    comp_of: dict[int, int] = {}
+    live: list[bool] = []
+    for i, comp in enumerate(graph.components({s: [t for _, t in out] for s, out in succ.items()})):
+        comp_of.update(dict.fromkeys(comp, i))
+        live.append(len(comp) > 1 or any(comp_of[t] == i or live[comp_of[t]] for s in comp for _, t in succ[s]))
+    walks = {s: [(d, t) for d, t in out if live[comp_of[t]]] for s, out in succ.items() if live[comp_of[s]]}
 
     if all(s % k == zero for s in walks):
         return UNIQUE, (x.seq,)
 
     # distinct edges carry distinct digits, so walks and sequences match
-    trimmed = {s: [t for _, t in out] for s, out in walks.items()}
-    comp_of = {s: i for i, comp in enumerate(graph.components(trimmed)) for s in comp}
-    inner = {s: sum(comp_of[t] == comp_of[s] for t in ts) for s, ts in trimmed.items()}
+    inner = {s: sum(comp_of[t] == comp_of[s] for _, t in out) for s, out in walks.items()}
     if any(n >= 2 for n in inner.values()):
         cls = UNCOUNTABLE
-    elif any(0 < inner[s] < len(ts) for s, ts in trimmed.items()):
+    elif any(0 < inner[s] < len(out) for s, out in walks.items()):
         cls = INFINITE_COUNTABLE
     else:
         cls = FINITELY_MANY
@@ -352,24 +355,34 @@ def _sample_walks(graph, start, limit, exhaustive) -> list[EpSeq]:
     Otherwise walks are also explored past revisits (bounded depth) so the
     samples include mixed loop orders, up to `limit` of them.  The walk
     keeps one path and an explicit stack, so its depth is not bounded by
-    the Python stack.
+    the Python stack.  Each sample is built once: a closure that repeats a
+    sequence found at an ancestor on the path builds nothing.
     """
-    found: dict[EpSeq, None] = {}
+    found: list[EpSeq] = []
     depth_cap = 3 * (len(graph) + 1)
     digits: list = []  # the digits read along the current walk
-    first: dict = {}  # state -> number of digits read when the current walk first entered it
-    stack = [(0, (), start)]  # (digits kept from the current walk, the digit read, state)
+    reads: list[list] = [[]]  # reads[j]: (preperiod, period) of each found sequence that digits[:j] is a prefix of
+    first: dict = {start: 0}  # state -> number of digits read when the current walk first entered it
+    stack = [(0, d, t) for d, t in reversed(graph[start])]  # (digits kept from the walk, the digit read, state)
     while stack and (exhaustive or len(found) < limit):
-        kept, read, state = stack.pop()
-        digits[kept:] = read
-        while first and next(reversed(first.values())) >= len(digits):
+        kept, d, state = stack.pop()
+        digits[kept:] = (d,)
+        # past its preperiod q and first period p, a path reads a found sequence while each digit repeats the one p back
+        del reads[kept + 1 :]
+        reads.append([(q, p) for q, p in reads[kept] if d == digits[kept - p]])
+        while next(reversed(first.values())) > kept:
             first.popitem()
         if state in first:
-            found[EpSeq.make(digits[: first[state]], digits[first[state] :])] = None
+            # the closure back to f reads digits[:f] then digits[f:] forever, which is a sequence the path reads exactly
+            # when f >= q and p divides len(digits) - f; an equal sequence found earlier can only sit at an ancestor
+            f = first[state]
+            if not any(f >= q and (len(digits) - f) % p == 0 for q, p in reads[-1]):
+                found.append(seq := EpSeq.make(digits[:f], digits[f:]))
+                reads[-1].append((seq.preperiod, seq.period))
             if exhaustive or len(digits) >= depth_cap:
                 continue
             # keep exploring so samples mix distinct loops
         else:
             first[state] = len(digits)
-        stack.extend((len(digits), (d,), t) for d, t in sorted(graph[state], reverse=True))
-    return list(found)
+        stack.extend((len(digits), d, t) for d, t in reversed(graph[state]))
+    return found

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import radixtile as rt
+from radixtile import graph
 from radixtile.linalg import np
 
 
@@ -54,6 +55,88 @@ def reach(starts, succ, within=None) -> set:
                 seen.add(w)
                 stack.append(w)
     return seen
+
+
+def live(succ) -> set:
+    """Keys with an infinite forward path (reverse out-degree worklist).  The reference for the array trims."""
+    pred: dict = {v: [] for v in succ}
+    outdeg = dict.fromkeys(succ, 0)
+    for v, outs in succ.items():
+        for w in outs:
+            if w in pred:
+                pred[w].append(v)
+                outdeg[v] += 1
+    alive = set(succ)
+    dead = [v for v, d in outdeg.items() if d == 0]
+    while dead:
+        v = dead.pop()
+        alive.discard(v)
+        for p in pred[v]:
+            outdeg[p] -= 1
+            if outdeg[p] == 0:
+                dead.append(p)
+    return alive
+
+
+def ref_enumerate_equivalents(sys, x, sample_limit=32):
+    """The equivalence walk as two dict passes, a liveness trim and then components of the trimmed graph, with
+    samples that build an EpSeq at every closed walk.  The reference for ``radix.enumerate_equivalents``."""
+    from radixtile.neighbours import _neighbour_steps
+    from radixtile.radix import FINITELY_MANY, INFINITE_COUNTABLE, UNCOUNTABLE, UNIQUE
+
+    _, moves, column, zero = _neighbour_steps(sys.matrix, sys.digits)
+    k, index = len(moves), {d: i for i, d in enumerate(sys.digits)}
+    entries, m = x.seq.pre + x.seq.cycle, x.seq.preperiod
+    succ: dict = {}
+    stack = [zero]
+    while stack:
+        ph, v = divmod(state := stack.pop(), k)
+        if state not in succ:
+            nxt = (ph + 1 if ph + 1 < len(entries) else m) * k
+            row = moves[v, column[index[entries[ph]]]].tolist()
+            succ[state] = [(d, nxt + t) for d, t in zip(sys.digits, row) if t >= 0]
+            stack.extend(t for _, t in succ[state])
+    keep = live({s: [t for _, t in out] for s, out in succ.items()})
+    walks = {s: [(d, t) for d, t in succ[s] if t in keep] for s in keep}
+    if all(s % k == zero for s in walks):
+        return UNIQUE, (x.seq,)
+    trimmed = {s: [t for _, t in out] for s, out in walks.items()}
+    comp_of = {s: i for i, comp in enumerate(graph.components(trimmed)) for s in comp}
+    inner = {s: sum(comp_of[t] == comp_of[s] for t in ts) for s, ts in trimmed.items()}
+    if any(n >= 2 for n in inner.values()):
+        cls = UNCOUNTABLE
+    elif any(0 < inner[s] < len(ts) for s, ts in trimmed.items()):
+        cls = INFINITE_COUNTABLE
+    else:
+        cls = FINITELY_MANY
+    samples = ref_sample_walks(walks, zero, sample_limit, exhaustive=(cls == FINITELY_MANY))
+    if x.seq in samples:
+        samples = [x.seq] + [s for s in samples if s != x.seq]
+    else:
+        samples = [x.seq] + samples[: max(0, sample_limit - 1)]
+    return cls, tuple(samples)
+
+
+def ref_sample_walks(succ, start, limit, exhaustive) -> list:
+    """Depth-first walk enumeration that builds an EpSeq at every revisit and keeps the distinct ones in order."""
+    found: dict = {}
+    depth_cap = 3 * (len(succ) + 1)
+    digits: list = []
+    first: dict = {}
+    stack = [(0, (), start)]
+    while stack and (exhaustive or len(found) < limit):
+        kept, read, state = stack.pop()
+        digits[kept:] = read
+        while first and next(reversed(first.values())) >= len(digits):
+            first.popitem()
+        if state in first:
+            found[rt.EpSeq.make(digits[: first[state]], digits[first[state] :])] = None
+            if exhaustive or len(digits) >= depth_cap:
+                continue
+        else:
+            first[state] = len(digits)
+        stack.extend((len(digits), (d,), t) for d, t in sorted(succ[state], reverse=True))
+    return list(found)
 
 
 def reach_mask(count: int, starts, src, dst, within):

@@ -28,7 +28,7 @@ from radixtile import cli, graph, linalg, neighbours, numsys
 from radixtile.errors import NotACrs
 from radixtile.neighbours import _neighbour_steps, _tile_moves, tile_integer_points
 
-from conftest import gauss_system, reach, reach_mask, ref_pair_dot, ref_triple_dot
+from conftest import gauss_system, live, reach, reach_mask, ref_pair_dot, ref_triple_dot
 
 # ---------------------------------------------------------------------------
 # per-point references
@@ -50,7 +50,7 @@ def ref_tile_points(matrix, digits):
     for z in candidates:
         base = linalg.mat_vec(matrix, z)
         succ[z] = [w for d in digits if (w := linalg.vec_sub(base, d)) in candidates]
-    return frozenset(graph.live(succ))
+    return frozenset(live(succ))
 
 
 def ref_remainder_walk(sys, v):
@@ -102,7 +102,7 @@ def ref_pair_automaton(sys):
                 if dst in allowed:
                     edges.append((v, (x, y), dst))
                     succ[v].add(dst)
-    keep = reach([zero], succ, graph.live(succ))
+    keep = reach([zero], succ, live(succ))
     return tuple(sorted(keep)), tuple(sorted(e for e in edges if e[0] in keep and e[2] in keep))
 
 
@@ -121,7 +121,7 @@ def ref_triple_state_graph(matrix, digits):
             if dst in succ:
                 edges.append(((zeta, xi), (p, q, r), dst))
                 succ[(zeta, xi)].add(dst)
-    keep = reach([(zero, zero)], succ, graph.live(succ))
+    keep = reach([(zero, zero)], succ, live(succ))
     return tuple(sorted(keep)), tuple(sorted(e for e in edges if e[0] in keep and e[2] in keep))
 
 

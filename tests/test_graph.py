@@ -1,11 +1,11 @@
-"""Property tests of the linear-time graph passes, and of the tests' reach helper, against fixpoint references."""
+"""Property tests of the graph passes, and of the tests' live and reach helpers, against fixpoint references."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from radixtile import graph
 
-from conftest import reach
+from conftest import live, reach
 
 
 def _prune_live(states, succ) -> set:
@@ -56,13 +56,13 @@ def _sets(succ) -> dict:
 @settings(max_examples=200, deadline=None)
 @given(digraphs)
 def test_live_matches_fixpoint(succ):
-    assert graph.live(succ) == _prune_live(succ, _sets(succ))
+    assert live(succ) == _prune_live(succ, _sets(succ))
 
 
 @settings(max_examples=200, deadline=None)
 @given(digraphs, st.lists(st.integers(0, 11), max_size=3), st.booleans())
 def test_reach_matches_search(succ, starts, bounded):
-    within = graph.live(succ) if bounded else None
+    within = live(succ) if bounded else None
     everything = _nodes(succ) | set(starts)
     expected = set()
     for s in starts:
@@ -88,7 +88,7 @@ def test_components_are_mutual_reachability(succ):
 
 
 def test_empty_graph():
-    assert graph.live({}) == set()
+    assert live({}) == set()
     assert reach([], {}) == set()
     assert graph.components({}) == []
 
@@ -97,6 +97,6 @@ def test_long_chain_needs_no_recursion():
     n = 20_000
     succ = {v: [v + 1] for v in range(n)}
     succ[n] = [0]
-    assert graph.live(succ) == set(range(n + 1))
+    assert live(succ) == set(range(n + 1))
     assert len(graph.components(succ)) == 1
     assert reach([0], succ) == set(range(n + 1))

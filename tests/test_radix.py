@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 import radixtile as rt
 from radixtile.radix import EpSeq, vector_seq
 
-from conftest import gauss_matrix, gauss_system
+from conftest import gauss_matrix, gauss_system, ref_enumerate_equivalents
 
 
 def complex_eval_oracle(matrix, seq, terms=400):
@@ -242,6 +243,56 @@ class TestEnumerateEquivalents:
             cyc = [rng.choice(sys.digits) for _ in range(rng.randint(1, 2))]
             cls, _ = rt.enumerate_equivalents(sys, rt.representation(sys, pre, cyc))
             assert cls == "unique"
+
+
+# the systems of the reference comparison: 1-D bases with sorted digit sets drawn below, -3+i on digits 0..9, and
+# the difference systems of -3+i and of 2I, which union-components walks
+REFERENCE_SYSTEMS = [
+    gauss_system(3),
+    gauss_system(3).difference_system(),
+    rt.RadixSystem(((2, 0), (0, 2)), ((0, 0), (1, 0), (0, 1), (1, 1))).difference_system(),
+]
+
+
+@st.composite
+def reference_cases(draw):
+    base = draw(st.sampled_from([2, -2, 3, -3, 4, -4, 5, -5]))
+    # a complete residue system 0..|b|-1 and a cycle of its least or greatest digit give the finitely-many class
+    # often, as 1/10 is 1 0-bar and 0 9-bar in base 10
+    digit_sets = st.one_of(st.just(range(abs(base))), st.lists(st.integers(-3, 7), min_size=2, max_size=6, unique=True))
+    one_dim = digit_sets.map(lambda ds: rt.RadixSystem(((base,),), tuple((d,) for d in ds)))
+    sys = draw(st.one_of(one_dim, st.sampled_from(REFERENCE_SYSTEMS)))
+    # entries from a few digits, so that equivalent walks and the three non-unique classes turn up often
+    pool = draw(st.lists(st.sampled_from(sys.digits), min_size=1, max_size=3, unique=True))
+    pre = draw(st.lists(st.sampled_from(pool), max_size=40))
+    extreme = st.sampled_from([sys.digits[0], sys.digits[-1]]).map(lambda d: [d])
+    cycle = draw(st.one_of(st.lists(st.sampled_from(pool), min_size=1, max_size=6), extreme))
+    return sys, rt.representation(sys, pre, cycle), draw(st.integers(1, 32))
+
+
+class TestSamplesAgainstReference:
+    """The one-pass walk against the two dict passes and the sampler that builds an EpSeq at every closed walk."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(reference_cases())
+    def test_class_and_samples_match(self, case):
+        sys, x, limit = case
+        assert rt.enumerate_equivalents(sys, x, limit) == ref_enumerate_equivalents(sys, x, limit)
+
+    def test_long_difference_preperiod_matches(self):
+        # the alpha of the preperiod-300 union-components job on -3+i, digits 0..9
+        sys = gauss_system(3).difference_system()
+        x = rt.representation(sys, [(1, 0)] * 300, [(0, 0)])
+        assert rt.enumerate_equivalents(sys, x, 8) == ref_enumerate_equivalents(sys, x, 8)
+
+    def test_each_sample_is_built_once(self):
+        # a sampler that builds an EpSeq at every closed walk makes about 20,000 of them here
+        sys = gauss_system(3).difference_system()
+        x = rt.representation(sys, [(1, 0)] * 1200, [(0, 0)])
+        with mock.patch.object(EpSeq, "make", wraps=EpSeq.make) as make:
+            _, samples = rt.enumerate_equivalents(sys, x, 8)
+        assert len(samples) == 8
+        assert make.call_count <= 8
 
 
 class TestPairAutomaton:
