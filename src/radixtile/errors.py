@@ -100,10 +100,6 @@ class RasterTooLarge(BudgetError):
     pass
 
 
-class DimensionTooLong(BudgetError):
-    """An exact dimension's base has more decimal digits than Python prints (sys.set_int_max_str_digits)."""
-
-
 def json_int(x) -> int:
     if type(x) is not int:  # bool is an int subclass, a JSON true is not a number
         raise PreconditionViolated(f"expected a JSON integer, got {x!r}")

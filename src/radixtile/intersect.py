@@ -18,7 +18,6 @@ from fractions import Fraction
 from . import linalg, sep
 from .errors import (
     DigitShapeViolation,
-    DimensionTooLong,
     EmptyIntersection,
     GridViolation,
     UniquenessNotEstablished,
@@ -138,15 +137,11 @@ class ExactDim:
         return float(self.coeff) * math.log(self.base_num) / math.log(self.base_den)
 
     def __str__(self) -> str:
+        coeff = linalg.frac_str(self.coeff)
         if self.base_num == 0:
-            return str(self.coeff)
-        try:
-            core = f"log({self.base_num})/log({self.base_den})"
-        except ValueError as exc:  # Python's int-to-str digit limit
-            raise DimensionTooLong(f"the exact dimension is too long to print: {exc}") from None
-        if self.coeff == 1:
-            return core
-        return f"({self.coeff})*{core}"
+            return coeff
+        core = f"log({linalg.frac_str(self.base_num)})/log({linalg.frac_str(self.base_den)})"
+        return core if self.coeff == 1 else f"({coeff})*{core}"
 
 
 @dataclass(frozen=True)
@@ -480,10 +475,10 @@ def prefix_length_for_radius(sys: RadixSystem, epsilon: Fraction | float) -> int
     """Positions after which any tail change moves the value less than epsilon.
 
     The first m below 10,000 with ||dd|| * tail_bound(A, m) < epsilon, where
-    dd is the largest difference of digit differences; compared exactly in
-    squares.  With k norms behind tail_bound, m = q k + r carries b_k^q with
-    b_k < 1/2, so once a block q of k positions holds a passing m, every
-    later block does: galloping and then bisection find the first one.
+    dd is the largest difference of digit differences, by one forward scan
+    over tail_bounds' unreduced pairs num / den.  For epsilon = p / q, step m
+    passes when dd^2 q^2 num^2 < p^2 den^2, compared exactly; a step whose
+    bit lengths already show the left side is not smaller builds no product.
     """
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
@@ -491,24 +486,14 @@ def prefix_length_for_radius(sys: RadixSystem, epsilon: Fraction | float) -> int
     dd_sq = max(linalg.norm_sq(linalg.vec_sub(a, b)) for a in diffs for b in diffs)
     if dd_sq == 0:
         return 0
-    eps_sq = Fraction(epsilon) ** 2
-    k = len(linalg.inverse_power_norms(sys.matrix))
-
-    def first_in_block(q):
-        passing = (m for m in range(q * k, q * k + k) if dd_sq * linalg.tail_bound(sys.matrix, m) ** 2 < eps_sq)
-        return next(passing, None)
-
-    last = 9_999 // k
-    lo, hi = -1, 0  # block lo holds no passing m; block hi does, or hi is last
-    while hi < last and first_in_block(hi) is None:
-        lo, hi = hi, min(2 * hi + 1, last)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if first_in_block(mid) is not None else (mid, hi)
-    m = first_in_block(hi)
-    if m is None or m >= 10_000:
-        raise ValueError("epsilon too small to certify a prefix length")
-    return m
+    eps = Fraction(epsilon)
+    left, right = dd_sq * eps.denominator**2, eps.numerator**2
+    # 2^(bits(x) - 1) <= x < 2^bits(x), so the left side is at least the right once this gap is reached
+    gap = right.bit_length() - left.bit_length() + 3
+    for m, (num, den) in zip(range(10_000), linalg.tail_bounds(sys.matrix)):
+        if 2 * (num.bit_length() - den.bit_length()) < gap and left * num * num < right * den * den:
+            return m
+    raise ValueError("epsilon too small to certify a prefix length")
 
 
 # ---------------------------------------------------------------------------

@@ -196,8 +196,14 @@ def is_integral(v: RatVec) -> bool:
 
 
 def frac_str(x: Fraction | int) -> str:
-    """Exact "p/q" text of a rational, or "p" when it is an integer."""
-    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
+    """Exact "p/q" text of a rational, or "p" when it is an integer, at any length: every exact number prints here."""
+    try:
+        return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
+    except ValueError:  # past Python's int-to-str digit limit (sys.set_int_max_str_digits)
+        import decimal  # converts an int exactly at any length, to the digits str() writes
+
+        num = str(decimal.Decimal(x.numerator))
+        return num if x.denominator == 1 else f"{num}/{decimal.Decimal(x.denominator)}"
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +488,7 @@ def lattice_ball(n: int, radius_sq, cap: int = 10**7) -> np.ndarray:
     r = math.isqrt(limit)
     if (2 * r + 1) ** n > cap:
         raise CandidateBallTooLarge(
-            f"candidate ball holds about {(2 * r + 1) ** n} lattice points (cap {cap})"
+            f"candidate ball holds about {frac_str((2 * r + 1) ** n)} lattice points (cap {cap})"
         )
     squares = np.arange(-r, r + 1, dtype=dtype_for(n * r * r)) ** 2
     # nonzero lists the grid indices in C order, which is lexicographic
@@ -527,9 +533,7 @@ def tile_box(a: IntMatrix, vectors: np.ndarray, r: int) -> tuple[list[int], list
     values = vectors.astype(dtype, copy=False) @ powers.astype(dtype, copy=False).transpose(0, 2, 1)  # B^j s
     ends = np.stack([values.min(axis=1), values.max(axis=1)]).astype(object)
     low, high = (scale[1:] @ ends).tolist()  # numerators over |det a|^J
-    q, i = divmod(terms, len(b))
-    tail = (b[-1] ** q, b[i - 1] if i else 1, factor)  # tail_bound(a, J) = num / den, left unreduced
-    num, den = math.prod(x.numerator for x in tail), math.prod(x.denominator for x in tail)
+    num, den = next(tail_bounds(a, terms))  # tail_bound(a, J), left unreduced
     pad, whole = num * m * scale[0], den * scale[0]  # an end x / |det a|^J -/+ pad is (x den -/+ pad) / whole
     return (
         [max(-r, -((pad - x * den) // whole)) for x in low],

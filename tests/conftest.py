@@ -1,11 +1,13 @@
 """Shared systems used across the test modules."""
 
+import contextlib
 import os
 import resource
 import subprocess
 import sys
 
 import pytest
+import sympy
 
 import radixtile as rt
 from radixtile import graph
@@ -34,6 +36,23 @@ def run_cli_process(argv, limit=None) -> subprocess.CompletedProcess:
         preexec_fn=limit,
         env={**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
     )
+
+
+@contextlib.contextmanager
+def int_max_str_digits(limit: int):
+    """Python's int-to-str digit limit (sys.set_int_max_str_digits) set to limit inside the block; 0 lifts it."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def parse_exact(text: str):
+    """The sympy expression of an exact text such as (3/2)*log(a)/log(b), read with the digit limit lifted."""
+    with int_max_str_digits(0):
+        return sympy.parse_expr(text)
 
 
 def address_space(gib: int):

@@ -3,10 +3,12 @@ import resource
 import sys
 
 import pytest
+import sympy
 
-from radixtile import cli
+from radixtile import cli, linalg
+from radixtile.radix import Representation, eval_exact, vector_seq
 
-from conftest import run_cli_process
+from conftest import parse_exact, run_cli_process
 
 
 @pytest.fixture
@@ -279,7 +281,7 @@ class TestFormatsAndCodes:
         assert data["error"]["type"] == "SearchBudgetExceeded"
 
     @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="this Python prints integers of any length")
-    def test_a_dimension_too_long_to_print_exits_3_within_seconds(self, monkeypatch, tmp_path, base10_file):
+    def test_a_dimension_past_the_digit_limit_prints_within_seconds(self, monkeypatch, tmp_path, base10_file):
         # log 2 + 9,999 log 3 over log 10^10,000: the primitive base 2 * 3**9999 has 4,772 digits
         payload = tmp_path / "seq.json"
         payload.write_text(json.dumps({"sequence": {"pre": [], "cycle": [[[0], [1]]] + 9999 * [[[0], [1], [2]]]}}))
@@ -289,12 +291,21 @@ class TestFormatsAndCodes:
             resource.setrlimit(resource.RLIMIT_CPU, (10, 10))
 
         done = run_cli_process(["dims", "box", base10_file, "-p", str(payload)], limit)
-        assert done.returncode == 3, done.stderr
-        lines = done.stdout.splitlines()
-        assert len(lines) == 1
-        error = json.loads(lines[0])["error"]
-        assert error["type"] == "DimensionTooLong"
-        assert "4300" in error["message"]
+        assert done.returncode == 0, done.stderr
+        report = json.loads(done.stdout)
+        exact = parse_exact(report["exact"])
+        assert exact == sympy.Rational(1, 10000) * sympy.log(sympy.Integer(2 * 3**9999)) / sympy.log(10)
+        assert float(exact) == pytest.approx(report["float"], rel=1e-12)
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="this Python prints integers of any length")
+    def test_a_value_past_the_digit_limit_prints_exactly(self, monkeypatch, base10_file):
+        # 0.(1 x 4,400)0000... in base 10: (10^4400 - 1) / 9 over 10^4400, a numerator of 4,400 digits
+        payload = {"pre": [[1]] * 4400, "cycle": [[0]]}
+        monkeypatch.setenv("PYTHONINTMAXSTRDIGITS", "4300")
+        done = run_cli_process(["eval", base10_file, "-p", json.dumps(payload)])
+        assert done.returncode == 0, done.stderr
+        value = eval_exact(Representation(cli.load_descriptor(base10_file), vector_seq([(1,)] * 4400, [(0,)])))
+        assert json.loads(done.stdout)["value"]["exact"] == [linalg.frac_str(x) for x in value]
 
 
 class TestSession:

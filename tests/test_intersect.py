@@ -4,14 +4,13 @@ import sys as _sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+import sympy
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import radixtile as rt
 from radixtile import linalg
 from radixtile.errors import (
-    BudgetError,
-    DimensionTooLong,
     EmptyIntersection,
     GridViolation,
     InvalidWitness,
@@ -22,7 +21,7 @@ from radixtile.intersect import ExactDim, alternating_block_counts, intersection
 from radixtile.radix import EpSeq, Representation, eval_exact, vector_seq
 from radixtile.sep import translate
 
-from conftest import gauss_matrix, gauss_system
+from conftest import gauss_matrix, gauss_system, int_max_str_digits, parse_exact
 
 
 def fs(*scalars):
@@ -52,20 +51,34 @@ class TestExactDim:
         assert str(ExactDim.log_ratio(3, 10)) == "log(3)/log(10)"
         assert str(ExactDim.zero()) == "0"
 
-    def test_a_base_too_long_to_print_is_a_budget_error(self):
-        if not hasattr(_sys, "set_int_max_str_digits"):
-            pytest.skip("this Python prints integers of any length")
+    @pytest.mark.skipif(not hasattr(_sys, "set_int_max_str_digits"), reason="this Python prints integers of any length")
+    def test_a_base_past_the_digit_limit_prints_in_full(self):
         # log 2 + 9,999 log 3 has the primitive base 2 * 3**9999, of 4,772 decimal digits
         d = ExactDim.from_counts([2] + [3] * 9999, 10000, 10, 1)
         assert d.value == pytest.approx((math.log(2) + 9999 * math.log(3)) / (10000 * math.log(10)))
-        saved = _sys.get_int_max_str_digits()
-        _sys.set_int_max_str_digits(4300)
-        try:
-            with pytest.raises(DimensionTooLong, match="4300") as info:
-                str(d)
-        finally:
-            _sys.set_int_max_str_digits(saved)
-        assert isinstance(info.value, BudgetError)
+        with int_max_str_digits(4300):
+            text = str(d)
+        with int_max_str_digits(0):
+            assert text == f"(1/10000)*log({2 * 3**9999})/log(10)"
+
+    @pytest.mark.skipif(not hasattr(_sys, "set_int_max_str_digits"), reason="this Python prints integers of any length")
+    @settings(max_examples=60, deadline=None)
+    @given(
+        counts=st.dictionaries(st.integers(1, 13), st.integers(1, 12_000), min_size=1, max_size=3),
+        period=st.integers(1, 12_000),
+        determinant=st.sampled_from([2, -3, 4, 10, -12, 100]),
+        dim=st.integers(1, 3),
+    )
+    @example(counts={2: 1, 3: 9999}, period=10000, determinant=10, dim=1)  # a base of 4,772 digits
+    @example(counts={6: 1, 11: 12_000}, period=1, determinant=-12, dim=3)  # 12,498 digits
+    def test_the_printed_form_parses_back_to_the_value(self, counts, period, determinant, dim):
+        d = ExactDim.from_counts([c for c, times in counts.items() for _ in range(times)], period, determinant, dim)
+        with int_max_str_digits(4300):
+            text = str(d)
+        parsed = parse_exact(text)
+        logs = sympy.log(sympy.Integer(d.base_num)) / sympy.log(sympy.Integer(d.base_den)) if d.base_num else 1
+        assert parsed == sympy.Rational(d.coeff.numerator, d.coeff.denominator) * logs
+        assert float(parsed) == pytest.approx(d.value, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -528,6 +541,13 @@ class TestBedfordMcMullen:
 PREFIX_MATRICES = [((2,),), ((-3,),), ((10,),), gauss_matrix(1), gauss_matrix(3), ((0, -2), (1, 0)), ((1, -2), (1, 1))]
 
 
+def with_exact_ties(test):
+    """Exact ties as explicit examples: on digits {0, 1}, epsilon = 2 tail_bound(A, m) equals the bound at m."""
+    for matrix, m in itertools.product(PREFIX_MATRICES, (0, 1, 7, 40)):
+        test = example(matrix=matrix, digits=[0, 1], epsilon=2 * linalg.tail_bound(matrix, m))(test)
+    return test
+
+
 def ref_prefix_length(sys, epsilon):
     """The first m below 10,000 that passes, by a linear scan."""
     diffs = sys.differences()
@@ -586,6 +606,7 @@ class TestLevelSets:
         digits=st.lists(st.integers(-9, 9), min_size=1, max_size=4, unique=True),
         epsilon=st.fractions(min_value=Fraction(1, 10**60), max_value=4, max_denominator=10**60),
     )
+    @with_exact_ties
     def test_prefix_length_matches_linear_scan(self, matrix, digits, epsilon):
         assume(epsilon > 0)
         sys = rt.RadixSystem(matrix, tuple((d,) + (0,) * (len(matrix) - 1) for d in digits))

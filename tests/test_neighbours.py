@@ -238,6 +238,8 @@ def line(count: int):
         (["triple-graph"], line(22), None),  # 3,692,194 kept edges, the first line past the edge cap
         (["triple-graph"], line(28), None),  # 12,452,272 kept edges, all but 21,952 from the second frontier
         (["neighbours", "--dot"], line(150), None),  # 3,363,750 kept edges of the pair automaton
+        # the cap's message counts about 8 * 10^4500 ball points, past Python's 4,300-digit int-to-str limit
+        (["neighbours"], ([[2, 0, 0], [0, 2, 0], [0, 0, 2]], [[0, 0, 0], [10**1500, 0, 0]]), None),
     ],
 )
 def test_neighbour_budgets_under_an_address_space_limit(tmp_path, argv, system, payload):
