@@ -47,7 +47,14 @@ def _read(path: str, what: str) -> str:
 
 def _json_object(source: str, what: str, inline: bool = False) -> dict:
     """The JSON object in the file named ``source``, or in ``source`` itself when inline."""
-    data = json.loads(source if inline else _read(source, what), object_hook=_JsonObject)
+    text = source if inline else _read(source, what)
+    try:
+        data = json.loads(text, object_hook=_JsonObject)
+    except json.JSONDecodeError:
+        raise
+    except ValueError:  # an integer longer than Python's int-to-str limit, which json reads through int()
+        limit = _sys.get_int_max_str_digits()
+        raise PreconditionViolated(f"the {what} holds an integer past Python's limit of {limit} digits") from None
     if not isinstance(data, dict):
         raise PreconditionViolated(f"the {what} must be a JSON object")
     return data

@@ -3,8 +3,11 @@
 Two broad classes matter to callers: precondition failures (the input does
 not satisfy a documented requirement) and budget failures (the computation
 was cut off before an answer could be certified).  The CLI maps the former
-to exit code 2 and the latter to exit code 3.  The JSON readers at the end
-turn a value of the wrong JSON type into a precondition failure.
+to exit code 2 and the latter to exit code 3.  Every budget is charged
+through ``charge``, and its error names the counter that tripped, its value
+and its cap; README's table of caps lists each counter once.  The JSON
+readers at the end turn a value of the wrong JSON type into a precondition
+failure.
 """
 
 
@@ -17,7 +20,13 @@ class PreconditionError(RadixTileError):
 
 
 class BudgetError(RadixTileError):
-    """A configurable resource cap was hit before the answer was certain."""
+    """A resource cap was hit before the answer was certain: counter reached value, past cap."""
+
+    def __init__(self, counter: str, value: int, cap: int):
+        from .linalg import frac_str  # at call time, so errors imports nothing; a ball count can have 6,000 digits
+
+        self.counter, self.value, self.cap = counter, value, cap
+        super().__init__(f"{counter}: {frac_str(value)} exceeds the cap of {frac_str(cap)}")
 
 
 class UsageError(Exception):
@@ -98,6 +107,12 @@ class DepthTooLarge(BudgetError):
 
 class RasterTooLarge(BudgetError):
     pass
+
+
+def charge(kind: type[BudgetError], counter: str, value: int, cap: int) -> None:
+    """Raise kind when counter's value passes its cap: the one place a budget is compared."""
+    if value > cap:
+        raise kind(counter, value, cap)
 
 
 def json_int(x) -> int:

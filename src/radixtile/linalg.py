@@ -30,13 +30,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 
-from .errors import (
-    CandidateBallTooLarge,
-    NotExpanding,
-    SearchBudgetExceeded,
-    SimilarityUnavailable,
-    SingularMatrix,
-)
+from .errors import CandidateBallTooLarge, NotExpanding, SearchBudgetExceeded, SimilarityUnavailable, SingularMatrix
+from .errors import charge
 
 np = sys.modules.get("numpy")
 if np is None:
@@ -388,10 +383,7 @@ def inverse_power_norms(a: IntMatrix) -> tuple[Fraction, ...]:
     n, adj, d = len(a), adjugate(a), abs(det(a))
     power, scale, norms = identity(n), 1, []
     while not norms or norms[-1] >= Fraction(1, 2):
-        if len(norms) == _POWER_BUDGET:
-            raise SearchBudgetExceeded(
-                f"||A^-j|| does not fall below 1/2 within {_POWER_BUDGET} powers of {a}"
-            )
+        charge(SearchBudgetExceeded, "inverse powers", len(norms) + 1, _POWER_BUDGET)
         power, scale = mat_mul(power, adj), scale * d
         gram = mat_mul(mat_transpose(power), power)
         s = float(np.linalg.norm([[x / scale for x in row] for row in power], 2)) * (1 + 2**-40)
@@ -486,10 +478,7 @@ def lattice_ball(n: int, radius_sq, cap: int = 10**7) -> np.ndarray:
     """Integer points p with ||p||^2 <= radius_sq (exact), as array rows in lexicographic order."""
     limit = math.floor(radius_sq)
     r = math.isqrt(limit)
-    if (2 * r + 1) ** n > cap:
-        raise CandidateBallTooLarge(
-            f"candidate ball holds about {frac_str((2 * r + 1) ** n)} lattice points (cap {cap})"
-        )
+    charge(CandidateBallTooLarge, "ball points", (2 * r + 1) ** n, cap)  # the points of the ball's cube
     squares = np.arange(-r, r + 1, dtype=dtype_for(n * r * r)) ** 2
     # nonzero lists the grid indices in C order, which is lexicographic
     return np.stack(np.nonzero(reduce(np.add.outer, [squares] * n) <= limit), axis=-1) - r
@@ -628,8 +617,7 @@ def differences(n: int, vectors: tuple[IntVec, ...]) -> tuple[tuple[IntVec, ...]
     The index is a |V| x |V| int32 array, read at [x, y].  All |V|^2 differences are one array grouped by lex_groups;
     only the distinct ones become tuples.  Past 2^24 entries (|V|^2 n) the arrays would not fit in 1 GiB.
     """
-    if len(vectors) ** 2 * n > 2**24:
-        raise CandidateBallTooLarge(f"{len(vectors)}^2 differences x {n} coordinates exceed the cap of 2^24 entries")
+    charge(CandidateBallTooLarge, "difference entries", len(vectors) ** 2 * n, 2**24)
     v = int_array(vectors, n)
     shift = (v - v[:, None]).reshape(-1, n)  # y - x in row x |V| + y
     order, fresh = lex_groups(shift)

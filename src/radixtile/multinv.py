@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg, render
-from .errors import CloudTooLarge, DepthTooLarge, EmptySet, NotACrs, SingularMatrix, ZeroNotInDigits
+from .errors import CloudTooLarge, DepthTooLarge, EmptySet, NotACrs, SingularMatrix, ZeroNotInDigits, charge
 from .errors import json_int, json_ints, json_list
 from .linalg import IntVec, np
 from .numsys import RadixSystem, discrete_expansion, evaluate_expansion
@@ -312,40 +312,27 @@ def xk_cloud(sys: RadixSystem, auto: DigitAutomaton, k: int, cap: int = 200_000)
 DEPTH_CAP = 28  # log2 of the bits of scaled coordinates one walk may charge
 
 
-def _require_depth(sys: RadixSystem, kmax: int, rows: int) -> None:
-    """The depth budget: kmax + 1 levels x rows per level x the bits of a scaled coordinate at kmax.
-
-    A coordinate at depth k has about k log2(row sum of A) bits past the digits' own, and every level
-    adds to them, so a deep walk costs about the square of its depth in bit operations.
-    """
-    digit_bits = max(abs(x) for d in sys.digits for x in d).bit_length()
-    bits = kmax * linalg.inf_norm(sys.matrix).bit_length() + digit_bits
-    if (kmax + 1) * rows * bits > 2**DEPTH_CAP:
-        raise DepthTooLarge(
-            f"{kmax + 1} levels x {rows} rows per level x {bits} coordinate bits"
-            f" exceed the depth cap of 2^{DEPTH_CAP} bits"
-        )
-
-
 def _accepted_rows(sys: RadixSystem, padded: DigitAutomaton, kmax: int, cap: int = 200_000):
     """The rows of xk_cloud at depths 0, ..., kmax, as walked, from one walk of the padded automaton.
 
     A padded-accepted string stays accepted when a 0 is appended, so one cap check and one pruning at kmax
     serve every level, and the rows at any level are at most the accepted strings at kmax.  The rows come
-    unsorted; they are distinct whenever no two digits are congruent mod A.  The depth budget is charged
-    before the counts and bounds below, whose integers grow with the depth: once with one row per level,
-    then with the accepted strings at kmax.
+    unsorted; they are distinct whenever no two digits are congruent mod A.  The depth budget is kmax + 1
+    levels x rows per level x the bits of a scaled coordinate at kmax: a coordinate at depth k has about
+    k log2(row sum of A) bits past the digits' own, and every level adds to them, so a deep walk costs about
+    the square of its depth in bit operations.  It is charged before the counts and bounds below, whose
+    integers grow with the depth: once with one row per level, then with the accepted strings at kmax.
     """
     if kmax < 0:
         raise ValueError(f"depth must be >= 0, got {kmax}")
-    _require_depth(sys, kmax, 1)
+    bits = kmax * linalg.inf_norm(sys.matrix).bit_length() + max(abs(x) for d in sys.digits for x in d).bit_length()
+    charge(DepthTooLarge, "depth bits", (kmax + 1) * bits, 2**DEPTH_CAP)
     # ways[t][s]: accepted strings of length t read from state s
     ways = [[int(s in padded.accepting) for s in range(padded.n_states)]]
     for _ in range(kmax):
         ways.append([sum(ways[-1][t] for t in row) for row in padded.transitions])
-    if ways[kmax][padded.initial] > cap:
-        raise CloudTooLarge(f"cloud exceeds cap {cap}")
-    _require_depth(sys, kmax, ways[kmax][padded.initial])
+    charge(CloudTooLarge, "cloud strings", ways[kmax][padded.initial], cap)
+    charge(DepthTooLarge, "depth bits", (kmax + 1) * ways[kmax][padded.initial] * bits, 2**DEPTH_CAP)
 
     # one array of partial sums per state; a state is kept at step j only
     # when it has an accepted completion of length kmax - j

@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 
 from . import graph, linalg
-from .errors import CandidateBallTooLarge, PreconditionViolated
+from .errors import CandidateBallTooLarge, PreconditionViolated, charge
 from .linalg import IntMatrix, IntVec, np
 from .numsys import RadixSystem
 from .radix import LabelledGraph, PairAutomaton, _vec_label, pair_automaton
@@ -68,8 +68,7 @@ def _tile_moves(matrix: IntMatrix, shifts: tuple[IntVec, ...]) -> tuple[np.ndarr
     shifts = linalg.int_array(shifts, n)
     radius_sq = linalg.max_norm_sq(shifts) * linalg.tail_bound(matrix, 0) ** 2
     ball = linalg.lattice_ball(n, radius_sq)
-    if len(ball) * len(shifts) > 2**24:  # the arrays below for a job at the cap fit in 1 GB
-        raise CandidateBallTooLarge(f"{len(ball)} ball points x {len(shifts)} shifts exceed the cap of 2^24 moves")
+    charge(CandidateBallTooLarge, "tile moves", len(ball) * len(shifts), 2**24)  # the arrays below fit in 1 GB
     ball = ball[linalg.within(ball, *linalg.tile_box(matrix, shifts, math.isqrt(math.floor(radius_sq))))]
     image = linalg.mat_rows(matrix, ball, int(np.abs(shifts).max()))
     image = image[:, None, :] - shifts.astype(image.dtype)
@@ -209,13 +208,6 @@ def _neighbour_steps(matrix: IntMatrix, digits: tuple[IntVec, ...]) -> tuple[np.
     return vecs, moves, column, len(vecs) // 2  # the rows are closed under negation, so 0 is the middle one
 
 
-def _require_labels(rows: int, what: str, per_row: int, unit: str, cap: int = 25) -> None:
-    # a search holds about 5 bytes per gathered label and 21 per (live label, digit).  A kept edge holds at most about
-    # 205 bytes at a job's peak, DOT text included; charging 320 against 2^30 also covers the 165 MB held before it
-    if rows * per_row > 2**cap:
-        raise CandidateBallTooLarge(f"{rows} {what} x {per_row} {unit} exceed the cap of 2^{cap}")
-
-
 def _equivalents_graph(matrix: IntMatrix, digits: tuple[IntVec, ...], m: int) -> tuple:
     """The graph of m equivalent representations of one value, searched frontier by frontier from the zero state.
 
@@ -224,25 +216,28 @@ def _equivalents_graph(matrix: IntMatrix, digits: tuple[IntVec, ...], m: int) ->
     every read is a row.  Of the reached states graph.live_mask keeps those on infinite paths: a state on a path
     from zero to a live state is itself live.  Three running totals are charged across frontiers: reached states
     x |D|^2 before a frontier is gathered, live labels x |D| before each gains a further digit, and kept edges
-    before a frontier's arrays are kept.  Returns a LabelledGraph's fields: the states (their first m - 1 row vectors,
-    one row standing alone) in code order, the digits, and the edges' arrays in (src, label) order.
+    x 320 bytes before a frontier's arrays are kept.  A search holds about 5 bytes per gathered label and 21 per
+    (live label, digit); a kept edge holds at most about 205 bytes at a job's peak, DOT text included, and the
+    320 also covers the 165 MB held before the first edge.  Returns a LabelledGraph's fields: the states (their
+    first m - 1 row vectors, one row standing alone) in code order, the digits, and the edges' arrays in (src,
+    label) order.
     """
     vecs, moves, column, zero = _neighbour_steps(matrix, digits)
-    k, d, what = np.int64(len(vecs)), len(digits), f"reached {('pair', 'triple')[m - 2]} states"
+    k, d = np.int64(len(vecs)), len(digits)
     code = lambda rows: reduce(lambda c, row: c * k + row, rows[: m - 1])  # int64 codes sort as states
     front = [np.array([zero])] * m  # the frontier's m rows
     reached, labels, kept, batches = code(front), 0, 0, []  # reached: the sorted codes of the states reached
     while len(front[0]):
-        _require_labels(len(reached), what, d * d, "digit pairs")
+        charge(CandidateBallTooLarge, "reached labels", len(reached) * d * d, 2**25)
         src, p = np.divmod(np.arange(len(front[0]) * d), d)  # each (state, p_0)
         label, rows = [p], []
         for i in range(m - 1):  # each label gains p_{i+1}: row i reads (p_i, p_{i+1}), the last row (p_{m-1}, p_0)
             if i:
-                _require_labels(labels := labels + len(src), "live labels", d, "digits")
+                charge(CandidateBallTooLarge, "live label digits", (labels := labels + len(src)) * d, 2**25)
             live = (step := moves[front[i][src][:, None], column[label[-1]]]) >= 0
             if i == m - 2:
                 live &= (close := moves[front[-1][src][:, None], column.T[label[0]]]) >= 0
-                _require_labels(kept := kept + int(live.sum()), "kept edges", 320, "bytes", 30)
+                charge(CandidateBallTooLarge, "kept edge bytes", (kept := kept + int(live.sum())) * 320, 2**30)
             at, p = np.nonzero(live)
             src, label, rows = src[at], [q[at] for q in label] + [p], [row[at] for row in rows] + [step[at, p]]
         rows.append(close[at, p])

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .errors import DepthTooLarge, EmptyCloud, PreconditionViolated, RasterTooLarge, SingularMatrix
+from .errors import DepthTooLarge, EmptyCloud, PreconditionViolated, RasterTooLarge, SingularMatrix, charge
 from .linalg import IntVec, RatVec, np
 from .numsys import RadixSystem
 from .radix import EpSeq
@@ -86,8 +86,8 @@ def ktile_points(
         total *= len(sys.digits if digit_filter is None else digit_filter.entry(j))
         if total > cap:
             break
-    if total > cap and sample_seed is None:
-        raise DepthTooLarge(f"cloud of {total} points exceeds cap {cap}")
+    if sample_seed is None:
+        charge(DepthTooLarge, "cloud points", total, cap)
 
     # positions enter most significant first, matching sum A^{k-j} d_j
     choices = [
@@ -184,8 +184,7 @@ def rasterize(
         raise ValueError("rasterization covers 1-d and 2-d systems")
     channels = 1 if len(clouds) == 1 else 3
     size = width * height * channels
-    if size > RASTER_CAP:
-        raise RasterTooLarge(f"raster of {width}x{height}x{channels} = {size} bytes exceeds cap {RASTER_CAP}")
+    charge(RasterTooLarge, "raster bytes", size, RASTER_CAP)
 
     # one-dimensional systems render along the x axis
     scaled = [_scaled_coords(c, c.rows) for c in clouds]

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .errors import SearchBudgetExceeded
+from .errors import SearchBudgetExceeded, charge
 from .linalg import IntVec
 from .radix import EpSeq
 
@@ -158,10 +158,8 @@ def is_sep_sets_translated(
                 raise ValueError("sequence entries must be nonempty digit subsets")
 
     block = _first_block(seq)
-    if max_block is not None and block > max_block:
-        raise SearchBudgetExceeded(
-            f"block search capped at {max_block}, first aligned block is {block}"
-        )
+    if max_block is not None:
+        charge(SearchBudgetExceeded, "block length", block, max_block)
     beta = digits[0]
     base = tuple(translate(seq.entry(l), linalg.vec_neg(beta)) for l in range(block))
     incs = []

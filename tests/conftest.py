@@ -1,7 +1,9 @@
 """Shared systems used across the test modules."""
 
 import contextlib
+import functools
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -41,6 +43,9 @@ def run_cli_process(argv, limit=None) -> subprocess.CompletedProcess:
 @contextlib.contextmanager
 def int_max_str_digits(limit: int):
     """Python's int-to-str digit limit (sys.set_int_max_str_digits) set to limit inside the block; 0 lifts it."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # this Python converts integers of any length
+        yield
+        return
     saved = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(limit)
     try:
@@ -53,6 +58,22 @@ def parse_exact(text: str):
     """The sympy expression of an exact text such as (3/2)*log(a)/log(b), read with the digit limit lifted."""
     with int_max_str_digits(0):
         return sympy.parse_expr(text)
+
+
+def charged(error, counter: str, cap: int) -> int:
+    """The value of a tripped budget, once checked to be counter's and past cap.
+
+    error is a BudgetError, or the CLI's JSON error object of one, whose message is where a process reports the three.
+    """
+    if isinstance(error, dict):
+        match = re.fullmatch(r"(.+): (\d+) exceeds the cap of (\d+)", error["message"])
+        assert match, error
+        with int_max_str_digits(0):
+            fields = match[1], int(match[2]), int(match[3])
+    else:
+        fields = error.counter, error.value, error.cap
+    assert fields[0] == counter and fields[2] == cap and fields[1] > cap, fields
+    return fields[1]
 
 
 def address_space(gib: int):
@@ -189,13 +210,13 @@ def ref_dot(name: str, states, edges, state_label, edge_label) -> str:
 
 def ref_pair_dot(states, edges) -> str:
     vec = lambda v: ",".join(map(str, v))
-    return ref_dot("pair_automaton", states, edges, vec, lambda xy: "/".join(map(vec, xy)))
+    return ref_dot("pair_automaton", states, edges, vec, functools.cache(lambda xy: "/".join(map(vec, xy))))
 
 
 def ref_triple_dot(states, edges) -> str:
     vec = lambda v: f"({','.join(map(str, v))})"
     state_label = lambda s: f"{vec(s[0])}|{vec(s[1])}|{vec(tuple(-a - b for a, b in zip(*s)))}"
-    return ref_dot("triple_state", states, edges, state_label, lambda label: ",".join(map(vec, label)))
+    return ref_dot("triple_state", states, edges, state_label, functools.cache(lambda label: ",".join(map(vec, label))))
 
 
 @pytest.fixture

@@ -6,9 +6,10 @@ import pytest
 import sympy
 
 from radixtile import cli, linalg
+from radixtile.errors import DepthTooLarge, charge
 from radixtile.radix import Representation, eval_exact, vector_seq
 
-from conftest import parse_exact, run_cli_process
+from conftest import charged, parse_exact, run_cli_process
 
 
 @pytest.fixture
@@ -279,6 +280,14 @@ class TestFormatsAndCodes:
         code, data = run_json(capsys, ["sep", base10_file, "-p", payload])
         assert code == 3
         assert data["error"]["type"] == "SearchBudgetExceeded"
+        assert charged(data["error"], "block length", 2) == 6
+
+    def test_a_budget_trips_only_past_its_cap(self):
+        charge(DepthTooLarge, "cloud points", 2**22, 2**22)
+        with pytest.raises(DepthTooLarge) as info:
+            charge(DepthTooLarge, "cloud points", 2**22 + 1, 2**22)
+        assert (info.value.counter, info.value.value, info.value.cap) == ("cloud points", 2**22 + 1, 2**22)
+        assert str(info.value) == "cloud points: 4194305 exceeds the cap of 4194304"
 
     @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="this Python prints integers of any length")
     def test_a_dimension_past_the_digit_limit_prints_within_seconds(self, monkeypatch, tmp_path, base10_file):

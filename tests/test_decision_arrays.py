@@ -53,30 +53,41 @@ def ref_tile_points(matrix, digits):
     return frozenset(live(succ))
 
 
-def ref_remainder_walk(sys, v):
-    """The states of the remainder walk from v, as (transient, cycle), in Python ints.
+def ref_step(sys, adj, det, v):
+    """The remainder walk's next state A^-1 (v - d), in Python ints.
 
-    Each digit d is found by search: the one digit with adj(A) (v - d) divisible
+    The digit d is found by search: the one digit with adj(A) (v - d) divisible
     by det A, so that A^-1 (v - d) = adj(A) (v - d) / det A is exact.
     """
+    images = (linalg.mat_vec(adj, linalg.vec_sub(v, d)) for d in sys.digits)
+    return tuple(x // det for x in next(w for w in images if all(x % det == 0 for x in w)))
+
+
+def ref_remainder_walk(sys, v):
+    """The states of the remainder walk from v, as (transient, cycle)."""
     adj, det = linalg.adjugate(sys.matrix), linalg.det(sys.matrix)
     seen, v = {}, tuple(v)
     while v not in seen:
         seen[v] = len(seen)
-        images = (linalg.mat_vec(adj, linalg.vec_sub(v, d)) for d in sys.digits)
-        w = next(w for w in images if all(x % det == 0 for x in w))
-        v = tuple(x // det for x in w)
+        v = ref_step(sys, adj, det, v)
     states = tuple(seen)
     return states[: seen[v]], states[seen[v] :]
 
 
 def ref_is_number_system(sys):
-    zero = linalg.zero_vec(sys.n)
-    cycles = set()
-    for point in ref_ball(sys.n, ref_radius_sq(sys.matrix, sys.digits)):
-        _, cycle = ref_remainder_walk(sys, point)
-        if cycle != (zero,):
-            cycles.add(min(cycle[i:] + cycle[:i] for i in range(len(cycle))))
+    """The nonzero cycles the walks from the ball points end in, each walk stepped until it meets a state seen before."""
+    adj, det = linalg.adjugate(sys.matrix), linalg.det(sys.matrix)
+    cycle_of = {}  # each state walked so far -> the cycle its walk ends in, rotated to its least state
+    for v in ref_ball(sys.n, ref_radius_sq(sys.matrix, sys.digits)):
+        path = {}
+        while v not in cycle_of and v not in path:
+            path[v] = len(path)
+            v = ref_step(sys, adj, det, v)
+        if v in path:  # a cycle no earlier walk met
+            cycle = tuple(path)[path[v] :]
+            cycle_of[v] = min(cycle[i:] + cycle[:i] for i in range(len(cycle)))
+        cycle_of.update(dict.fromkeys(path, cycle_of[v]))
+    cycles = set(cycle_of.values()) - {(linalg.zero_vec(sys.n),)}
     return (not cycles, tuple(sorted(cycles)))
 
 
@@ -298,9 +309,9 @@ def test_the_triple_search_reaches_only_states_of_three_rows(sys):
                 seen.add(dst)
                 stack.append(dst)
     charged = []
-    with mock.patch.object(neighbours, "_require_labels", lambda rows, what, *rest: charged.append((what, rows))):
+    with mock.patch.object(neighbours, "charge", lambda kind, counter, value, cap: charged.append((counter, value))):
         rt.triple_state_graph(sys.matrix, sys.digits)
-    assert max(rows for what, rows in charged if what == "reached triple states") == len(seen)
+    assert max(value for counter, value in charged if counter == "reached labels") == len(seen) * len(digits) ** 2
 
 
 def test_each_state_is_stepped_once(monkeypatch):
@@ -364,13 +375,15 @@ class TestAcrossTheInt64Bound:
         starts = data.draw(st.lists(st.tuples(*[entry] * n), min_size=1, max_size=4))
         states, succ = numsys._remainder_graph(sys, linalg.int_array(starts, n))
         rows = list(map(tuple, states.tolist()))
+        row_of = {row: i for i, row in enumerate(rows)}
+        assert len(row_of) == len(rows)
         expected = set()
         for v in starts:
             transient, cycle = ref_remainder_walk(sys, v)
             walk = transient + cycle
             expected |= set(walk)
             for a, b in zip(walk, walk[1:] + cycle[:1]):
-                assert rows[succ[rows.index(a)]] == b
+                assert rows[succ[row_of[a]]] == b
         assert set(rows) == expected and rows == sorted(rows)
 
     @settings(max_examples=30, deadline=None)

@@ -1,6 +1,7 @@
 """Inputs that violate a precondition end in exit 2, never a hang or traceback."""
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ import radixtile as rt
 from radixtile import cli, linalg
 from radixtile.errors import PreconditionError
 
-from conftest import address_space, gauss_system, run_cli_process
+from conftest import address_space, charged, gauss_system, run_cli_process
 
 
 def test_mat_pow_rejects_negative_exponent():
@@ -248,3 +249,29 @@ def test_float_overflow_ends_in_one_error_object(tmp_path, argv, digits, payload
     assert done.returncode == code, done.stderr
     [line] = done.stdout.splitlines()
     assert set(json.loads(line)["error"]) == {"type", "message"}
+    if code == 3:
+        charged(json.loads(line)["error"], "ball points", 10**7)
+
+
+BIG = "1" + "0" * 5000  # a JSON integer of 5,001 digits, written as text: json.dumps stops at the digit limit too
+BASE10 = '{"matrix": [10], "digits": [0, 1, 2, 3, 4, 5, 6, 7, 8, %s]}'
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="this Python reads integers of any length")
+@pytest.mark.parametrize(
+    "descriptor, argv, what",
+    [
+        (BASE10 % BIG, ["residues"], "descriptor"),
+        (BASE10 % 9, ["eval", "-p", '{"pre": [[%s]], "cycle": [[0]]}' % BIG], "payload"),
+    ],
+)
+def test_an_integer_past_the_digit_limit_is_a_precondition(monkeypatch, tmp_path, descriptor, argv, what):
+    path = tmp_path / "base10.json"
+    path.write_text(descriptor)
+    monkeypatch.setenv("PYTHONINTMAXSTRDIGITS", "4300")
+    done = run_cli_process([argv[0], str(path), *argv[1:]], address_space(1))
+    assert done.returncode == 2, done.stderr
+    [line] = done.stdout.splitlines()
+    assert json.loads(line)["error"] == {
+        "type": "PreconditionViolated", "message": f"the {what} holds an integer past Python's limit of 4300 digits"
+    }

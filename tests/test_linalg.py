@@ -14,6 +14,8 @@ import radixtile as rt
 from radixtile import linalg
 from radixtile.errors import CandidateBallTooLarge, SingularMatrix
 
+from conftest import charged
+
 
 def mat_eq(a, b):
     return tuple(map(tuple, a)) == tuple(map(tuple, b))
@@ -190,8 +192,9 @@ class TestResidueSystems:
     def test_ball_over_cap_raises(self):
         # det 10^8: a ball that meets every class holds about 10^8 points,
         # over the ball cap
-        with pytest.raises(CandidateBallTooLarge):
+        with pytest.raises(CandidateBallTooLarge) as info:
             rt.residue_system(((0, -(10**8)), (1, -1)))
+        charged(info.value, "ball points", 10**7)
 
 
 def minimal_representatives_by_brute_force(a, candidates):

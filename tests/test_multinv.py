@@ -21,7 +21,7 @@ from radixtile.multinv import (
     zero_only_automaton,
 )
 
-from conftest import address_space, gauss_system, reach, run_cli_process
+from conftest import address_space, charged, gauss_system, reach, run_cli_process
 
 
 class TestDigitDropMaps:
@@ -103,15 +103,17 @@ class TestClouds:
         assert rt.xk_cloud(base3_full, zero_only_automaton(base3_full), 4).points == ((Fraction(0),),)
 
     def test_cap(self, base3_full):
-        with pytest.raises(CloudTooLarge):
+        with pytest.raises(CloudTooLarge) as info:
             rt.xk_cloud(base3_full, all_strings_automaton(base3_full), 9, cap=100)
+        assert charged(info.value, "cloud strings", 100) == 3**9
 
     def test_cap_is_checked_before_any_point_is_built(self, base3_full):
         # 3^30 accepted strings: the count is over the cap before any point is built
         start = time.perf_counter()
-        with pytest.raises(CloudTooLarge):
+        with pytest.raises(CloudTooLarge) as info:
             rt.xk_cloud(base3_full, all_strings_automaton(base3_full), 30)
         assert time.perf_counter() - start < 1.0
+        assert charged(info.value, "cloud strings", 200_000) == 3**30
 
 
 class TestDistances:
@@ -359,8 +361,9 @@ class TestAgainstReferences:
         assert len(cloud) == len(expected)
         assert cloud.float_points().tolist() == [[float(x) for x in p] for p in cloud.points]
         if expected:
-            with pytest.raises(CloudTooLarge):
+            with pytest.raises(CloudTooLarge) as info:
                 rt.xk_cloud(sys, auto, k, cap=len(expected) - 1)
+            assert charged(info.value, "cloud strings", len(expected) - 1) == len(expected)
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
@@ -547,23 +550,27 @@ class TestDepthBudget:
         assert len(rt.xk_cloud(base3_full, auto, 100)) == 201
         # 1,001 levels x 1 row pass the first charge; 2,001 rows per level do not
         start = time.perf_counter()
-        with pytest.raises(DepthTooLarge, match="1001 levels x 2001 rows per level"):
+        with pytest.raises(DepthTooLarge) as info:
             rt.xk_cloud(base3_full, auto, 1000)
         assert time.perf_counter() - start < 2.0
+        # 2,002 bits per coordinate: 1,000 levels x the 2 bits of 3, plus the 2 bits of the digit 2
+        assert charged(info.value, "depth bits", 2**28) == 1001 * 2001 * 2002
 
     def test_charged_before_the_counts(self, base3_full):
         # the first charge needs no count of accepted strings: the 10^6-level ways table alone takes seconds
         auto = rt.digit_restriction_automaton(base3_full, [(0,)])
         start = time.perf_counter()
-        with pytest.raises(DepthTooLarge, match="1000001 levels x 1 rows per level"):
+        with pytest.raises(DepthTooLarge) as info:
             rt.xk_cloud(base3_full, auto, 10**6)
         assert time.perf_counter() - start < 0.2
+        assert charged(info.value, "depth bits", 2**28) == 1_000_001 * 1 * 2_000_002
 
     def test_one_point_per_level_within_the_cap(self, base3_full):
         auto = rt.digit_restriction_automaton(base3_full, [(0,)])
         assert len(rt.xk_cloud(base3_full, auto, 11_000)) == 1
-        with pytest.raises(DepthTooLarge, match=r"12001 levels x 1 rows per level x 24002 coordinate bits .* 2\^28"):
+        with pytest.raises(DepthTooLarge) as info:
             rt.xk_cloud(base3_full, auto, 12_000)
+        assert charged(info.value, "depth bits", 2**28) == 12_001 * 1 * 24_002
 
     @pytest.mark.parametrize(
         "argv, payload",
@@ -584,4 +591,4 @@ class TestDepthBudget:
         [line] = done.stdout.splitlines()
         error = json.loads(line)["error"]
         assert error["type"] == "DepthTooLarge"
-        assert "levels" in error["message"] and "cap of 2^28 bits" in error["message"]
+        charged(error, "depth bits", 2**28)

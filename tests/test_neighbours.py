@@ -1,6 +1,7 @@
 import argparse
 import itertools
 import json
+import sys
 import time
 
 import pytest
@@ -9,9 +10,9 @@ from hypothesis import strategies as st
 
 import radixtile as rt
 from radixtile import cli, linalg, neighbours
-from radixtile.errors import PreconditionViolated
+from radixtile.errors import CandidateBallTooLarge, PreconditionViolated
 
-from conftest import address_space, gauss_matrix, gauss_system, run_cli_process
+from conftest import address_space, charged, gauss_matrix, gauss_system, run_cli_process
 
 
 class TestIntegerNeighbours:
@@ -226,6 +227,11 @@ def line(count: int):
     return [[2]], [[d] for d in range(count)]
 
 
+# the caps of the neighbour layer, as (counter, cap)
+BALL, MOVES, LABELS = ("ball points", 10**7), ("tile moves", 2**24), ("reached labels", 2**25)
+LABEL_DIGITS, EDGE_BYTES = ("live label digits", 2**25), ("kept edge bytes", 2**30)
+
+
 @pytest.mark.parametrize(
     "argv, system, payload",
     [
@@ -240,6 +246,8 @@ def line(count: int):
         (["neighbours", "--dot"], line(150), None),  # 3,363,750 kept edges of the pair automaton
         # the cap's message counts about 8 * 10^4500 ball points, past Python's 4,300-digit int-to-str limit
         (["neighbours"], ([[2, 0, 0], [0, 2, 0], [0, 0, 2]], [[0, 0, 0], [10**1500, 0, 0]]), None),
+        # the perfbench job twin_bigdigit: (2 * 2001 + 1)^2 points in the cube of the candidate ball
+        (["neighbours"], ([[2, 0], [0, 2]], [[0, 0], [2001, 0], [0, 1], [1, 1]]), None),
     ],
 )
 def test_neighbour_budgets_under_an_address_space_limit(tmp_path, argv, system, payload):
@@ -252,7 +260,17 @@ def test_neighbour_budgets_under_an_address_space_limit(tmp_path, argv, system, 
     assert time.perf_counter() - start < 10
     [line] = done.stdout.splitlines()
     error = json.loads(line)["error"]
-    assert error["type"] == "CandidateBallTooLarge" and "cap" in error["message"]
+    assert error["type"] == "CandidateBallTooLarge"
+    charged(error, *NEIGHBOUR_TRIPS[" ".join(argv), len(system[1])])
+
+
+# the cap each job above trips, by its command line and its number of digits
+NEIGHBOUR_TRIPS = {
+    ("neighbours", 6): MOVES, ("unique", 6): MOVES, ("intersect", 6): MOVES,
+    ("triple-graph", 100): LABELS, ("triple-graph", 40): LABEL_DIGITS, ("triple-graph", 200): EDGE_BYTES,
+    ("triple-graph", 22): EDGE_BYTES, ("triple-graph", 28): EDGE_BYTES, ("neighbours --dot", 150): EDGE_BYTES,
+    ("neighbours", 2): BALL, ("neighbours", 4): BALL,
+}
 
 
 @pytest.mark.parametrize(
@@ -351,14 +369,24 @@ def test_many_digit_move_tables_under_an_address_space_limit(tmp_path, count, ar
     extra = [] if payload is None else ["-p", json.dumps(payload)]
     start = time.perf_counter()
     done = run_cli_process([*argv, str(path), *extra], address_space(1))
-    assert done.returncode in (0, 3), done.stderr
+    budget = MANY_DIGIT_TRIPS.get((count, " ".join(argv)))
+    assert done.returncode == (0 if budget is None else 3), done.stderr
     assert time.perf_counter() - start < 10
-    if done.returncode == 3:
-        [error] = done.stdout.splitlines()
-        assert json.loads(error)["error"]["type"] == "CandidateBallTooLarge"
-        assert count < 5000 or "differences" in json.loads(error)["error"]["message"]
+    if budget is not None:
+        [text] = done.stdout.splitlines()
+        error = json.loads(text)["error"]
+        assert error["type"] == "CandidateBallTooLarge"
+        charged(error, *budget)
     if (count, argv) == (300, ["unique"]):
         assert json.loads(done.stdout) == {"unique": False}
+
+
+# the jobs above that exit 3, by their number of digits and command line, and the cap each trips; the others answer
+DIFFERENCES = ("difference entries", 2**24)
+MANY_DIGIT_TRIPS = {
+    (400, "neighbours --dot"): LABELS, (400, "triple-graph"): LABEL_DIGITS, (300, "neighbours --dot"): LABELS,
+    (5000, "neighbours"): DIFFERENCES, (5000, "unique"): DIFFERENCES,
+}
 
 
 @given(
@@ -402,3 +430,21 @@ def test_huge_digits_under_an_address_space_limit(tmp_path, argv, code, expected
     assert time.perf_counter() - start < 10
     assert done.returncode == code, done.stderr
     assert json.loads(done.stdout) == expected
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="this Python prints integers of any length")
+@pytest.mark.parametrize("argv", [["neighbours"], ["unique"], ["triple-graph"]])
+def test_a_ball_count_past_the_digit_limit_prints_in_full(monkeypatch, tmp_path, argv):
+    # A = 2I with the digit (10^3000, 0): the candidate ball's cube holds about 10^6000 points
+    matrix, digits = ((2, 0), (0, 2)), ((0, 0), (10**3000, 0), (0, 1), (1, 1))
+    with pytest.raises(CandidateBallTooLarge) as info:
+        rt.integer_neighbours(matrix, digits)
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps({"matrix": matrix, "digits": digits}))
+    monkeypatch.setenv("PYTHONINTMAXSTRDIGITS", "4300")
+    done = run_cli_process([*argv, str(path)], address_space(1))
+    assert done.returncode == 3, done.stderr
+    [line] = done.stdout.splitlines()
+    error = json.loads(line)["error"]
+    assert error["type"] == "CandidateBallTooLarge"
+    assert charged(error, *BALL) == info.value.value > 10**6000

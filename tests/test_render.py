@@ -10,7 +10,7 @@ from radixtile.errors import DepthTooLarge, EmptyCloud, RasterTooLarge
 from radixtile.render import RASTER_CAP
 from radixtile.radix import vector_seq
 
-from conftest import address_space, gauss_matrix, gauss_system, run_cli_process
+from conftest import address_space, charged, gauss_matrix, gauss_system, run_cli_process
 
 
 class TestKtilePoints:
@@ -39,12 +39,23 @@ class TestKtilePoints:
         assert len(cloud) == 2 * 1 * 3 * 1
 
     def test_cap_and_sampling(self, base10):
-        with pytest.raises(DepthTooLarge):
+        with pytest.raises(DepthTooLarge) as info:
             rt.ktile_points(base10, 5, cap=100)
+        assert charged(info.value, "cloud points", 100) == 1000  # counted up to the first position past the cap
         sampled = rt.ktile_points(base10, 5, cap=100, sample_seed=1)
         assert len(sampled) == 100
         again = rt.ktile_points(base10, 5, cap=100, sample_seed=1)
         assert sampled.int_points == again.int_points
+
+    def test_cli_cloud_past_the_cap(self, capsys, tmp_path):
+        # -3+i with the digits 0..9 at depth 8: 10^8 points, counted to 10^7 at depth 7, past the cap of 2^22
+        path = tmp_path / "m3i.json"
+        path.write_text(json.dumps({"matrix": [[-3, -1], [1, -3]], "digits": [[d, 0] for d in range(10)]}))
+        assert cli.main(["render", str(path), "-p", '{"k": 8}', "--out", str(tmp_path / "out.pgm")]) == 3
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["type"] == "DepthTooLarge"
+        assert charged(error, "cloud points", 2**22) == 10**7
+        assert not (tmp_path / "out.pgm").exists()
 
 
 class TestRasterize:
@@ -149,14 +160,17 @@ class TestRasterCap:
     def test_library(self):
         cloud = rt.ktile_points(KNUTH, 3)
         side = 3 * 10**9
-        with pytest.raises(RasterTooLarge, match=f"{side}x{side}x1 = {side * side} bytes exceeds cap {RASTER_CAP}"):
+        with pytest.raises(RasterTooLarge) as info:
             rt.rasterize([cloud], side, side)
+        assert charged(info.value, "raster bytes", RASTER_CAP) == side * side
         # one byte past the cap on one channel, and an overlay whose three channels pass it
         assert RASTER_CAP == 2**14 * 2**14
-        with pytest.raises(RasterTooLarge):
+        with pytest.raises(RasterTooLarge) as info:
             rt.rasterize([cloud], 2**14, 2**14 + 1)
-        with pytest.raises(RasterTooLarge, match="x3 = "):
+        assert charged(info.value, "raster bytes", RASTER_CAP) == RASTER_CAP + 2**14
+        with pytest.raises(RasterTooLarge) as info:
             rt.render_overlap(KNUTH, (1, 0), 3, 2**14, 2**13)
+        assert charged(info.value, "raster bytes", RASTER_CAP) == 3 * 2**27
 
     def test_cli_under_an_address_space_limit(self, tmp_path):
         # without the cap numpy asks for 9.31 GiB and the process dies in a traceback
@@ -168,5 +182,7 @@ class TestRasterCap:
         assert done.returncode == 3, done.stderr
         lines = done.stdout.splitlines()
         assert len(lines) == 1
-        assert json.loads(lines[0])["error"]["type"] == "RasterTooLarge"
+        error = json.loads(lines[0])["error"]
+        assert error["type"] == "RasterTooLarge"
+        assert charged(error, "raster bytes", RASTER_CAP) == 10**10
         assert not (tmp_path / "out.pgm").exists()

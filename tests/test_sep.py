@@ -11,6 +11,8 @@ from radixtile.radix import EpSeq
 from radixtile.linalg import vec_neg
 from radixtile.sep import cardinality_projection, sumset, translate
 
+from conftest import charged
+
 
 def fs(*scalars):
     return frozenset((int(x),) for x in scalars)
@@ -114,8 +116,10 @@ class TestSepSets:
     def test_budget_exceeded_reported(self):
         digits = [(d,) for d in range(9)]
         seq = EpSeq.make([fs(0)] * 6, [fs(0, 1)])
-        with pytest.raises(SearchBudgetExceeded):
+        with pytest.raises(SearchBudgetExceeded) as info:
             rt.is_sep_sets_translated(digits, seq, max_block=3)
+        assert charged(info.value, "block length", 3) == 6
+        assert rt.is_sep_sets_translated(digits, seq, max_block=6) is not None  # a block at the cap is searched
 
     def test_untranslated_variant(self):
         seq = EpSeq.make([fs(0, 4), fs(0)], [fs(0, 4, 8), fs(8)])

@@ -18,6 +18,8 @@ import radixtile as rt
 from radixtile import cli, linalg
 from radixtile.errors import NotExpanding, SearchBudgetExceeded
 
+from conftest import charged
+
 mpmath.mp.dps = 50
 
 
@@ -133,10 +135,12 @@ class TestSlowDecay:
 
     def test_library_raises_budget_error(self):
         assert linalg.is_expanding(self.matrix)
-        with pytest.raises(SearchBudgetExceeded):
+        with pytest.raises(SearchBudgetExceeded) as info:
             linalg.tail_bound(self.matrix, 0)
-        with pytest.raises(SearchBudgetExceeded):
+        assert charged(info.value, "inverse powers", 400) == 401
+        with pytest.raises(SearchBudgetExceeded) as info:
             rt.integer_neighbours(self.matrix, ((0, 0), (1, 0)))
+        assert charged(info.value, "inverse powers", 400) == 401
 
     def test_cli_exits_3(self, capsys, tmp_path):
         # numsys-check ends the same way, but first checks that its 10^6
@@ -147,6 +151,7 @@ class TestSlowDecay:
         data = json.loads(capsys.readouterr().out)
         assert code == 3
         assert data["error"]["type"] == "SearchBudgetExceeded"
+        assert charged(data["error"], "inverse powers", 400) == 401
 
 
 def _decide_systems():
