@@ -39,9 +39,9 @@ class _JsonObject(dict):
 
 def _read(path: str, what: str) -> str:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise PreconditionViolated(f"cannot read the {what} file: {exc}") from None
 
 
@@ -346,12 +346,11 @@ def cmd_multinv(args, sys, payload):
 
     auto = _automaton_from_payload(sys, payload)
     if args.action == "check":
-        padded = multinv.padded_automaton(sys, auto)
-        phi_ok, psi_ok = multinv.check_invariance(sys, auto, padded)
+        phi_ok, psi_ok = multinv.check_invariance(sys, auto)
         out = {"phi_closed": phi_ok, "psi_closed": psi_ok}
         k = _int_field(payload, "torus_k", 0)
         if k:
-            out["torus_invariance"] = multinv.torus_invariance_check(sys, auto, k, padded)
+            out["torus_invariance"] = multinv.torus_invariance_check(sys, auto, k)
         return out
     if args.action == "cloud":
         from . import render

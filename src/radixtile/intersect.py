@@ -475,15 +475,16 @@ def prefix_length_for_radius(sys: RadixSystem, epsilon: Fraction | float) -> int
     """Positions after which any tail change moves the value less than epsilon.
 
     The first m below 10,000 with ||dd|| * tail_bound(A, m) < epsilon, where
-    dd is the largest difference of digit differences, by one forward scan
-    over tail_bounds' unreduced pairs num / den.  For epsilon = p / q, step m
-    passes when dd^2 q^2 num^2 < p^2 den^2, compared exactly; a step whose
-    bit lengths already show the left side is not smaller builds no product.
+    dd is the largest difference of digit differences; D - D is symmetric, so
+    ||dd|| is twice the largest ||a|| over a in D - D.  m is found by one
+    forward scan over tail_bounds' unreduced pairs num / den.  For
+    epsilon = p / q, step m passes when dd^2 q^2 num^2 < p^2 den^2, compared
+    exactly; a step whose bit lengths already show the left side is not
+    smaller builds no product.
     """
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    diffs = sys.differences()
-    dd_sq = max(linalg.norm_sq(linalg.vec_sub(a, b)) for a in diffs for b in diffs)
+    dd_sq = 4 * max(map(linalg.norm_sq, sys.differences()))
     if dd_sq == 0:
         return 0
     eps = Fraction(epsilon)

@@ -474,11 +474,11 @@ def require_similarity(a: IntMatrix) -> None:
 # lattice enumeration
 
 
-def lattice_ball(n: int, radius_sq, cap: int = 10**7) -> np.ndarray:
+def lattice_ball(n: int, radius_sq) -> np.ndarray:
     """Integer points p with ||p||^2 <= radius_sq (exact), as array rows in lexicographic order."""
     limit = math.floor(radius_sq)
     r = math.isqrt(limit)
-    charge(CandidateBallTooLarge, "ball points", (2 * r + 1) ** n, cap)  # the points of the ball's cube
+    charge(CandidateBallTooLarge, "ball points", (2 * r + 1) ** n, 10**7)  # the points of the ball's cube
     squares = np.arange(-r, r + 1, dtype=dtype_for(n * r * r)) ** 2
     # nonzero lists the grid indices in C order, which is lexicographic
     return np.stack(np.nonzero(reduce(np.add.outer, [squares] * n) <= limit), axis=-1) - r
@@ -502,32 +502,26 @@ def _inverse_powers(a: IntMatrix, size: int) -> tuple[np.ndarray, tuple[int, ...
     return np.concatenate([stack, new]), norms, np.concatenate([scale, scale[1:] * scale[-1]])
 
 
-def tile_box(a: IntMatrix, vectors: np.ndarray, r: int) -> tuple[list[int], list[int]]:
-    """Integer bounds lo <= z <= hi, clipped to [-r, r], on each lattice point z of T = {sum_{j>=1} A^-j s_j}.
+def _tile_candidates(a: IntMatrix, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The candidate ball of T = {sum_{j>=1} A^-j s_j}, the s_j rows of vectors, and the mask of its rows in T's box.
 
-    The s_j are rows of vectors.  Coordinate i of T spans exactly sum_j [min_s (A^-j s)_i, max_s (A^-j s)_i].
-    The first J terms are integer numerators over |det a|^J, summed exactly; the rest, of norm at most
-    tail_bound(a, J) * max |s|, pads both ends.  J is the least count that brings the pad below 1/2, proposed
-    in floats: any J gives a valid box.
+    Every point of T has norm at most max |s| * tail_bound(a, 0), the ball's radius.  Coordinate i of T spans
+    exactly sum_j [min_s (A^-j s)_i, max_s (A^-j s)_i].  The first J terms are integer numerators over |det a|^J,
+    summed exactly; the rest, of norm at most tail_bound(a, J) * m with m > max |s|, pads both ends.  J is the least
+    count >= 1 that brings the pad below 1/2, by an exact scan of tail_bounds: any J gives a valid box.
     """
-    m = math.isqrt(max_norm_sq(vectors)) + 1  # > max |s|
-    b, factor = inverse_power_norms(a), _tail_factor(a)
-    # tail_bound(a, q k + i) = b_k^q b_i factor with b_0 = 1; for each i, the least q with b_k^q b_i factor m < 1/2
-    logs = [0.0, *(math.log(x.numerator) - math.log(x.denominator) for x in (*b, 2 * m * factor))]  # no float overflows
-    want = -logs.pop()
-    terms = max(1, min(i + len(b) * max(0, math.floor((want - logs[i]) / logs[-1]) + 1) for i in range(len(b))))
+    top = max_norm_sq(vectors)
+    ball = lattice_ball(len(a), top * tail_bound(a, 0) ** 2)
+    m = math.isqrt(top) + 1  # > max |s|
+    terms, (num, den) = next((j, pair) for j, pair in enumerate(tail_bounds(a, 1), 1) if 2 * m * pair[0] < pair[1])
     powers, norms, scale = _inverse_powers(a, 1 << (terms - 1).bit_length())
     powers, scale = powers[:terms], scale[terms::-1]  # |det a|^J, |det a|^(J - 1), ..., 1
     dtype = dtype_for(norms[terms - 1] * max(int(np.abs(vectors).max(initial=0)), 1))  # holds the B^j and each B^j s
     values = vectors.astype(dtype, copy=False) @ powers.astype(dtype, copy=False).transpose(0, 2, 1)  # B^j s
     ends = np.stack([values.min(axis=1), values.max(axis=1)]).astype(object)
     low, high = (scale[1:] @ ends).tolist()  # numerators over |det a|^J
-    num, den = next(tail_bounds(a, terms))  # tail_bound(a, J), left unreduced
     pad, whole = num * m * scale[0], den * scale[0]  # an end x / |det a|^J -/+ pad is (x den -/+ pad) / whole
-    return (
-        [max(-r, -((pad - x * den) // whole)) for x in low],
-        [min(r, (x * den + pad) // whole) for x in high],
-    )
+    return ball, within(ball, [-((pad - x * den) // whole) for x in low], [(x * den + pad) // whole for x in high])
 
 
 def within(rows: np.ndarray, lo, hi) -> np.ndarray:

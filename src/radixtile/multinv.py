@@ -15,6 +15,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from . import linalg, render
 from .errors import CloudTooLarge, DepthTooLarge, EmptySet, NotACrs, SingularMatrix, ZeroNotInDigits, charge
@@ -252,25 +253,24 @@ def _require_expansion_domain(sys: RadixSystem) -> None:
     linalg.require_expanding(sys.matrix)
 
 
+@lru_cache(maxsize=None)
 def padded_automaton(sys: RadixSystem, auto: DigitAutomaton) -> DigitAutomaton:
-    """The automaton of L . 0* that every invariance check and cloud walk reads; a job builds it once."""
+    """The automaton of L . 0* that every invariance check and cloud walk reads, cached so a job builds it once."""
     zero = linalg.zero_vec(sys.n)
     if zero not in sys.digits:
         raise ZeroNotInDigits("digit strings pad with the zero digit, which the system lacks")
     return _pad_dfa(auto, sys.digits.index(zero))
 
 
-def check_invariance(
-    sys: RadixSystem, auto: DigitAutomaton, padded: DigitAutomaton | None = None
-) -> tuple[bool, bool]:
+def check_invariance(sys: RadixSystem, auto: DigitAutomaton) -> tuple[bool, bool]:
     """(phi closed, psi closed) for the set described by the automaton.
 
     Works on the zero-padded language so deletions that expose trailing
-    zeros still compare by value; padded is padded_automaton(sys, auto)
-    when the caller has built it already.
+    zeros still compare by value.  The padding comes first, so a system
+    without the zero digit fails that way before the residue test.
     """
+    padded = padded_automaton(sys, auto)
     _require_expansion_domain(sys)
-    padded = padded_automaton(sys, auto) if padded is None else padded
     phi_closed = _contains(padded, _delete_first_dfa(padded))
     psi_closed = _contains(padded, _delete_last_dfa(padded))
     return phi_closed, psi_closed
@@ -439,12 +439,11 @@ def convergence_report(sys: RadixSystem, auto: DigitAutomaton, kmax: int) -> Con
     """
     if kmax < 0:
         raise ValueError(f"kmax must be >= 0, got {kmax}")
-    padded = padded_automaton(sys, auto)
-    phi_closed, _ = check_invariance(sys, auto, padded)
+    phi_closed, _ = check_invariance(sys, auto)
     max_digit = sys.max_digit_norm()
     b, d = linalg.signed_adjugate(sys.matrix)
     power, scale, clouds = linalg.identity(sys.n), 1, []
-    for rows in _accepted_rows(sys, padded, kmax + 1):
+    for rows in _accepted_rows(sys, padded_automaton(sys, auto), kmax + 1):
         clouds.append(render.exact_floats(linalg.mat_rows(power, rows), scale))
         power, scale = linalg.mat_mul(b, power), scale * d
     rows, prev, tails = [], None, linalg.tail_bounds(sys.matrix, 1)
@@ -458,22 +457,18 @@ def convergence_report(sys: RadixSystem, auto: DigitAutomaton, kmax: int) -> Con
     return ConvergenceReport(rows=tuple(rows), phi_closed=phi_closed)
 
 
-def torus_invariance_check(
-    sys: RadixSystem, auto: DigitAutomaton, k: int, padded: DigitAutomaton | None = None
-) -> bool:
+def torus_invariance_check(sys: RadixSystem, auto: DigitAutomaton, k: int) -> bool:
     """Exact check that A maps the k-cloud into the (k-1)-cloud on the torus.
 
     A A^-k w - A^-(k-1) w' is integral iff w = w' mod A^(k-1) Z^n, so the
     residue classes of the k-cloud's rows must all occur in the (k-1)-cloud.
-    padded is padded_automaton(sys, auto) when the caller has built it already.
     """
     if k < 2:
         raise ValueError("needs k >= 2")
     if sys.determinant == 0:
         raise SingularMatrix("torus check needs det != 0")
     power = linalg.mat_pow(sys.matrix, k - 1)
-    padded = padded_automaton(sys, auto) if padded is None else padded
-    levels = itertools.islice(_accepted_rows(sys, padded, k), k - 1, None)
+    levels = itertools.islice(_accepted_rows(sys, padded_automaton(sys, auto), k), k - 1, None)
     prev, last = (linalg.class_index(power, rows) for rows in levels)
     # last adds no class to prev's; unlike np.isin, this stays O(N log N) on object indices
     classes = [len(np.unique(x, return_index=True)[0]) for x in (prev, np.concatenate([prev, last]))]

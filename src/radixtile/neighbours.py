@@ -4,14 +4,14 @@ A nonzero vector v is a neighbour of the tile T when T and T + v meet.
 The integer neighbours are exactly the nonzero lattice points of the
 difference tile, and those are computed by pruning: start from every
 lattice point inside a certified radius bound that also lies in the
-tile's exact coordinate box (``linalg.tile_box``), draw the successor
-relation z -> A z - e over digit differences e for all of them at once,
-and delete points with no successor until the survivors stabilize.  A
-walk that goes on forever inside any bounded set keeps z in the tile, so
-pruning any bounded superset of the tile's lattice points leaves the same
-set; the box only drops candidates that cannot survive.  The successors
-left among them are the move table that every neighbour walk, graph and
-uniqueness test reads.
+tile's exact coordinate box (``linalg._tile_candidates``), draw the
+successor relation z -> A z - e over digit differences e for all of them
+at once, and delete points with no successor until the survivors
+stabilize.  A walk that goes on forever inside any bounded set keeps z in
+the tile, so pruning any bounded superset of the tile's lattice points
+leaves the same set; the box only drops candidates that cannot survive.
+The successors left among them are the move table that every neighbour
+walk, graph and uniqueness test reads.
 """
 
 from __future__ import annotations
@@ -60,16 +60,16 @@ def _tile_moves(matrix: IntMatrix, shifts: tuple[IntVec, ...]) -> tuple[np.ndarr
 
     A lattice point z lies in the tile iff the successor relation z -> A z - e admits an infinite walk from z
     inside some bounded set that holds the tile: the walk's points are z = sum_j A^-j e_j.  The candidates are
-    the points of the radius bound's ball that lie in the tile's coordinate box, and trimming the ones without
-    a successor computes the set exactly.  The ball and its caps come first, so the box changes no answer.  The
-    successors left are the int32 moves: moves[z, j] is the row of A z - shifts[j], or -1 where it left the tile.
+    the points of the radius bound's ball that lie in the tile's coordinate box (``linalg._tile_candidates``),
+    and trimming the ones without a successor computes the set exactly.  The caps count the whole ball, so the
+    box changes no answer.  The successors left are the int32 moves: moves[z, j] is the row of A z - shifts[j],
+    or -1 where it left the tile.
     """
     n = len(matrix)
     shifts = linalg.int_array(shifts, n)
-    radius_sq = linalg.max_norm_sq(shifts) * linalg.tail_bound(matrix, 0) ** 2
-    ball = linalg.lattice_ball(n, radius_sq)
+    ball, inside = linalg._tile_candidates(matrix, shifts)
     charge(CandidateBallTooLarge, "tile moves", len(ball) * len(shifts), 2**24)  # the arrays below fit in 1 GB
-    ball = ball[linalg.within(ball, *linalg.tile_box(matrix, shifts, math.isqrt(math.floor(radius_sq))))]
+    ball = ball[inside]
     image = linalg.mat_rows(matrix, ball, int(np.abs(shifts).max()))
     image = image[:, None, :] - shifts.astype(image.dtype)
     target = linalg.locate(ball, image.reshape(-1, n))

@@ -11,7 +11,6 @@ A digit is found by its residue class, one integer from the Smith form of A
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -142,24 +141,22 @@ def evaluate_expansion(sys: RadixSystem, digits) -> IntVec:
 def is_number_system(sys: RadixSystem) -> tuple[bool, tuple[tuple[IntVec, ...], ...]]:
     """Decide whether every lattice vector expands, with witness cycles.
 
-    All cycles of the remainder walk live inside the ball of radius
-    max-digit-norm * tail_bound(A, 0).  They also lie in -T(A, D): a cycle
-    point v is A^-1 (u - d) for the point u before it and u's digit d, and
-    unrolled around the cycle, v = -sum_{j>=1} A^-j d_j over the digits the
-    cycle emits, read backwards.  The walks start from the ball points
-    inside the coordinate box of -T(A, D) (``linalg.tile_box``), which
-    holds every cycle point, so they find every cycle.  The pair is a
-    number system iff the only cycle is {0}.
+    All cycles of the remainder walk lie in -T(A, D): a cycle point v is
+    A^-1 (u - d) for the point u before it and u's digit d, and unrolled
+    around the cycle, v = -sum_{j>=1} A^-j d_j over the digits the cycle
+    emits, read backwards.  The walks start from the candidates of -T(A, D)
+    (``linalg._tile_candidates``: the ball of radius max-digit-norm *
+    tail_bound(A, 0), cut to the tile's exact coordinate box), which hold
+    every cycle point, so they find every cycle.  The pair is a number
+    system iff the only cycle is {0}.
     """
     if linalg.zero_vec(sys.n) not in sys.digits:
         raise ZeroNotInDigits("number systems need 0 among the digits")
     digits = linalg.int_array(sys.digits, sys.n)
     if not linalg.is_complete_residue_system(sys.matrix, digits):
         raise NotACrs("digits are not a complete residue system")
-    radius_sq = linalg.max_norm_sq(digits) * linalg.tail_bound(sys.matrix, 0) ** 2
-    ball = linalg.lattice_ball(sys.n, radius_sq)
-    box = linalg.tile_box(sys.matrix, -digits, math.isqrt(math.floor(radius_sq)))  # the box of -T(A, D)
-    states, succ = _remainder_graph(sys, ball[linalg.within(ball, *box)])
+    ball, inside = linalg._tile_candidates(sys.matrix, -digits)  # the candidates of -T(A, D)
+    states, succ = _remainder_graph(sys, ball[inside])
     # every state meets its cycle within len(states) steps, so succ^(2^k) maps
     # each state onto a cycle once 2^k >= len(states), and onto every cycle state
     onto = succ

@@ -15,6 +15,7 @@ give the same answers.
 import argparse
 import itertools
 import math
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -479,12 +480,39 @@ def attractors(draw):
     return matrix, vectors
 
 
+def ref_tile_box(matrix, vectors):
+    """The box of T(matrix, vectors) in Fractions: the sums of the least and largest (A^-j s)_i over the first J
+    terms, padded by tail_bound(A, J) * m, with m = isqrt(max |s|^2) + 1 and J the least count >= 1 whose pad is
+    below 1/2.  Returns its integer ends lo, hi."""
+    m = math.isqrt(max(map(linalg.norm_sq, vectors))) + 1
+    terms = next(j for j in itertools.count(1) if linalg.tail_bound(matrix, j) * m < Fraction(1, 2))
+    low, high = [Fraction(0)] * len(matrix), [Fraction(0)] * len(matrix)
+    for j in range(1, terms + 1):
+        images = [linalg.frac_mat_vec(linalg.mat_inv_pow(matrix, j), s) for s in vectors]
+        low = [x + min(column) for x, column in zip(low, zip(*images))]
+        high = [x + max(column) for x, column in zip(high, zip(*images))]
+    pad = linalg.tail_bound(matrix, terms) * m
+    return [math.ceil(x - pad) for x in low], [math.floor(x + pad) for x in high]
+
+
+def box_ends(matrix, vectors):
+    """The integer ends lo, hi of the box that the candidate mask of T(matrix, vectors) tests, read off its one
+    within call; the ball is stubbed empty, so that its size does not matter."""
+    n = len(matrix)
+    with (
+        mock.patch.object(linalg, "lattice_ball", lambda n, radius_sq: np.zeros((0, n), dtype=np.int64)),
+        mock.patch.object(linalg, "within", wraps=linalg.within) as within,
+    ):
+        linalg._tile_candidates(matrix, linalg.int_array(vectors, n))
+    _, lo, hi = within.call_args.args
+    return lo, hi
+
+
 class TestTileBox:
     @settings(max_examples=60, deadline=None)
     @given(attractors(), st.data())
     def test_points_of_the_attractor_lie_in_the_box(self, case, data):
         matrix, vectors = case
-        lo, hi = linalg.tile_box(matrix, linalg.int_array(vectors, len(matrix)), 2**300)
         # the box's own term count: the least J whose tail, times a bound on max |s|, is below 1/2
         m = math.isqrt(max(map(linalg.norm_sq, vectors))) + 1
         terms = next(j for j in itertools.count() if linalg.tail_bound(matrix, j) * m < sympy.Rational(1, 2))
@@ -492,11 +520,27 @@ class TestTileBox:
         pre = data.draw(st.lists(digit, min_size=terms + 10, max_size=terms + 10))
         cycle = data.draw(st.lists(digit, min_size=1, max_size=3))
         # a point of T within 1 of the box's integer ends: every lattice point of T lies inside it
+        lo, hi = box_ends(matrix, vectors)
         for x, low, high in zip(exact_point(matrix, pre, cycle), lo, hi):
             assert low - 1 < x < high + 1
         if _ball_estimate(matrix, vectors) <= 3000:
             points = ref_tile_points(matrix, tuple(vectors))
-            assert all(low <= x <= high for z in points for x, low, high in zip(z, lo, hi))
+            ball, inside = linalg._tile_candidates(matrix, linalg.int_array(vectors, len(matrix)))
+            assert points <= set(map(tuple, ball[inside].tolist()))
+
+    @settings(max_examples=60, deadline=None)
+    @given(attractors())
+    @example((((10**400,),), [(0,), (1,)]))
+    @example((((-(10**400), 1), (0, -(10**400))), [(0, 0), (1, 0), (3, 10**400)]))
+    @example((((2**45, 1), (0, 2**45)), [(2**64, -(2**63)), (0, 1), (-(2**62), 2**64)]))
+    def test_candidates_match_an_exact_reference(self, case):
+        matrix, vectors = case
+        lo, hi = ref_tile_box(matrix, vectors)
+        assert box_ends(matrix, vectors) == (lo, hi)
+        if _ball_estimate(matrix, vectors) <= 3000:
+            ball, inside = linalg._tile_candidates(matrix, linalg.int_array(vectors, len(matrix)))
+            assert list(map(tuple, ball.tolist())) == ref_ball(len(matrix), ref_radius_sq(matrix, vectors))
+            assert inside.tolist() == [all(low <= x <= high for x, low, high in zip(z, lo, hi)) for z in ball.tolist()]
 
     @settings(max_examples=40, deadline=None)
     @given(dims.flatmap(digit_systems))
@@ -510,16 +554,33 @@ class TestTileBox:
     @given(dims.flatmap(digit_systems))
     def test_number_systems_match_walks_from_the_whole_ball(self, sys):
         verdict = rt.is_number_system(sys)
-        # a box as wide as the ball: the walks start from every ball point
-        with mock.patch.object(linalg, "tile_box", lambda a, vectors, r: ([-r] * len(a), [r] * len(a))):
+        candidates = linalg._tile_candidates
+
+        def whole(a, vectors):  # a box as wide as the ball: the walks start from every ball point
+            ball, _ = candidates(a, vectors)
+            return ball, np.ones(len(ball), dtype=bool)
+
+        with mock.patch.object(linalg, "_tile_candidates", whole):
             assert verdict == rt.is_number_system(sys)
 
+    @settings(max_examples=60, deadline=None)
+    @given(dims.flatmap(digit_systems))
+    def test_number_system_cycles_are_the_lattice_points_of_minus_the_tile(self, sys):
+        # D is a complete residue system with 0: a lattice point of -T(A, D) has at most one predecessor under
+        # z -> A z + d and a successor inside the tile, so these points are a union of cycles, the remainder
+        # cycles; the trim of -T(A, D) and the walks from its candidates reach them by different algorithms
+        verdict, witnesses = rt.is_number_system(sys)
+        points = tile_integer_points(sys.matrix, tuple(map(linalg.vec_neg, sys.digits)))
+        zero = linalg.zero_vec(sys.n)
+        assert {v for cycle in witnesses for v in cycle} | {zero} == points
+        assert verdict == (points == {zero})
+
     def test_entries_beyond_the_double_range(self):
-        # ||A^-1|| = 10^-400 is 0.0 as a float: the term count is proposed from logs of numerators and denominators
+        # ||A^-1|| = 10^-400 is 0.0 as a float: the term count is an exact scan of the tail bounds
         huge = 10**400
-        assert linalg.tile_box(((huge,),), linalg.int_array([(0,), (1,)], 1), 2**2000) == ([0], [0])
+        assert box_ends(((huge,),), [(0,), (1,)]) == ([0], [0])
         matrix, digits = ((-huge, 1), (0, -huge)), ((0, 0), (1, 0), (3, huge))
-        lo, hi = linalg.tile_box(matrix, linalg.int_array(digits, 2), 2**2000)
+        lo, hi = box_ends(matrix, digits)
         assert lo[1] <= 0 <= hi[1] and hi[0] - lo[0] <= 2 and tile_integer_points(matrix, digits) == {(0, 0)}
 
     def test_the_box_cuts_the_ball(self):
@@ -528,11 +589,8 @@ class TestTileBox:
         quad, gauss = rt.companion_system([3, 3], [0, 1, 2]), gauss_system(3)
         cases = [(quad.matrix, list(map(linalg.vec_neg, quad.digits)), 613, 15), (gauss.matrix, gauss.differences(), 57, 21)]
         for matrix, vectors, ball_points, box_points in cases:
-            vectors = linalg.int_array(vectors, 2)
-            radius_sq = linalg.max_norm_sq(vectors) * linalg.tail_bound(matrix, 0) ** 2
-            ball = linalg.lattice_ball(2, radius_sq)
-            box = linalg.tile_box(matrix, vectors, math.isqrt(math.floor(radius_sq)))
-            assert (len(ball), int(linalg.within(ball, *box).sum())) == (ball_points, box_points)
+            ball, inside = linalg._tile_candidates(matrix, linalg.int_array(vectors, 2))
+            assert (len(ball), int(inside.sum())) == (ball_points, box_points)
 
 
 def test_congruent_digits_are_named_in_scan_order():

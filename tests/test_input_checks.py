@@ -275,3 +275,19 @@ def test_an_integer_past_the_digit_limit_is_a_precondition(monkeypatch, tmp_path
     assert json.loads(line)["error"] == {
         "type": "PreconditionViolated", "message": f"the {what} holds an integer past Python's limit of 4300 digits"
     }
+
+
+def test_files_that_are_not_utf8_are_preconditions(tmp_path, capsys):
+    # a 0xff byte is never UTF-8, whatever the locale's encoding reads
+    descriptor, payload = tmp_path / "bad.json", tmp_path / "payload.json"
+    descriptor.write_bytes(b'{"matrix": [10], "digits": [[0], [1], [2], [3], [4], [5], [6], [7], [8], [9\xff]]}')
+    payload.write_bytes(b'{"pre": [[1]], "cycle": [[0]]}\xff')
+    base10 = tmp_path / "base10.json"
+    base10.write_text(json.dumps({"matrix": [10], "digits": [[d] for d in range(10)]}))
+    for argv, what in (
+        (["residues", str(descriptor)], "descriptor"),
+        (["eval", str(base10), "-p", str(payload)], "payload"),
+    ):
+        assert cli.main(argv) == 2
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["type"] == "PreconditionViolated" and f"the {what} file" in error["message"]

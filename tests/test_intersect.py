@@ -2,6 +2,7 @@ import itertools
 import math
 import sys as _sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 import sympy
@@ -538,13 +539,16 @@ class TestBedfordMcMullen:
 
 
 # expanding matrices whose norm bounds need one to several powers to fall below 1/2
-PREFIX_MATRICES = [((2,),), ((-3,),), ((10,),), gauss_matrix(1), gauss_matrix(3), ((0, -2), (1, 0)), ((1, -2), (1, 1))]
+PREFIX_MATRICES = [
+    ((2,),), ((-3,),), ((10,),), gauss_matrix(1), gauss_matrix(3), ((0, -2), (1, 0)), ((1, -2), (1, 1)),
+    ((0, 0, 2), (1, 0, 0), (0, 1, 0)),
+]
 
 
 def with_exact_ties(test):
-    """Exact ties as explicit examples: on digits {0, 1}, epsilon = 2 tail_bound(A, m) equals the bound at m."""
+    """Exact ties as explicit examples: on digits {0, e1}, epsilon = 2 tail_bound(A, m) equals the bound at m."""
     for matrix, m in itertools.product(PREFIX_MATRICES, (0, 1, 7, 40)):
-        test = example(matrix=matrix, digits=[0, 1], epsilon=2 * linalg.tail_bound(matrix, m))(test)
+        test = example(matrix=matrix, digits=[(0, 0, 0), (1, 0, 0)], epsilon=2 * linalg.tail_bound(matrix, m))(test)
     return test
 
 
@@ -603,14 +607,25 @@ class TestLevelSets:
     @settings(max_examples=240, deadline=None)
     @given(
         matrix=st.sampled_from(PREFIX_MATRICES),
-        digits=st.lists(st.integers(-9, 9), min_size=1, max_size=4, unique=True),
+        digits=st.lists(st.tuples(*[st.integers(-9, 9)] * 3), min_size=1, max_size=4, unique=True),
         epsilon=st.fractions(min_value=Fraction(1, 10**60), max_value=4, max_denominator=10**60),
     )
     @with_exact_ties
     def test_prefix_length_matches_linear_scan(self, matrix, digits, epsilon):
         assume(epsilon > 0)
-        sys = rt.RadixSystem(matrix, tuple((d,) + (0,) * (len(matrix) - 1) for d in digits))
+        # the digits are the drawn vectors cut to the matrix's dimension
+        sys = rt.RadixSystem(matrix, tuple({d[: len(matrix)] for d in digits}))
         assert rt.intersect.prefix_length_for_radius(sys, epsilon) == ref_prefix_length(sys, epsilon)
+
+    def test_prefix_length_reads_each_difference_once(self):
+        # 1,000 digits in base 1,001: no difference of two of the 1,999 digit differences is formed
+        sys = rt.RadixSystem(((1001,),), tuple((d,) for d in range(1000)))
+        epsilon = Fraction(1, 10**6)
+        with mock.patch.object(linalg, "vec_sub", wraps=linalg.vec_sub) as vec_sub:
+            m = rt.intersect.prefix_length_for_radius(sys, epsilon)
+        assert vec_sub.call_count == 0
+        # the largest difference of differences is 999 - (-999) = 1,998
+        assert m == next(j for j in itertools.count() if 1998 * linalg.tail_bound(sys.matrix, j) < epsilon)
 
     # two and three norms: m = 10,000 starts a block of positions, or lies inside one
     @pytest.mark.parametrize("matrix", [((2,),), gauss_matrix(1)])

@@ -82,6 +82,16 @@ class TestInvarianceChecks:
         with pytest.raises(NotACrs):
             rt.check_invariance(sys, zero_only_automaton(sys))
 
+    def test_zero_digit_is_checked_before_the_residues(self, tmp_path, capsys):
+        # digits 1, 2 in base 3 lack 0 and a class: the padding names the missing zero first
+        path = tmp_path / "no_zero.json"
+        path.write_text(json.dumps({"matrix": [3], "digits": [[1], [2]]}))
+        automaton = {"n_digits": 2, "transitions": [[1, 1], [1, 1]], "accepting": [0]}
+        for action in ("check", "converge"):
+            payload = json.dumps({"automaton": automaton, "kmax": 2})
+            assert cli.main(["multinv", action, str(path), "-p", payload]) == 2
+            assert json.loads(capsys.readouterr().out)["error"]["type"] == "ZeroNotInDigits"
+
 
 class TestClouds:
     def test_cantor_approximants(self, base3_full):
@@ -206,14 +216,18 @@ class TestConvergence:
         pad = multinv._pad_dfa
         monkeypatch.setattr(multinv, "_pad_dfa", counted)
         auto = rt.digit_restriction_automaton(base3_full, [(0,), (2,)])
+        # each call starts from an empty cache of padded automata, as a job does
         for kmax in (0, 1, 6):
             pads.clear()
+            multinv.padded_automaton.cache_clear()
             rt.convergence_report(base3_full, auto, kmax)
             assert len(pads) == 1  # one for the invariance check and every cloud
         pads.clear()
+        multinv.padded_automaton.cache_clear()
         assert rt.torus_invariance_check(base3_full, auto, 5)
         assert len(pads) == 1  # depths k - 1 and k come from one walk
         pads.clear()
+        multinv.padded_automaton.cache_clear()
         args = SimpleNamespace(action="check", format="json")
         out = cli.cmd_multinv(args, base3_full, {"restrict": [[0], [2]], "torus_k": 5})
         assert out == {"phi_closed": True, "psi_closed": True, "torus_invariance": True}
