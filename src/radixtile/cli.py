@@ -107,6 +107,70 @@ def _rep(sys, data) -> radix.Representation:
     return radix.Representation(sys, _seq_from_json(data))
 
 
+_string = json.encoder.encode_basestring_ascii  # json's own escaping, in C
+
+
+def _json(value, pad: str = "") -> str:
+    """json.dumps(value, sort_keys=True, indent=2) at the indent pad, for str keys, with integers in full at any length;
+    a list of ints (not bools) or of int nests differing only in length is one %, of str or finite floats one join."""
+    if isinstance(value, str):
+        return _string(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return _fill("%d", (value,))
+    if isinstance(value, float):  # json's NaN, Infinity and -Infinity past the finite floats
+        return float.__repr__(value) if math.isfinite(value) else json.dumps(value)
+    inner = pad + "  "
+    if isinstance(value, dict):
+        items = f",\n{inner}".join([f"{_string(k)}: {_json(v, inner)}" for k, v in sorted(value.items())])
+        return f"{{\n{inner}{items}\n{pad}}}" if value else "{}"
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    sep, kinds = ",\n" + inner, set(map(type, value))
+    if kinds == {str}:
+        body = sep.join(map(_string, value))
+    elif kinds == {float} and all(map(math.isfinite, value)):
+        body = sep.join(map(float.__repr__, value))
+    elif (body := _int_items(value, kinds, inner)) is None:
+        body = sep.join([_json(v, inner) for v in value])
+    return f"[\n{inner}{body}\n{pad}]" if value else "[]"
+
+
+def _int_items(value, kinds: set, pad: str) -> str | None:
+    """The items of a list of exact ints, or of int nests rectangular below their own lengths, each through a cached
+    template of its shape and all filled in one %; None for any other list."""
+    if kinds == {int}:
+        return _fill(f",\n{pad}".join(["%d"] * len(value)), tuple(value))
+    if not kinds <= {list, tuple}:
+        return None
+    lengths, shape, flat = list(map(len, value)), (), [x for item in value for x in item]
+    while (kinds := set(map(type, flat))) <= {list, tuple} and flat:
+        if len(sizes := set(map(len, flat))) != 1:
+            return None
+        shape += (sizes.pop(),)
+        flat = [x for row in flat for x in row]
+    if not kinds <= {int}:
+        return None
+    rows = {k: _row_template((k, *shape), pad) for k in set(lengths)}
+    return _fill(f",\n{pad}".join(map(rows.__getitem__, lengths)), tuple(flat))
+
+
+def _fill(template: str, ints: tuple) -> str:
+    try:
+        return template % ints
+    except ValueError:  # an integer past Python's int-to-str digit limit
+        return template.replace("%d", "%s") % tuple(map(linalg.frac_str, ints))
+
+
+@functools.lru_cache(maxsize=64)
+def _row_template(shape: tuple, pad: str) -> str:
+    """The %-template of a rectangular int nest of the given shape at the indent pad."""
+    if not shape or not shape[0]:
+        return "[]" if shape else "%d"
+    return f"[\n{pad}  %s\n{pad}]" % f",\n{pad}  ".join([_row_template(shape[1:], pad + "  ")] * shape[0])
+
+
 def _write(args, report) -> None:
     """Write a handler's report: a dict as sorted JSON, a str as text, bytes to ``--out`` or stdout."""
     if isinstance(report, dict):
@@ -114,7 +178,7 @@ def _write(args, report) -> None:
             from datetime import datetime, timezone
 
             report["generated_at"] = datetime.now(timezone.utc).isoformat()
-        _sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
+        _sys.stdout.write(_json(report) + "\n")
     elif isinstance(report, str):
         _sys.stdout.write(report if report.endswith("\n") else report + "\n")
     elif not getattr(args, "out", None):

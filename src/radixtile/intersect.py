@@ -383,21 +383,6 @@ def gk_profile(sys: RadixSystem, counts_prefix) -> list[float]:
     return out
 
 
-def alternating_block_counts(kmax: int, low: int = 1, high: int = 2) -> list[int]:
-    """Component counts with value `low` on blocks [10^k+1, 10^{k+1}] for even
-    k and `high` on odd blocks (position 1 counts as high)."""
-    counts = []
-    for j in range(1, kmax + 1):
-        if j == 1:
-            counts.append(high)
-            continue
-        k = 0
-        while 10 ** (k + 1) < j:
-            k += 1
-        counts.append(low if k % 2 == 0 else high)
-    return counts
-
-
 def bm_dimensions(m: int, n: int, digits, allow_refined: bool = False) -> tuple[float, float]:
     """Hausdorff and box dimensions of a diag(m, n) grid carpet.
 

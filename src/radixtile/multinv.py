@@ -103,58 +103,6 @@ def digit_restriction_automaton(sys: RadixSystem, allowed) -> DigitAutomaton:
     )
 
 
-def all_strings_automaton(sys: RadixSystem) -> DigitAutomaton:
-    return digit_restriction_automaton(sys, sys.digits)
-
-
-def zero_only_automaton(sys: RadixSystem) -> DigitAutomaton:
-    """Accepts only the empty string, i.e. the set {0}."""
-    k = len(sys.digits)
-    return DigitAutomaton(
-        n_digits=k,
-        transitions=((1,) * k, (1,) * k),
-        accepting=frozenset({0}),
-    )
-
-
-def last_digit_automaton(sys: RadixSystem, digit) -> DigitAutomaton:
-    """Strings whose most significant digit is the given one."""
-    want = sys.digits.index(linalg.as_vec(digit))
-    k = len(sys.digits)
-    rows = [
-        tuple(1 if idx == want else 2 for idx in range(k)),  # 0: start
-        tuple(1 if idx == want else 2 for idx in range(k)),  # 1: last == want
-        tuple(1 if idx == want else 2 for idx in range(k)),  # 2: last != want
-    ]
-    return DigitAutomaton(n_digits=k, transitions=tuple(rows), accepting=frozenset({1}))
-
-
-def follows_rule_automaton(sys: RadixSystem, trigger, follower) -> DigitAutomaton:
-    """Canonical strings where the trigger digit forces the follower next."""
-    trig = sys.digits.index(linalg.as_vec(trigger))
-    fol = sys.digits.index(linalg.as_vec(follower))
-    zero_idx = sys.digits.index(linalg.zero_vec(sys.n))
-    # states: 0 start, 1 neutral last nonzero, 2 neutral last zero,
-    #         3 must-see-follower (last symbol was trigger), 4 dead
-    def step(state, idx):
-        if state == 4:
-            return 4
-        if state == 3 and idx != fol:
-            return 4
-        if idx == trig:
-            return 3
-        return 2 if idx == zero_idx else 1
-
-    k = len(sys.digits)
-    rows = tuple(tuple(step(s, idx) for idx in range(k)) for s in range(5))
-    trig_accept = {3} if trig != zero_idx else set()
-    return DigitAutomaton(
-        n_digits=k,
-        transitions=rows,
-        accepting=frozenset({0, 1} | trig_accept),
-    )
-
-
 # ---------------------------------------------------------------------------
 # language machinery (padding, quotients, containment)
 

@@ -25,7 +25,7 @@ from . import graph, linalg
 from .errors import CandidateBallTooLarge, PreconditionViolated, charge
 from .linalg import IntMatrix, IntVec, np
 from .numsys import RadixSystem
-from .radix import LabelledGraph, PairAutomaton, _vec_label, pair_automaton
+from .radix import LabelledGraph, PairAutomaton, pair_automaton
 
 
 @dataclass(frozen=True)
@@ -188,9 +188,10 @@ class TripleStateGraph(LabelledGraph):
         return any(s == src and t == dst for s, _, t in self.edges)
 
     def to_dot(self) -> str:
-        vec = lambda v: f"({_vec_label(v)})"
-        state = lambda s: "|".join(map(vec, (*s, linalg.vec_neg(linalg.vec_add(*s)))))
-        return self._dot("triple_state", state, vec, ",")
+        n = len(self.digits[0])
+        vec, zx = "(%s)" % ",".join(["%d"] * n), linalg.int_array((z + x for z, x in self.states), 2 * n)
+        eta = -(zx[:, :n] + zx[:, n:])  # in zeta's and xi's dtype, certified below 2^62
+        return self._dot("triple_state", np.column_stack([zx, eta]), "|".join([vec] * 3), vec, ",")
 
 
 @lru_cache(maxsize=None)

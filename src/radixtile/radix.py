@@ -232,22 +232,27 @@ class LabelledGraph:
         labels = (tuple(map(digit, row)) for row in self.labels.tolist())
         return tuple(zip(map(state, self.src.tolist()), labels, map(state, self.dst.tolist())))
 
-    def _dot(self, name: str, state_label, digit_label, sep: str) -> str:
-        """Deterministic DOT text; parallel edges merge into their least label, its digits joined by sep, and a '+'."""
+    def _dot(self, name: str, rows: np.ndarray, node: str, digit: str, sep: str) -> str:
+        """Deterministic DOT text; parallel edges merge into their least label, its digits joined by sep, and a '+'.
+        State i fills the template node with rows[i], each digit the template digit; each label's text is built once."""
         ends = self.src * len(self.states) + self.dst  # (src, dst) as one code
         order = np.lexsort((*self.labels.T[::-1], ends))
         ends, first, count = np.unique(ends[order], return_index=True, return_counts=True)  # one per run
-        runs = *np.divmod(ends, len(self.states)), self.labels[order[first]], count > 1
-        text = list(map(digit_label, self.digits))
-        arc = lambda s, t, p, more: f'  n{s} -> n{t} [label="{sep.join(map(text.__getitem__, p))}{"+" * more}"];'
-        # the runs become Python objects 2^16 at a time, so the text is all that grows with the edges
-        blocks = (zip(*(v[at : at + 2**16].tolist() for v in runs)) for at in range(0, len(ends), 2**16))
-        nodes = [f'  n{i} [label="{state_label(s)}"];' for i, s in enumerate(self.states)]
-        return "\n".join([f"digraph {name} {{", *nodes, *("\n".join(arc(*r) for r in block) for block in blocks), "}"])
+        shape = (len(self.digits),) * self.labels.shape[1] + (2,)  # a run's least label and its '+' as one code
+        code = np.ravel_multi_index((*self.labels[order[first]].T, count > 1), shape)
+        codes, which = np.unique(code, return_inverse=True)
+        text, labels = [digit % d for d in self.digits], np.transpose(np.unravel_index(codes, shape)).tolist()
+        names = np.array([sep.join(map(text.__getitem__, p)) + "+" * more for *p, more in labels], dtype=object)
+        nodes = _lines(f'  n%d [label="{node}"];', np.arange(len(rows)), rows)
+        arcs = _lines('  n%d -> n%d [label="%s"];', *np.divmod(ends, len(self.states)), names[which])
+        return "\n".join([f"digraph {name} {{", *nodes, *arcs, "}"])
 
 
-def _vec_label(v: IntVec) -> str:
-    return ",".join(str(x) for x in v)
+def _lines(template: str, *columns: np.ndarray):
+    """The template filled with each row of the columns, one % per block of 2^16 rows: only the text grows with them."""
+    for at in range(0, len(columns[0]), 2**16):
+        block = np.column_stack([c[at : at + 2**16] for c in columns])
+        yield "\n".join([template] * len(block)) % tuple(block.ravel().tolist())
 
 
 class PairAutomaton(LabelledGraph):
@@ -259,7 +264,8 @@ class PairAutomaton(LabelledGraph):
     """
 
     def to_dot(self) -> str:
-        return self._dot("pair_automaton", _vec_label, _vec_label, "/")
+        vec = ",".join(["%d"] * len(self.digits[0]))
+        return self._dot("pair_automaton", linalg.int_array(self.states, len(self.digits[0])), vec, vec, "/")
 
 
 def pair_automaton(sys: RadixSystem) -> PairAutomaton:

@@ -176,7 +176,3 @@ def is_sep_sets_translated(
         increments=tuple(incs),
     )
 
-
-def cardinality_projection(seq: EpSeq) -> EpSeq:
-    """The integer sequence |D_j| - 1 of a set sequence."""
-    return _normalize_set_seq(seq).map(lambda s: len(s) - 1)

@@ -27,6 +27,21 @@ def gauss_system(n: int, digits=None) -> rt.RadixSystem:
     return rt.RadixSystem(gauss_matrix(n), tuple((int(d), 0) for d in digits))
 
 
+def alternating_block_counts(kmax: int, low: int = 1, high: int = 2) -> list[int]:
+    """Component counts with value `low` on blocks [10^k+1, 10^{k+1}] for even
+    k and `high` on odd blocks (position 1 counts as high)."""
+    counts = []
+    for j in range(1, kmax + 1):
+        if j == 1:
+            counts.append(high)
+            continue
+        k = 0
+        while 10 ** (k + 1) < j:
+            k += 1
+        counts.append(low if k % 2 == 0 else high)
+    return counts
+
+
 def run_cli_process(argv, limit=None) -> subprocess.CompletedProcess:
     """Run ``python -m radixtile.cli argv`` in a fresh process, ``limit()`` in the child before it starts."""
     src = os.path.dirname(os.path.dirname(rt.__file__))

@@ -15,10 +15,10 @@ import pytest
 import radixtile as rt
 from radixtile import linalg
 from radixtile.errors import SearchBudgetExceeded
-from radixtile.intersect import ExactDim, alternating_block_counts
+from radixtile.intersect import ExactDim
 from radixtile.radix import EpSeq, vector_seq
 
-from conftest import gauss_matrix, gauss_system
+from conftest import alternating_block_counts, gauss_matrix, gauss_system
 
 
 def report(number, text):

@@ -1,15 +1,19 @@
 import json
+import math
 import resource
 import sys
 
+import numpy as np
 import pytest
 import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from radixtile import cli, linalg
 from radixtile.errors import DepthTooLarge, charge
 from radixtile.radix import Representation, eval_exact, vector_seq
 
-from conftest import charged, parse_exact, run_cli_process
+from conftest import charged, int_max_str_digits, parse_exact, run_cli_process
 
 
 @pytest.fixture
@@ -315,6 +319,62 @@ class TestFormatsAndCodes:
         assert done.returncode == 0, done.stderr
         value = eval_exact(Representation(cli.load_descriptor(base10_file), vector_seq([(1,)] * 4400, [(0,)])))
         assert json.loads(done.stdout)["value"]["exact"] == [linalg.frac_str(x) for x in value]
+
+
+# report values for the JSON writer: every JSON leaf, int nests rectangular or not, ints mixed with bools
+special_floats = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-300, 1.5e300])
+special_strings = st.sampled_from(
+    ["", "\\", '"', "\x00\x1f\n\t\r\b\f", "\u00e9\u2603", "\U0001f600", "\ud800", "%d %%"]
+)
+leaves = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), special_floats, st.text(), special_strings)
+rows = lambda n: st.lists(st.integers(), min_size=n, max_size=n)
+int_nests = st.one_of(
+    st.lists(st.integers()),
+    st.integers(0, 3).flatmap(lambda n: st.lists(rows(n), max_size=5)),  # rectangular
+    st.integers(0, 3).flatmap(lambda n: st.lists(st.lists(rows(n), max_size=4), max_size=4)),  # items of any length
+    st.lists(st.lists(st.lists(st.integers(), max_size=3), min_size=1, max_size=3), max_size=3),  # ragged below them
+    st.lists(st.one_of(st.integers(), st.booleans())),  # [1, True] is not an int nest
+    st.lists(st.lists(st.one_of(st.integers(), st.booleans()), min_size=2, max_size=2)),
+)
+json_values = st.recursive(
+    leaves | int_nests,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=4), inner, max_size=4),
+        st.dictionaries(st.text(max_size=4), inner, max_size=4).map(cli._JsonObject),
+    ),
+    max_leaves=16,
+)
+
+
+class TestJsonWriter:
+    @settings(max_examples=100, deadline=None)
+    @given(st.dictionaries(st.text(max_size=6), json_values, max_size=6))
+    @example({"x": [1, True], "y": [[1, 2], [3, False]], "z": [[[1], [2]], ((3,), (4,))]})
+    @example({"r": [[[1, 2], [3]], [[4]]], "s": [[[1, 2]], [], [[3, 4], [5, 6]]], "t": [[], [[]]]})
+    @example({"e": [], "f": {}, "g": [[], []], "h": [[]], "i": ((),), "j": cli._JsonObject({"k": [-0.0, math.nan]})})
+    @example({"s": ["a", "\u00e9"], "f": [1.0, math.inf], "g": [0.1, -0.0], "n": [None, None], "b": [True, False]})
+    def test_the_writer_writes_what_json_dumps_writes(self, report):
+        assert cli._json(report) == json.dumps(report, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize("value", [object(), {1, 2}, 1j, b"x", np.int64(1), [1, 2, 1j], [[1, 2], [3, b"x"]]])
+    def test_a_value_json_cannot_encode_raises_type_error(self, value):
+        with pytest.raises(TypeError):
+            json.dumps({"a": value}, sort_keys=True, indent=2)
+        with pytest.raises(TypeError):
+            cli._json({"a": value})
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="this Python prints integers of any length")
+    def test_integers_past_the_digit_limit_print_in_full(self):
+        big = 10**5000
+        report = {"alone": -big, "flat": [big, -big, 7], "rows": [[big, 1], [2, -big]], "mixed": [big, True, [-big]]}
+        with int_max_str_digits(4300):
+            text = cli._json(report)
+        with int_max_str_digits(0):
+            assert text == json.dumps(report, sort_keys=True, indent=2)
+            assert json.loads(text) == report
+        assert text.count("1" + "0" * 5000) == 7
 
 
 class TestSession:

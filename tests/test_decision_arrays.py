@@ -265,12 +265,15 @@ class TestAgainstReferences:
     def test_triple_state_and_pair_graphs(self, sys):
         # the reference visits every state and label: keep it to seconds
         assume(len(ref_allowed(sys.matrix, sys.digits)) ** 2 * len(sys.digits) ** 3 <= 200_000)
-        triple = rt.triple_state_graph(sys.matrix, sys.digits)
-        assert (triple.states, triple.edges) == ref_triple_state_graph(sys.matrix, sys.digits)
+        triple, ref = rt.triple_state_graph(sys.matrix, sys.digits), ref_triple_state_graph(sys.matrix, sys.digits)
+        assert (triple.states, triple.edges) == ref
+        dot = triple.to_dot()
+        assert dot == ref_triple_dot(*ref) and '+"];' in dot  # zero's loops (x, x, x) are parallel edges
         report = cli.cmd_triple_graph(argparse.Namespace(dot=False, format="json"), sys, None)
         assert len(triple.edges) == report["edge_count"]
-        pair = rt.pair_automaton(sys)
-        assert (pair.states, pair.edges) == ref_pair_automaton(sys)
+        pair, ref = rt.pair_automaton(sys), ref_pair_automaton(sys)
+        assert (pair.states, pair.edges) == ref
+        assert pair.to_dot() == ref_pair_dot(*ref)
 
     @settings(max_examples=30, deadline=None)
     @given(scaled_systems)
@@ -285,6 +288,14 @@ class TestAgainstReferences:
         pair, table = rt.pair_automaton(sys), table_pair_automaton(sys)
         assert (pair.states, pair.edges) == table
         assert pair.to_dot() == ref_pair_dot(*table)
+
+    @pytest.mark.parametrize("states", [0, 1])
+    def test_dot_of_graphs_with_no_edges(self, states):
+        none, digits = np.zeros(0, dtype=np.int64), ((0, 0), (1, 0))
+        pair = rt.PairAutomaton(((0, 0),) * states, digits, none, none, np.zeros((0, 2), dtype=np.int64))
+        triple = rt.TripleStateGraph((((0, 0), (0, 0)),) * states, digits, none, none, np.zeros((0, 3), dtype=np.int64))
+        assert pair.to_dot() == ref_pair_dot(pair.states, ())
+        assert triple.to_dot() == ref_triple_dot(triple.states, ())
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 3), st.integers(0, 40))

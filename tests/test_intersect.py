@@ -18,11 +18,11 @@ from radixtile.errors import (
     SimilarityUnavailable,
     UniquenessNotEstablished,
 )
-from radixtile.intersect import ExactDim, alternating_block_counts, intersection_report
+from radixtile.intersect import ExactDim, intersection_report
 from radixtile.radix import EpSeq, Representation, eval_exact, vector_seq
 from radixtile.sep import translate
 
-from conftest import gauss_matrix, gauss_system, int_max_str_digits, parse_exact
+from conftest import alternating_block_counts, gauss_matrix, gauss_system, int_max_str_digits, parse_exact
 
 
 def fs(*scalars):

@@ -13,15 +13,64 @@ from hypothesis import strategies as st
 import radixtile as rt
 from radixtile import cli, linalg, multinv
 from radixtile.errors import CloudTooLarge, DepthTooLarge, EmptySet, NonTerminating, NotACrs
-from radixtile.multinv import (
-    DigitAutomaton,
-    all_strings_automaton,
-    follows_rule_automaton,
-    last_digit_automaton,
-    zero_only_automaton,
-)
+from radixtile.multinv import DigitAutomaton
 
 from conftest import address_space, charged, gauss_system, reach, run_cli_process
+
+# ---------------------------------------------------------------------------
+# automata for the tests below
+
+
+def all_strings_automaton(sys: rt.RadixSystem) -> DigitAutomaton:
+    return multinv.digit_restriction_automaton(sys, sys.digits)
+
+
+def zero_only_automaton(sys: rt.RadixSystem) -> DigitAutomaton:
+    """Accepts only the empty string, i.e. the set {0}."""
+    k = len(sys.digits)
+    return DigitAutomaton(
+        n_digits=k,
+        transitions=((1,) * k, (1,) * k),
+        accepting=frozenset({0}),
+    )
+
+
+def last_digit_automaton(sys: rt.RadixSystem, digit) -> DigitAutomaton:
+    """Strings whose most significant digit is the given one."""
+    want = sys.digits.index(linalg.as_vec(digit))
+    k = len(sys.digits)
+    rows = [
+        tuple(1 if idx == want else 2 for idx in range(k)),  # 0: start
+        tuple(1 if idx == want else 2 for idx in range(k)),  # 1: last == want
+        tuple(1 if idx == want else 2 for idx in range(k)),  # 2: last != want
+    ]
+    return DigitAutomaton(n_digits=k, transitions=tuple(rows), accepting=frozenset({1}))
+
+
+def follows_rule_automaton(sys: rt.RadixSystem, trigger, follower) -> DigitAutomaton:
+    """Canonical strings where the trigger digit forces the follower next."""
+    trig = sys.digits.index(linalg.as_vec(trigger))
+    fol = sys.digits.index(linalg.as_vec(follower))
+    zero_idx = sys.digits.index(linalg.zero_vec(sys.n))
+    # states: 0 start, 1 neutral last nonzero, 2 neutral last zero,
+    #         3 must-see-follower (last symbol was trigger), 4 dead
+    def step(state, idx):
+        if state == 4:
+            return 4
+        if state == 3 and idx != fol:
+            return 4
+        if idx == trig:
+            return 3
+        return 2 if idx == zero_idx else 1
+
+    k = len(sys.digits)
+    rows = tuple(tuple(step(s, idx) for idx in range(k)) for s in range(5))
+    trig_accept = {3} if trig != zero_idx else set()
+    return DigitAutomaton(
+        n_digits=k,
+        transitions=rows,
+        accepting=frozenset({0, 1} | trig_accept),
+    )
 
 
 class TestDigitDropMaps:

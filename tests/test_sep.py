@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import radixtile as rt
+from radixtile import linalg
 from radixtile.errors import SearchBudgetExceeded
 from radixtile.radix import EpSeq
 from radixtile.linalg import vec_neg
-from radixtile.sep import cardinality_projection, sumset, translate
+from radixtile.sep import sumset, translate
 
 from conftest import charged
 
@@ -162,6 +163,11 @@ class TestSepSets:
             ).rebuild()
             if rt.is_sep_sets(seq) is not None:
                 assert rt.is_sep_int(cardinality_projection(seq)) is not None
+
+
+def cardinality_projection(seq: rt.EpSeq) -> rt.EpSeq:
+    """The integer sequence |D_j| - 1 of a set sequence."""
+    return seq.map(lambda s: len(frozenset(map(linalg.as_vec, s))) - 1)
 
 
 def reference_sep_sets_translated(digits, seq):
