@@ -14,13 +14,17 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from . import linalg, sep
 from .errors import (
+    CloudTooLarge,
     DigitShapeViolation,
     EmptyIntersection,
     GridViolation,
+    InvalidWitness,
     UniquenessNotEstablished,
+    charge,
 )
 from .linalg import RatMatrix, RatVec, np
 from .numsys import RadixSystem
@@ -43,6 +47,7 @@ def _int_nth_root(a: int, e: int) -> int:
     return lo
 
 
+@lru_cache(maxsize=256)
 def _primitive_power(a: int) -> tuple[int, int]:
     """Write a >= 2 as base**exp with base not a perfect power: the first hit of
     the largest exponent, since a root that were a power would give a larger one."""
@@ -267,32 +272,35 @@ def build_ifs(t: TranslateSpec, w: SepSetWitness) -> IfsSpec:
     with beta the value of the witness's translating digit representation.
     Maps with equal offsets are one map, so the offsets are the distinct ones.
     """
-    from .errors import InvalidWitness
-
     seq = intersection_sequence(t)
     if w.rebuild() != seq:
         raise InvalidWitness("witness does not reproduce the intersection sequence")
+    charge(CloudTooLarge, "ifs maps", math.prod(w.map_counts()), 2**20)  # the product bounds the map count
 
     sys = t.system
     p = w.block
     a = sys.matrix
     beta = eval_exact(Representation(sys, EpSeq.make(w.beta_head, w.beta_cycle)))
     # A^-p sum_l (A^{p-l-1} u_l + A^{-l-1} v_l) = A^-2p z with the integer vector
-    # z = sum_l (A^{2p-l-1} u_l + A^{p-l-1} v_l), so each offset is
-    # A^-2p z + (beta - A^-p beta) and z runs over the Minkowski sum over l of
-    # {A^{2p-l-1} u + A^{p-l-1} v}.  z -> offset is injective, so distinct z
-    # give the distinct offsets.
-    zs = {linalg.zero_vec(sys.n)}
+    # z = sum_l (A^{2p-l-1} u_l + A^{p-l-1} v_l), so each offset is A^-2p z + beta - A^-p beta.
+    # With beta = num / den and A^-k = adj(A)^k / det(A)^k, the offset times the positive
+    # D = det(A)^2p den is the integer row den adj(A)^2p z + c, c = det(A)^2p num - det(A)^p adj(A)^p num.
+    # The rows are c plus the Minkowski sum over l of {B_{2p-l-1} u + B_{p-l-1} v}, B_k = den adj(A)^2p A^k;
+    # z -> row is injective, so distinct rows are the distinct offsets, and they sort as the offsets do.
+    adj_p, det_p = linalg._adjugate_power(a, p)
+    adj_2p, det_2p = linalg._adjugate_power(a, 2 * p)
+    den = math.lcm(*(x.denominator for x in beta))
+    num = [x.numerator * (den // x.denominator) for x in beta]
+    rows = {tuple(det_2p * x - det_p * y for x, y in zip(num, linalg.mat_vec(adj_p, num)))}
+    powers = [tuple(tuple(den * x for x in row) for row in adj_2p)]  # B_0 .. B_(2p-1)
+    for _ in range(2 * p - 1):
+        powers.append(linalg.mat_mul(powers[-1], a))
     for l, (us, vs) in enumerate(zip(w.base, w.increments)):
-        a_u, a_v = linalg.mat_pow(a, 2 * p - l - 1), linalg.mat_pow(a, p - l - 1)
-        terms = {linalg.vec_add(linalg.mat_vec(a_u, u), linalg.mat_vec(a_v, v)) for u in us for v in vs}
-        zs = {linalg.vec_add(z, x) for z in zs for x in terms}
-    a_inv_p = linalg.mat_inv_pow(a, p)
-    a_2p = linalg.mat_pow(a, 2 * p)
-    adj, det = linalg.adjugate(a_2p), linalg.det(a_2p)  # A^-2p = adj / det
-    shift = [b - x for b, x in zip(beta, linalg.frac_mat_vec(a_inv_p, beta))]
-    offsets = (tuple(Fraction(y, det) + s for y, s in zip(linalg.mat_vec(adj, z), shift)) for z in zs)
-    return IfsSpec(power=p, linear=a_inv_p, offsets=tuple(sorted(offsets)), beta_value=beta)
+        images_v = [linalg.mat_vec(powers[p - l - 1], v) for v in vs]
+        terms = {linalg.vec_add(linalg.mat_vec(powers[2 * p - l - 1], u), y) for u in us for y in images_v}
+        rows = {linalg.vec_add(r, x) for r in rows for x in terms}
+    offsets = tuple(tuple(Fraction(x, det_2p * den) for x in row) for row in sorted(rows))
+    return IfsSpec(power=p, linear=linalg.mat_inv_pow(a, p), offsets=offsets, beta_value=beta)
 
 
 def check_ssc(w: SepSetWitness) -> bool:

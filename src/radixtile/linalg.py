@@ -4,8 +4,8 @@ Matrices are tuples of row tuples, vectors are plain tuples, and a batch
 of vectors is one (N, n) integer array under ``dtype_for``.  Everything
 that feeds a decision (residue classes, Smith form, the expanding test,
 operator-norm bounds) is exact, and a rational is always integer numerators
-over one fraction-free Bareiss determinant (``cramer``, ``mat_inv`` =
-adjugate / det), never a rational row reduction.  A residue class mod
+over one fraction-free Bareiss determinant (``cramer``, ``mat_inv_pow`` =
+adj^k / det^k), never a rational row reduction.  A residue class mod
 a*Z^n is one integer in [0, |det a|) read off the Smith form
 (``class_index``).  Floating point only
 proposes a norm bound, which is then checked exactly; the one float result
@@ -151,13 +151,6 @@ def cramer(a: IntMatrix, b: IntVec) -> tuple[IntVec, int]:
     return tuple(det(tuple(row[:i] + (y,) + row[i + 1:] for row, y in zip(a, b))) for i in range(len(a))), det(a)
 
 
-def mat_inv(a: IntMatrix) -> RatMatrix:
-    """Exact inverse adjugate(a) / det(a) of an integer matrix (SingularMatrix if det = 0)."""
-    if (d := det(a)) == 0:
-        raise SingularMatrix("matrix is singular")
-    return tuple(tuple(Fraction(x, d) for x in row) for row in adjugate(a))
-
-
 def adjugate(a: IntMatrix) -> IntMatrix:
     """Integer adjugate, so that adjugate(a) == det(a) * inverse(a): the transposed cofactors."""
     n = len(a)
@@ -182,8 +175,27 @@ def frac_mat_vec(a: RatMatrix, v) -> RatVec:
 
 
 def mat_inv_pow(a: IntMatrix, k: int) -> RatMatrix:
-    """Exact A^{-k} for k >= 0."""
-    return mat_inv(mat_pow(a, k))
+    """Exact A^{-k} = adj(A)^k / det(A)^k for k >= 0 (SingularMatrix if det = 0 and k > 0)."""
+    adj, d = _adjugate_power(a, k)
+    if d == 0:
+        raise SingularMatrix("matrix is singular")
+    return tuple(tuple(Fraction(x, d) for x in row) for row in adj)
+
+
+@lru_cache(maxsize=256)
+def _adjugate_power(a: IntMatrix, k: int) -> tuple[IntMatrix, int]:
+    """(adj(A)^k, det(A)^k), so that A^-k = adj(A)^k / det(A)^k: adj(A^k) = adj(A)^k for every square A."""
+    if k == 1:
+        return adjugate(a), det(a)
+    adj, d = _adjugate_power(a, 1)
+    return mat_pow(adj, k), d**k
+
+
+@lru_cache(maxsize=256)
+def _cycle_inverse(a: IntMatrix, p: int) -> tuple[IntMatrix, int]:
+    """(adj(A^p - I), det(A^p - I)): (A^p - I) w = b solves as w = adj b / det, Cramer's rule for every b at once."""
+    m = mat_sub(mat_pow(a, p), identity(len(a)))
+    return adjugate(m), det(m)
 
 
 def is_integral(v: RatVec) -> bool:
@@ -445,6 +457,7 @@ def _similarity_scale_sq(a: IntMatrix) -> int | None:
     return r2
 
 
+@lru_cache(maxsize=256)
 def similarity_contraction(a: IntMatrix) -> float | None:
     """Contraction coefficient of A^-1 when it scales Euclidean distance.
 

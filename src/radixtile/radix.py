@@ -138,18 +138,17 @@ def _eval_cached(matrix: IntMatrix, pre: tuple, cycle: tuple) -> RatVec:
     def horner(xs):  # the integer vector sum_j A^{len(xs)-1-j} x_j
         return reduce(lambda total, x: linalg.vec_add(linalg.mat_vec(matrix, total), x), xs, (0,) * len(matrix))
 
-    # w = u / d by Cramer's rule, and with A^-m = adj(A)^m / det(A)^m the value
-    # A^-m (horner(pre) + w) is adj(A)^m (d horner(pre) + u) / (det(A)^m d)
-    a_pow = linalg.mat_pow(matrix, len(cycle))
-    u, d = linalg.cramer(linalg.mat_sub(a_pow, linalg.identity(len(matrix))), horner(cycle))
+    # w = u / d with u = adj(A^p - I) horner(cycle) and d = det(A^p - I), and with A^-m = adj(A)^m / det(A)^m
+    # the value A^-m (horner(pre) + w) is adj(A)^m (d horner(pre) + u) / (det(A)^m d)
+    adj, d = linalg._cycle_inverse(matrix, len(cycle))
     if d == 0:
         raise SingularMatrix("system is singular")
-    if (det := linalg.det(matrix)) == 0:
+    if linalg._adjugate_power(matrix, 1)[1] == 0:
         raise SingularMatrix("matrix is singular")
     linalg.require_expanding(matrix)
-    top = linalg.vec_add([d * v for v in horner(pre)], u)
-    top = linalg.mat_vec(linalg.mat_pow(linalg.adjugate(matrix), len(pre)), top)
-    return tuple(Fraction(x, det ** len(pre) * d) for x in top)
+    top = linalg.vec_add([d * v for v in horner(pre)], linalg.mat_vec(adj, horner(cycle)))
+    adj_m, det_m = linalg._adjugate_power(matrix, len(pre))
+    return tuple(Fraction(x, det_m * d) for x in linalg.mat_vec(adj_m, top))
 
 
 def equivalent(x: Representation, y: Representation) -> bool:

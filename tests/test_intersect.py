@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import sys as _sys
 from fractions import Fraction
@@ -10,7 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import radixtile as rt
-from radixtile import linalg
+from radixtile import cli, linalg
 from radixtile.errors import (
     EmptyIntersection,
     GridViolation,
@@ -22,7 +23,7 @@ from radixtile.intersect import ExactDim, intersection_report
 from radixtile.radix import EpSeq, Representation, eval_exact, vector_seq
 from radixtile.sep import translate
 
-from conftest import alternating_block_counts, gauss_matrix, gauss_system, int_max_str_digits, parse_exact
+from conftest import alternating_block_counts, charged, gauss_matrix, gauss_system, int_max_str_digits, parse_exact
 
 
 def fs(*scalars):
@@ -345,6 +346,10 @@ IFS_SYSTEMS = {
     "gauss2": gauss_system(2, (0, 1, 4)),
     "base3": rt.RadixSystem(((3,),), ((0,), (1,), (2,))),
     "base5": rt.RadixSystem(((5,),), ((0,), (2,), (3,), (4,))),
+    # det A < 0, so det(A)^p changes sign with p while the offsets' common denominator stays positive
+    "base_m3": rt.RadixSystem(((-3,),), ((0,), (1,), (2,))),
+    "reflect5": rt.RadixSystem(((1, 2), (2, -1)), tuple((d, 0) for d in range(5))),
+    "twice_i3": rt.RadixSystem(((2, 0, 0), (0, 2, 0), (0, 0, 2)), ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))),
 }
 
 
@@ -367,6 +372,23 @@ class TestIfsReference:
         assert other.rebuild() == w.rebuild()
         assert rt.build_ifs(t, other) == reference_ifs(t, other)
 
+    @pytest.mark.parametrize(
+        "pre, cycle, maps",
+        [
+            ([], [(0, 0, 0)], 4),
+            ([], [(0, 0, 0), (1, 0, 0)], 4),
+            ([(-1, 1, 0)], [(0, 0, 0), (0, 0, 0), (0, 1, 0)], 16),
+            ([(0, 0, 1), (0, 0, 0)], [(-1, 1, 0), (0, 0, 0)], 4),
+        ],
+    )
+    def test_three_dimensional_translates(self, pre, cycle, maps):
+        # random draws of the 13 differences of the 3-D system seldom keep a full component
+        sys = IFS_SYSTEMS["twice_i3"]
+        t = rt.translate_spec(sys, vector_seq(pre, cycle), strict=False)
+        w = rt.is_sep_sets_translated(sys.digits, rt.intersection_sequence(t))
+        ifs = rt.build_ifs(t, w)
+        assert ifs.map_count == maps and ifs == reference_ifs(t, w)
+
     def test_rebased_fixture(self, m3i_048):
         t = noSSC_spec(m3i_048)
         w = rt.is_sep_sets_translated(m3i_048.digits, rt.intersection_sequence(t))
@@ -376,6 +398,27 @@ class TestIfsReference:
         ifs = rt.build_ifs(t, other)
         assert ifs == reference_ifs(t, other)
         assert ifs.beta_value != rt.build_ifs(t, w).beta_value
+
+
+def long_block_payload(block):
+    """alpha = ((0,0), (0,0), (4,0)^(block-3), (8,0)) on -3+i with digits {0, 4, 8}: SEP block `block`, 9 * 2^(block-3) maps."""
+    return {"alpha": {"pre": [], "cycle": [[0, 0]] * 2 + [[4, 0]] * (block - 3) + [[8, 0]]}}
+
+
+class TestIfsMapCap:
+    def test_map_count_is_the_product_of_the_witness_counts(self, m3i_048):
+        t = rt.translate_spec(m3i_048, vector_seq([], [tuple(x) for x in long_block_payload(8)["alpha"]["cycle"]]))
+        w = rt.is_sep_sets_translated(m3i_048.digits, rt.intersection_sequence(t))
+        assert w.block == 8 and rt.build_ifs(t, w).map_count == math.prod(w.map_counts()) == 9 * 2**5
+
+    def test_block_twenty_exits_three_before_any_build(self, tmp_path, capsys):
+        path = tmp_path / "m3i.json"
+        path.write_text(json.dumps({"matrix": [-3, -1, 1, -3], "digits": [[0, 0], [4, 0], [8, 0]]}))
+        with mock.patch("radixtile.intersect.eval_exact", side_effect=AssertionError("the IFS was built")):
+            assert cli.main(["intersect", str(path), "-p", json.dumps(long_block_payload(20))]) == 3
+        out = json.loads(capsys.readouterr().out)
+        assert list(out) == ["error"] and out["error"]["type"] == "CloudTooLarge"
+        assert charged(out["error"], "ifs maps", 2**20) == 9 * 2**17
 
 
 class TestSscAndDims:
